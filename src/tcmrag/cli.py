@@ -12,13 +12,13 @@ from . import corpus as corpus_mod
 from . import evalharness as ev
 from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, dump_chunks, load_chunks,
                      load_corpus, normalize_text, save_corpus)
-from .dense import HttpEmbedProvider, StubEmbedProvider, VectorIndex
+from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
 from .llm import CannedChatProvider, ChatProviderError, CleaningError, GenerationParams, \
-    HttpChatProvider, extract_fields, split_cases
-from .prompt import TemplateSet, parse_answer, serialize_answer
+    HttpChatProvider, extract_fields, generate_answer, split_cases
+from .prompt import DEFAULT_BUDGET, TemplateSet, build_prompt, parse_answer, serialize_answer
 from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrieverDeps,
-                       two_stage_retrieve)
+                       prompt_context, two_stage_retrieve)
 from .segment import load_hmm, load_lexicon
 from .sparse import KeywordIndex
 
@@ -44,16 +44,16 @@ class AppConfig:
     hmm: str = ""
     templates: str = ""
     out_dir: str = "out"
-    window: int = 512
-    overlap: int = 128
-    max_tokens: int = 256
-    overlap_tokens: int = 32
-    stub_dim: int = 256
-    n_dense: int = 50
-    n_sparse: int = 50
-    top_k: int = 3
-    alpha: float = 0.5
-    budget: int = 6000
+    window: int = corpus_mod.DEFAULT_WINDOW
+    overlap: int = corpus_mod.DEFAULT_OVERLAP
+    max_tokens: int = corpus_mod.DEFAULT_MAX_TOKENS
+    overlap_tokens: int = corpus_mod.DEFAULT_OVERLAP_TOKENS
+    stub_dim: int = DEFAULT_STUB_DIM
+    n_dense: int = RetrievalConfig.n_dense
+    n_sparse: int = RetrievalConfig.n_sparse
+    top_k: int = RetrievalConfig.top_k
+    alpha: float = RetrievalConfig.alpha
+    budget: int = DEFAULT_BUDGET
     embed_url: str = ""
     embed_model: str = ""
     rerank_url: str = ""
@@ -63,9 +63,8 @@ class AppConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "AppConfig":
+        """Each value is converted with the type of its field's default."""
         cfg = cls()
-        int_keys = {"window", "overlap", "max_tokens", "overlap_tokens", "stub_dim",
-                    "n_dense", "n_sparse", "top_k", "budget"}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -78,12 +77,7 @@ class AppConfig:
                 if not hasattr(cfg, key):
                     raise CliConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    if key in int_keys:
-                        setattr(cfg, key, int(value))
-                    elif key == "alpha":
-                        cfg.alpha = float(value)
-                    else:
-                        setattr(cfg, key, value)
+                    setattr(cfg, key, type(getattr(cfg, key))(value))
                 except ValueError as exc:
                     raise CliConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         return cfg
@@ -259,8 +253,6 @@ def cmd_query(cfg: AppConfig, args) -> int:
         if not cfg.templates:
             raise CliConfigError("--answer requires a templates directory in the config")
         templates = TemplateSet.load(cfg.templates)
-        from .llm import generate_answer
-        from .prompt import build_prompt
 
         @dataclass
         class _AdhocItem:
@@ -271,7 +263,8 @@ def cmd_query(cfg: AppConfig, args) -> int:
         item = _AdhocItem(case_text=args.question,
                           pathogenesis_options=args.pathogenesis_option or ["未知病机"],
                           syndrome_options=args.syndrome_option or ["未知证型"])
-        blocks = [(c.chunk_id, deps.chunk_texts[c.chunk_id]) for c in result.candidates]
+        # an index directory holds chunks, not cases, so there is no demonstration here
+        blocks, _ = prompt_context(result, deps.chunk_texts, {})
         bundle = build_prompt(item, "rag_cot" if blocks else "cot", templates,
                               context_blocks=blocks, budget=cfg.budget)
         provider = _chat_provider(cfg, args)
@@ -363,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="one-shot retrieval with optional answer generation")
     p.add_argument("question")
     p.add_argument("--index", required=True, help="index directory from 'index'")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=RetrievalConfig.top_k)
     p.add_argument("--mode", default="hybrid", choices=list(MODES))
     p.add_argument("--expect-strategy", default=None, choices=[OVERLAP_WINDOW, TOKEN_CHUNK],
                    help="fail if the index was built with a different chunking strategy")

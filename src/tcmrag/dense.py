@@ -1,15 +1,15 @@
 """Embedding providers, deterministic offline stub embedder, and an exact flat cosine index."""
 from __future__ import annotations
 
-import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
-import requests
+
+from .transport import RETRIES, PermanentError, TransientError, post_json, with_retries
 
 
 class EmbeddingError(ValueError):
@@ -87,27 +87,21 @@ class HttpEmbedProvider:
     model: str
     api_key_env: str = "EMBED_API_KEY"
     timeout: float = 30.0
-    retries: int = 3
     sleep: Callable[[float], None] = time.sleep
 
     def embed_raw(self, text: str) -> list[float]:
-        headers = {"Authorization": f"Bearer {os.environ.get(self.api_key_env, '')}"}
         body = {"model": self.model, "input": [text]}
-        last: Exception | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-                if 400 <= resp.status_code < 500:
-                    raise ProviderError(f"embedding provider rejected request: {resp.status_code}")
-                resp.raise_for_status()
-                return resp.json()["data"][0]["embedding"]
-            except ProviderError:
-                raise
-            except Exception as exc:  # transport / 5xx / malformed body
-                last = exc
-                if attempt < self.retries:
-                    self.sleep(float(2 ** attempt))
-        raise ProviderError(f"embedding provider failed after {self.retries} retries") from last
+        try:
+            return with_retries(lambda: post_json(self.url, body, self.api_key_env,
+                                                  self.timeout, _first_embedding), self.sleep)
+        except PermanentError as exc:
+            raise ProviderError(f"embedding provider rejected request: {exc}") from exc
+        except TransientError as exc:
+            raise ProviderError(f"embedding provider failed after {RETRIES} retries") from exc
+
+
+def _first_embedding(reply) -> list[float]:
+    return reply["data"][0]["embedding"]
 
 
 def embed(text: str, provider: EmbedProvider) -> EmbeddingVector:
@@ -181,17 +175,27 @@ class VectorIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
+        """Raises EmbeddingError for a file that is not a whole, well-formed index."""
         index = cls()
         with open(path, "rb") as fh:
+            def read(n: int) -> bytes:
+                data = fh.read(n)
+                if len(data) != n:
+                    raise EmbeddingError(f"{path}: truncated vector index file")
+                return data
+
             if fh.read(12) != _MAGIC:
                 raise EmbeddingError(f"{path}: not a vector index file")
-            (version,) = struct.unpack("<I", fh.read(4))
+            (version,) = struct.unpack("<I", read(4))
             if version != _VERSION:
                 raise EmbeddingError(f"{path}: unsupported version {version}")
-            dim, count = struct.unpack("<II", fh.read(8))
+            dim, count = struct.unpack("<II", read(8))
             for _ in range(count):
-                (id_len,) = struct.unpack("<I", fh.read(4))
-                cid = fh.read(id_len).decode("utf-8")
-                row = np.array(struct.unpack(f"<{dim}d", fh.read(8 * dim)), dtype=np.float64)
+                (id_len,) = struct.unpack("<I", read(4))
+                try:
+                    cid = read(id_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EmbeddingError(f"{path}: chunk id is not UTF-8: {exc}") from exc
+                row = np.frombuffer(read(8 * dim), dtype="<f8").astype(np.float64)
                 index.add(cid, EmbeddingVector(dim=dim, values=row))
         return index

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .corpus import (Chunk, ClinicalCase, OVERLAP_WINDOW, TOKEN_CHUNK, case_document,
-                     chunk_by_tokens, chunk_overlap)
+from .corpus import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP, DEFAULT_OVERLAP_TOKENS,
+                     DEFAULT_WINDOW, OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
+                     case_document, chunk_by_tokens, chunk_overlap)
 from .dense import EmbedProvider, VectorIndex, embed
 from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
@@ -21,8 +22,9 @@ def make_tokenizer(lex: Lexicon, hmm: HmmModel | None = None) -> Callable[[str],
 
 def chunk_corpus(cases: list[ClinicalCase], strategy: str, lex: Lexicon,
                  hmm: HmmModel | None = None, *,
-                 window: int = 512, overlap: int = 128,
-                 max_tokens: int = 256, overlap_tokens: int = 32) -> list[Chunk]:
+                 window: int = DEFAULT_WINDOW, overlap: int = DEFAULT_OVERLAP,
+                 max_tokens: int = DEFAULT_MAX_TOKENS,
+                 overlap_tokens: int = DEFAULT_OVERLAP_TOKENS) -> list[Chunk]:
     chunks: list[Chunk] = []
     for case in cases:
         doc = case_document(case)

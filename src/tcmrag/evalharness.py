@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import ClinicalCase, render_demonstration
+from .corpus import ClinicalCase
 from .llm import ChatProvider, FnChatProvider, GenerationParams, Metrics, generate_answer
-from .prompt import (Answer, AnswerParseError, AnswerSchemaError, PromptBundle, TemplateSet,
+from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, AnswerSchemaError, TemplateSet,
                      build_prompt, parse_answer, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RetrievalConfig, RetrieverDeps, parent_case_id,
-                       select_demonstration, two_stage_retrieve)
+                       prompt_context, two_stage_retrieve)
+from .sparse import iou_score
 
 MODE_NONE = "none"
 MODE_NAIVE_RAG = "naive_rag"
@@ -71,7 +73,7 @@ class EvalDeps:
     corpus: dict[str, ClinicalCase]
     retrievers: dict[str, RetrieverDeps] = field(default_factory=dict)
     params: GenerationParams = GenerationParams()
-    budget: int = 6000
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass
@@ -156,15 +158,10 @@ def _validate_item(item: TaskItem) -> None:
             raise TaskError(f"item {item.item_id!r}: {name} values {bad} not among options")
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
-
-
 def score_item(pred: Answer, item: TaskItem) -> float:
     """Mean of the two label-set Jaccards; empty-vs-empty counts as 0."""
-    return 0.5 * _jaccard(set(pred.pathogenesis), set(item.gold_pathogenesis)) \
-        + 0.5 * _jaccard(set(pred.syndromes), set(item.gold_syndromes))
+    return 0.5 * iou_score(set(pred.pathogenesis), set(item.gold_pathogenesis)) \
+        + 0.5 * iou_score(set(pred.syndromes), set(item.gold_syndromes))
 
 
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
@@ -184,20 +181,12 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         demo_text: str | None = None
         if config.retrieval_mode != MODE_NONE:
             rdeps = deps.retrievers[config.retrieval_mode]
-            rcfg = RetrievalConfig(
-                n_dense=config.retrieval.n_dense, n_sparse=config.retrieval.n_sparse,
-                top_k=config.retrieval.top_k, alpha=config.retrieval.alpha,
-                mode=_STAGE1_MODE[config.retrieval_mode])
+            rcfg = replace(config.retrieval, mode=_STAGE1_MODE[config.retrieval_mode])
             retrieved = two_stage_retrieve(item.case_text, rdeps, rcfg)
             if retrieved.warnings:
                 fallbacks += 1
                 warnings.extend(retrieved.warnings)
-            blocks = [(c.chunk_id, rdeps.chunk_texts[c.chunk_id])
-                      for c in retrieved.candidates]
-            if retrieved.candidates:
-                top_case = deps.corpus.get(parent_case_id(retrieved.candidates[0].chunk_id))
-                if top_case is not None:
-                    demo_text = render_demonstration(top_case)
+            blocks, demo_text = prompt_context(retrieved, rdeps.chunk_texts, deps.corpus)
 
         bundle = build_prompt(item, config.variant, deps.templates,
                               context_blocks=blocks, demonstration=demo_text,
@@ -298,8 +287,7 @@ def retrieval_sensitive_provider(items: list[TaskItem],
     Context blocks carry their chunk ids in the `[CONTEXT n | <chunk_id>]` headers,
     so presence is decided from the parent case of any cited chunk.
     """
-    import re as _re
-    header = _re.compile(r"\[CONTEXT \d+ \| ([^\]]+)\]")
+    header = re.compile(r"\[CONTEXT \d+ \| ([^\]]+)\]")
 
     def fn(messages):
         user_text = messages[-1][1]

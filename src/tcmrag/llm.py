@@ -3,30 +3,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
 from .corpus import ClinicalCase
-from .prompt import AnswerParseError, AnswerSchemaError, OptionItem, PromptBundle, parse_answer
+from .prompt import (AnswerParseError, AnswerSchemaError, OptionItem, PromptBundle,
+                     _first_json, parse_answer)
+from .transport import RETRIES, PermanentError, post_json, with_retries
+from .transport import TransientError as TransientChatError  # retryable transport/server failure
 
 Message = tuple[str, str]  # (role, content)
-
-MAX_TRANSPORT_RETRIES = 3
-_BACKOFF_SECONDS = (1.0, 2.0, 4.0)
 
 
 class ChatProviderError(RuntimeError):
     """Provider failed permanently (auth/config error or retries exhausted)."""
-
-
-class TransientChatError(RuntimeError):
-    """Retryable transport/server failure."""
 
 
 class CleaningError(ValueError):
@@ -97,10 +89,8 @@ class HttpChatProvider:
     model: str
     api_key_env: str = "CHAT_API_KEY"
     timeout: float = 60.0
-    parallelism: int = 1
 
     def send(self, messages: list[Message], params: GenerationParams) -> tuple[str, str]:
-        headers = {"Authorization": f"Bearer {os.environ.get(self.api_key_env, '')}"}
         body = {
             "model": self.model,
             "messages": [{"role": r, "content": c} for r, c in messages],
@@ -108,18 +98,14 @@ class HttpChatProvider:
             "max_tokens": params.max_tokens,
         }
         try:
-            resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransientChatError(f"transport failure: {exc}") from exc
-        if 400 <= resp.status_code < 500:
-            raise ChatProviderError(f"chat provider rejected request: HTTP {resp.status_code}")
-        if resp.status_code >= 500:
-            raise TransientChatError(f"server failure: HTTP {resp.status_code}")
-        try:
-            choice = resp.json()["choices"][0]
-            return choice["message"]["content"], choice.get("finish_reason", "stop")
-        except (KeyError, IndexError, ValueError) as exc:
-            raise TransientChatError(f"malformed response body: {exc}") from exc
+            return post_json(self.url, body, self.api_key_env, self.timeout, _first_choice)
+        except PermanentError as exc:
+            raise ChatProviderError(f"chat provider rejected request: {exc}") from exc
+
+
+def _first_choice(reply) -> tuple[str, str]:
+    choice = reply["choices"][0]
+    return choice["message"]["content"], choice.get("finish_reason", "stop")
 
 
 def complete(provider: ChatProvider, messages: list[Message],
@@ -136,23 +122,21 @@ def complete(provider: ChatProvider, messages: list[Message],
     if messages[0][0] not in ("system", "user"):
         raise ValueError("first message role must be system or user")
     metrics = metrics if metrics is not None else Metrics()
-    last: Exception | None = None
-    for attempt in range(MAX_TRANSPORT_RETRIES + 1):
+
+    def attempt() -> tuple[str, str]:
         metrics.requests += 1
-        try:
-            text, finish_reason = provider.send(messages, params)
-        except TransientChatError as exc:
-            last = exc
-            if attempt < MAX_TRANSPORT_RETRIES:
-                metrics.retries += 1
-                sleep(_BACKOFF_SECONDS[attempt])
-                continue
-            raise ChatProviderError(
-                f"provider failed after {MAX_TRANSPORT_RETRIES} retries") from exc
-        if finish_reason not in ("stop", ""):
-            metrics.warnings.append(f"completion flagged finish_reason={finish_reason!r}")
-        return text
-    raise ChatProviderError("provider failed") from last  # unreachable
+        return provider.send(messages, params)
+
+    def count_retry() -> None:
+        metrics.retries += 1
+
+    try:
+        text, finish_reason = with_retries(attempt, sleep, count_retry)
+    except TransientChatError as exc:
+        raise ChatProviderError(f"provider failed after {RETRIES} retries") from exc
+    if finish_reason not in ("stop", ""):
+        metrics.warnings.append(f"completion flagged finish_reason={finish_reason!r}")
+    return text
 
 
 _SPLIT_SYSTEM = (
@@ -174,16 +158,19 @@ _EXTRACT_FORMAT = (
 COVERAGE_THRESHOLD = 0.8
 
 
-def _first_json_array(raw: str) -> list:
-    decoder = json.JSONDecoder()
-    for match in re.finditer(r"\[", raw):
-        try:
-            obj, _ = decoder.raw_decode(raw, match.start())
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, list):
-            return obj
-    raise CleaningError("no JSON array found in cleaning output")
+def _complete_json(provider: ChatProvider, messages: list[Message], kind: type,
+                   format_note: str, params: GenerationParams, metrics: Metrics | None,
+                   sleep: Callable[[float], None]):
+    """The first JSON value of `kind` in the reply; one repair turn re-states the format."""
+    raw = complete(provider, messages, params, metrics, sleep)
+    value = _first_json(raw, kind)
+    if value is None:
+        messages = messages + [("assistant", raw), ("user", format_note)]
+        value = _first_json(complete(provider, messages, params, metrics, sleep), kind)
+    if value is None:
+        what = "object" if kind is dict else "array"
+        raise CleaningError(f"no JSON {what} found in cleaning output")
+    return value
 
 
 def _strip_ws(text: str) -> str:
@@ -204,13 +191,7 @@ def split_cases(provider: ChatProvider, blob: str,
         raise ValueError("blob must be non-empty")
     messages: list[Message] = [("system", _SPLIT_SYSTEM),
                                ("user", blob + "\n\n" + _SPLIT_FORMAT)]
-    raw = complete(provider, messages, params, metrics, sleep)
-    try:
-        items = _first_json_array(raw)
-    except CleaningError:
-        messages = messages + [("assistant", raw), ("user", _SPLIT_FORMAT)]
-        raw = complete(provider, messages, params, metrics, sleep)
-        items = _first_json_array(raw)
+    items = _complete_json(provider, messages, list, _SPLIT_FORMAT, params, metrics, sleep)
     if not items or any(not isinstance(x, str) or not x.strip() for x in items):
         raise CleaningError("cleaning output must be a non-empty array of non-empty strings")
 
@@ -223,18 +204,6 @@ def split_cases(provider: ChatProvider, blob: str,
     return [x.strip() for x in items]
 
 
-def _first_json_object(raw: str) -> dict:
-    decoder = json.JSONDecoder()
-    for match in re.finditer(r"\{", raw):
-        try:
-            obj, _ = decoder.raw_decode(raw, match.start())
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, dict):
-            return obj
-    raise CleaningError("no JSON object found in cleaning output")
-
-
 def extract_fields(provider: ChatProvider, raw_case: str,
                    params: GenerationParams = GenerationParams(),
                    metrics: Metrics | None = None,
@@ -244,13 +213,7 @@ def extract_fields(provider: ChatProvider, raw_case: str,
         raise ValueError("raw_case must be non-empty")
     messages: list[Message] = [("system", _EXTRACT_SYSTEM),
                                ("user", raw_case + "\n\n" + _EXTRACT_FORMAT)]
-    raw = complete(provider, messages, params, metrics, sleep)
-    try:
-        obj = _first_json_object(raw)
-    except CleaningError:
-        messages = messages + [("assistant", raw), ("user", _EXTRACT_FORMAT)]
-        raw = complete(provider, messages, params, metrics, sleep)
-        obj = _first_json_object(raw)
+    obj = _complete_json(provider, messages, dict, _EXTRACT_FORMAT, params, metrics, sleep)
 
     def text_field(key: str) -> str:
         value = obj.get(key) or ""

@@ -160,16 +160,17 @@ def build_prompt(item: OptionItem, variant: str, templates: TemplateSet,
                         context_blocks=blocks, demonstration=demo)
 
 
-def _first_json_object(raw: str) -> dict:
+def _first_json(raw: str, kind: type):
+    """The first JSON value of type `kind` (dict or list) embedded in raw; None if none."""
     decoder = json.JSONDecoder()
-    for match in re.finditer(r"\{", raw):
+    for match in re.finditer(r"\{" if kind is dict else r"\[", raw):
         try:
-            obj, _ = decoder.raw_decode(raw, match.start())
+            value, _ = decoder.raw_decode(raw, match.start())
         except json.JSONDecodeError:
             continue
-        if isinstance(obj, dict):
-            return obj
-    raise AnswerParseError("no JSON object found in model output", raw)
+        if isinstance(value, kind):
+            return value
+    return None
 
 
 def _string_list(obj: dict, key: str, raw: str) -> list[str]:
@@ -195,7 +196,9 @@ def parse_answer(raw: str, item: OptionItem) -> tuple[Answer, list[str]]:
     Selections outside the item's option lists are dropped with a warning, never
     kept; duplicates collapse to first occurrence.
     """
-    obj = _first_json_object(raw)
+    obj = _first_json(raw, dict)
+    if obj is None:
+        raise AnswerParseError("no JSON object found in model output", raw)
     missing = [k for k in ANSWER_KEYS if k not in obj]
     if missing:
         raise AnswerSchemaError(f"missing required keys {missing}", raw)

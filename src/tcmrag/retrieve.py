@@ -1,16 +1,13 @@
-"""Two-stage hybrid retrieval: pooled dense+sparse candidates, rerank, demonstration pick."""
+"""Two-stage hybrid retrieval: pooled dense+sparse candidates, rerank, prompt context."""
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
-import requests
-
-from .corpus import ClinicalCase
+from .corpus import ClinicalCase, render_demonstration
 from .dense import EmbedProvider, VectorIndex, embed
 from .sparse import KeywordIndex, iou_score
+from .transport import PermanentError, TransientError, post_json
 
 DENSE_ONLY = "dense_only"
 SPARSE_ONLY = "sparse_only"
@@ -75,31 +72,48 @@ class RerankProvider(Protocol):
 
 @dataclass
 class HttpRerankProvider:
+    """One attempt per query, no retries: a query waits on it, and fusion is its fallback."""
     url: str
     model: str
     api_key_env: str = "RERANK_API_KEY"
     timeout: float = 30.0
-    sleep: Callable[[float], None] = time.sleep
 
     def rerank(self, query: str, documents: list[str]) -> list[float]:
-        headers = {"Authorization": f"Bearer {os.environ.get(self.api_key_env, '')}"}
         body = {"model": self.model, "query": query, "documents": documents}
         try:
-            resp = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            results = resp.json()["results"]
-        except Exception as exc:
+            return post_json(self.url, body, self.api_key_env, self.timeout,
+                             lambda reply: _rerank_scores(reply, len(documents)))
+        except (PermanentError, TransientError) as exc:
             raise RerankProviderError(f"rerank provider failed: {exc}") from exc
-        scores = [0.0] * len(documents)
-        for entry in results:
-            scores[entry["index"]] = float(entry["relevance_score"])
-        return scores
+
+
+def _rerank_scores(reply, n: int) -> list[float]:
+    """Per-document scores from a reply giving each of the n documents exactly one
+    entry with an int `index` in [0, n) and a numeric `relevance_score`."""
+    results = reply["results"]
+    if not isinstance(results, list):
+        raise ValueError("'results' is not a list")
+    scores: list[float | None] = [None] * n
+    for entry in results:
+        index, score = entry["index"], entry["relevance_score"]
+        if type(index) is not int or not 0 <= index < n:
+            raise ValueError(f"result index {index!r} is not a document index in [0, {n})")
+        if type(score) not in (int, float):
+            raise ValueError(f"relevance_score {score!r} is not a number")
+        if scores[index] is not None:
+            raise ValueError(f"document {index} is scored twice")
+        scores[index] = float(score)
+    if None in scores:
+        raise ValueError(f"document {scores.index(None)} is not scored")
+    return scores
 
 
 def first_stage(query_text: str, deps: RetrieverDeps,
                 cfg: RetrievalConfig) -> list[RetrievalCandidate]:
     """Pool dense and sparse top lists (per mode); fill both scores for every candidate."""
     query_tokens = deps.tokenize(query_text)
+    if not query_tokens:
+        return []
     query_vec = embed(query_text, deps.embedder)
 
     dense_ids: list[str] = []
@@ -161,7 +175,11 @@ def two_stage_retrieve(query_text: str, deps: RetrieverDeps,
                        cfg: RetrievalConfig) -> RetrievalResult:
     pool = first_stage(query_text, deps, cfg)
     if not pool:
-        return RetrievalResult(candidates=[])
+        # re-tokenized only here, to tell a query with no tokens from one that matched nothing
+        if deps.tokenize(query_text):
+            return RetrievalResult(candidates=[])
+        return RetrievalResult(candidates=[], warnings=[
+            f"query {query_text!r} has no searchable tokens; nothing retrieved"])
     ranked, warnings = rerank(query_text, pool, deps, cfg)
     return RetrievalResult(candidates=ranked[:cfg.top_k], warnings=warnings)
 
@@ -170,10 +188,11 @@ def parent_case_id(chunk_id: str) -> str:
     return chunk_id.rsplit("#", 1)[0]
 
 
-def select_demonstration(query_text: str, deps: RetrieverDeps, cfg: RetrievalConfig,
-                         corpus: dict[str, ClinicalCase]) -> ClinicalCase | None:
-    """The parent case of the top reranked chunk; None when nothing was retrieved."""
-    result = two_stage_retrieve(query_text, deps, cfg)
-    if not result.candidates:
-        return None
-    return corpus[parent_case_id(result.candidates[0].chunk_id)]
+def prompt_context(result: RetrievalResult, chunk_texts: dict[str, str],
+                   corpus: dict[str, ClinicalCase]) -> tuple[list[tuple[str, str]], str | None]:
+    """Context blocks (chunk_id, text) for the retrieved chunks, and the rendered parent
+    case of the top chunk as the demonstration; None when nothing was retrieved or the
+    parent case is not in corpus."""
+    blocks = [(c.chunk_id, chunk_texts[c.chunk_id]) for c in result.candidates]
+    top_case = corpus.get(parent_case_id(blocks[0][0])) if blocks else None
+    return blocks, render_demonstration(top_case) if top_case is not None else None

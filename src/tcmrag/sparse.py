@@ -1,7 +1,6 @@
 """Keyword inverted index with token-set IoU (Jaccard) scoring."""
 from __future__ import annotations
 
-import bisect
 from pathlib import Path
 
 
@@ -31,7 +30,7 @@ class KeywordIndex:
             raise KeywordIndexError(f"duplicate chunk_id {chunk_id!r}")
         self.doc_tokens[chunk_id] = set(tokens)
         for tok in tokens:
-            bisect.insort(self.postings.setdefault(tok, []), chunk_id)
+            self.postings.setdefault(tok, []).append(chunk_id)
 
     def tokens(self, chunk_id: str) -> set[str]:
         return self.doc_tokens[chunk_id]

@@ -233,7 +233,7 @@ def test_criterion_6_fusion_algebra():
 
 def test_criterion_7_prompt_invariants(task_items, templates, sample_cases, lexicon, hmm):
     from tcmrag.corpus import render_demonstration
-    from tcmrag.retrieve import parent_case_id, select_demonstration
+    from tcmrag.retrieve import parent_case_id
 
     tokenize = make_tokenizer(lexicon, hmm)
     embedder = StubEmbedProvider(tokenize=tokenize)

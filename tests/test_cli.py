@@ -67,6 +67,12 @@ def test_config_rejects_unknown_key_and_bad_value(tmp_path):
     bad.write_text("top_k = many\n", encoding="utf-8")
     with pytest.raises(CliConfigError, match="top_k"):
         AppConfig.load(bad)
+    bad.write_text("alpha = half\n", encoding="utf-8")
+    with pytest.raises(CliConfigError, match="alpha"):
+        AppConfig.load(bad)
+    bad.write_text("budget = 6000.5\n", encoding="utf-8")
+    with pytest.raises(CliConfigError, match="budget"):
+        AppConfig.load(bad)
 
 
 def test_bad_config_maps_to_exit_2(tmp_path, capsys):
@@ -190,6 +196,15 @@ def test_query_prints_ranked_rows(workspace, capsys):
     assert first[2].startswith("rerank=")
     assert first[3].startswith("dense=")
     assert first[4].startswith("sparse=")
+
+
+def test_query_punctuation_only_is_empty_with_a_warning(workspace, capsys):
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query",
+                 "？？", "--index", str(workspace["hybrid"])])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "(no results)" in captured.out
+    assert "no searchable tokens" in captured.err
 
 
 def test_query_sparse_only_without_overlap_is_empty_but_ok(workspace, capsys):

@@ -6,9 +6,9 @@ import random
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
-import tcmrag.dense as dense
 from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, EmbeddingVector, HttpEmbedProvider,
                           ProviderError, StubEmbedProvider, VectorIndex, embed, fnv1a64,
                           stub_embed, token_bucket)
@@ -174,7 +174,7 @@ def test_http_embed_retries_then_succeeds(monkeypatch):
         calls.append(kwargs)
         return responses[len(calls) - 1]
 
-    monkeypatch.setattr(dense.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)
     slept = []
     provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
     assert provider.embed_raw("hi") == [1.0, 0.0]
@@ -189,7 +189,7 @@ def test_http_embed_client_error_no_retry(monkeypatch):
         calls.append(1)
         return FakeResponse(401)
 
-    monkeypatch.setattr(dense.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)
     slept = []
     provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
     with pytest.raises(ProviderError):
@@ -205,7 +205,7 @@ def test_http_embed_exhausts_retries(monkeypatch):
         calls.append(1)
         raise ConnectionError("down")
 
-    monkeypatch.setattr(dense.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)
     slept = []
     provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
     with pytest.raises(ProviderError, match="after 3 retries"):
@@ -317,4 +317,30 @@ def test_index_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not an index at all")
     with pytest.raises(EmbeddingError, match="not a vector index"):
+        VectorIndex.load(path)
+
+
+def test_index_load_rejects_every_truncation(tmp_path):
+    index = VectorIndex()
+    for i, values in enumerate(([1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 1.0, 1.0])):
+        index.add(f"病案{i}#0", unit(values))
+    path = tmp_path / "vectors.bin"
+    index.save(path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(EmbeddingError):
+            VectorIndex.load(cut)
+    cut.write_bytes(data)
+    assert VectorIndex.load(cut).ids == index.ids
+
+
+def test_index_load_rejects_undecodable_id(tmp_path):
+    index = VectorIndex()
+    index.add("病#0", unit([1.0, 2.0]))
+    path = tmp_path / "vectors.bin"
+    index.save(path)
+    path.write_bytes(path.read_bytes().replace("病".encode("utf-8"), b"\xff\xfe\xfd"))
+    with pytest.raises(EmbeddingError, match="UTF-8"):
         VectorIndex.load(path)

@@ -4,8 +4,8 @@ import json
 from dataclasses import dataclass, field
 
 import pytest
+import requests
 
-import tcmrag.llm as llm
 from tcmrag.llm import (CannedChatProvider, ChatProviderError, CleaningError, FnChatProvider,
                         GenerationParams, HttpChatProvider, Metrics, TransientChatError,
                         canonical_messages, complete, extract_fields, generate_answer,
@@ -130,20 +130,20 @@ def test_http_provider_error_mapping(monkeypatch):
 
     provider = HttpChatProvider(url="http://x", model="m")
 
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: Resp(429))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(429))
     with pytest.raises(ChatProviderError):
         provider.send(MSGS, GenerationParams())
 
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: Resp(500))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(500))
     with pytest.raises(TransientChatError):
         provider.send(MSGS, GenerationParams())
 
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: Resp(200, {"unexpected": 1}))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, {"unexpected": 1}))
     with pytest.raises(TransientChatError, match="malformed"):
         provider.send(MSGS, GenerationParams())
 
     payload = {"choices": [{"message": {"content": "回答"}, "finish_reason": "stop"}]}
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: Resp(200, payload))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, payload))
     assert provider.send(MSGS, GenerationParams()) == ("回答", "stop")
 
 

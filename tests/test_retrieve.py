@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
-from tcmrag.corpus import ClinicalCase
+from tcmrag.corpus import ClinicalCase, render_demonstration
 from tcmrag.dense import StubEmbedProvider, VectorIndex, embed, token_bucket
-from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, SPARSE_ONLY, RerankProviderError,
-                             RetrievalCandidate, RetrievalConfig, RetrievalError, RetrieverDeps,
-                             first_stage, fusion_score, parent_case_id, rerank,
-                             select_demonstration, two_stage_retrieve)
+from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, SPARSE_ONLY, HttpRerankProvider,
+                             RerankProviderError, RetrievalCandidate, RetrievalConfig,
+                             RetrievalError, RetrieverDeps, first_stage, fusion_score,
+                             parent_case_id, prompt_context, rerank, two_stage_retrieve)
 from tcmrag.sparse import KeywordIndex
 
 DIM = 256
@@ -241,16 +242,122 @@ def make_case(case_id: str) -> ClinicalCase:
                         pathogenesis="y", syndromes=["z"])
 
 
-def test_select_demonstration_returns_parent_case():
+def test_prompt_context_demonstrates_parent_case():
     deps = make_deps()
     corpus = {cid: make_case(cid) for cid in ["c1", "c2", "c3"]}
-    case = select_demonstration(f"{A} {B}", deps, RetrievalConfig(), corpus)
-    assert case is not None and case.case_id == "c1"
+    result = two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
+    blocks, demo = prompt_context(result, deps.chunk_texts, corpus)
+    assert demo is not None and demo == render_demonstration(corpus["c1"])
+    assert blocks == [(c.chunk_id, deps.chunk_texts[c.chunk_id]) for c in result.candidates]
 
 
-def test_select_demonstration_none_when_nothing_retrieved():
+def test_prompt_context_none_when_nothing_retrieved():
     deps = make_deps()
     corpus = {cid: make_case(cid) for cid in ["c1", "c2", "c3"]}
-    case = select_demonstration("unknowntoken", deps,
-                                RetrievalConfig(mode=SPARSE_ONLY), corpus)
-    assert case is None
+    result = two_stage_retrieve("unknowntoken", deps, RetrievalConfig(mode=SPARSE_ONLY))
+    blocks, demo = prompt_context(result, deps.chunk_texts, corpus)
+    assert blocks == [] and demo is None
+
+
+def test_prompt_context_unknown_parent_case_gives_no_demonstration():
+    deps = make_deps()
+    result = two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
+    blocks, demo = prompt_context(result, deps.chunk_texts, {"c2": make_case("c2")})
+    assert blocks[0][0] == "c1#0" and demo is None
+
+
+# ---------------------------------------------------------------------------
+# Queries without tokens
+# ---------------------------------------------------------------------------
+
+class RefusingEmbedder:
+    def embed_raw(self, text):
+        raise AssertionError("a query without tokens must not be embedded")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_query_without_tokens_retrieves_nothing_with_a_warning(mode):
+    deps = make_deps()
+    deps.embedder = RefusingEmbedder()
+    assert first_stage("  ", deps, RetrievalConfig(mode=mode)) == []
+    result = two_stage_retrieve("  ", deps, RetrievalConfig(mode=mode))
+    assert result.candidates == []
+    assert len(result.warnings) == 1 and "no searchable tokens" in result.warnings[0]
+
+
+def test_query_matching_nothing_has_no_warning():
+    result = two_stage_retrieve("unknowntoken", make_deps(), RetrievalConfig(mode=SPARSE_ONLY))
+    assert result.candidates == [] and result.warnings == []
+
+
+# ---------------------------------------------------------------------------
+# HTTP rerank provider replies
+# ---------------------------------------------------------------------------
+
+class Reply:
+    def __init__(self, payload, status_code=200):
+        self.status_code = status_code
+        self._payload = payload
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"HTTP {self.status_code}")
+
+    def json(self):
+        return self._payload
+
+
+def http_rerank(monkeypatch, payload):
+    """Deps with an HTTP rerank provider whose endpoint answers `payload`, and the pool."""
+    posted = []
+
+    def post(*args, **kwargs):
+        posted.append(kwargs["json"])
+        return Reply(payload)
+
+    monkeypatch.setattr(requests, "post", post)
+    deps = make_deps(rerank_provider=HttpRerankProvider(url="http://x", model="m"))
+    return deps, first_stage(f"{A} {B}", deps, RetrievalConfig()), posted
+
+
+def scored(*pairs):
+    return {"results": [{"index": i, "relevance_score": s} for i, s in pairs]}
+
+
+@pytest.mark.parametrize("payload", [
+    {"results": [{"index": 0}, {"index": 1, "relevance_score": 0.5},
+                 {"index": 2, "relevance_score": 0.1}]},           # a score missing
+    scored((0, 0.9), (1, 0.5), (-1, 0.1)),                        # index -1
+    scored((0, 0.9), (1, 0.5), (3, 0.1)),                         # index >= n
+    scored((0, 0.9), (1, 0.5), (1, 0.1)),                         # one document twice
+    scored((0, 0.9), (1, 0.5)),                                   # a document missing
+    scored((0, 0.9), (1, "high"), (2, 0.1)),                      # a score not a number
+    scored((0, 0.9), (True, 0.5), (2, 0.1)),                      # an index not an int
+    {"results": {"0": 0.9}},                                      # results not a list
+    {"data": []},                                                 # no results at all
+], ids=["no-score", "index-minus-1", "index-n", "duplicate", "missing-doc", "str-score",
+        "bool-index", "results-dict", "no-results"])
+def test_http_rerank_malformed_reply_falls_back_to_fusion(monkeypatch, payload):
+    deps, pool, posted = http_rerank(monkeypatch, payload)
+    ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig(alpha=0.5))
+    assert len(posted) == 1  # one attempt, no retries
+    assert len(warnings) == 1 and "fusion fallback" in warnings[0]
+    for cand in ranked:
+        assert cand.rerank_score == fusion_score(cand, 0.5)
+
+
+def test_http_rerank_rejected_request_falls_back_to_fusion(monkeypatch):
+    monkeypatch.setattr(requests, "post", lambda *a, **k: Reply(None, status_code=401))
+    deps = make_deps(rerank_provider=HttpRerankProvider(url="http://x", model="m"))
+    pool = first_stage(f"{A} {B}", deps, RetrievalConfig())
+    ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig())
+    assert len(warnings) == 1 and "HTTP 401" in warnings[0]
+
+
+def test_http_rerank_valid_reply_ranks_by_provider_scores(monkeypatch):
+    deps, pool, posted = http_rerank(monkeypatch, scored((2, 0.5), (0, 0.1), (1, 0.9)))
+    ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig())
+    assert warnings == []
+    assert posted[0]["documents"] == [deps.chunk_texts[c.chunk_id] for c in pool]
+    assert [(c.chunk_id, c.rerank_score) for c in ranked] == \
+        [("c2#0", 0.9), ("c3#0", 0.5), ("c1#0", 0.1)]

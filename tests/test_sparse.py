@@ -95,13 +95,6 @@ def test_search_count_tracks_queries():
     assert index.search_count == 2
 
 
-def test_postings_sorted():
-    index = KeywordIndex()
-    for cid in ["z#0", "a#0", "m#0"]:
-        index.add(cid, {"shared"})
-    assert index.postings["shared"] == ["a#0", "m#0", "z#0"]
-
-
 def test_search_matches_exhaustive_oracle():
     index = small_index()
     query = {"胀痛", "咽痒", "不存在"}

@@ -5,7 +5,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -15,10 +15,10 @@ from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, dump_chunks, loa
 from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
 from .llm import CannedChatProvider, ChatProviderError, CleaningError, GenerationParams, \
-    HttpChatProvider, extract_fields, generate_answer, split_cases
-from .prompt import DEFAULT_BUDGET, TemplateSet, build_prompt, parse_answer, serialize_answer
+    HttpChatProvider, extract_fields, split_cases
+from .prompt import DEFAULT_BUDGET, TemplateSet, parse_answer, serialize_answer
 from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrieverDeps,
-                       prompt_context, two_stage_retrieve)
+                       two_stage_retrieve)
 from .segment import load_hmm, load_lexicon
 from .sparse import KeywordIndex
 
@@ -104,9 +104,9 @@ def _embedder(cfg: AppConfig, stub: bool, tokenize, dim: int | None = None):
 
 
 def _chat_provider(cfg: AppConfig, args, items=None):
-    kind = getattr(args, "chat", "http")
+    kind = args.chat
     if kind == "canned":
-        if not getattr(args, "canned", None):
+        if not args.canned:
             raise CliConfigError("--chat canned requires --canned <file>")
         return CannedChatProvider.from_file(args.canned)
     if kind == "echo_gold":
@@ -252,25 +252,18 @@ def cmd_query(cfg: AppConfig, args) -> int:
     if args.answer:
         if not cfg.templates:
             raise CliConfigError("--answer requires a templates directory in the config")
-        templates = TemplateSet.load(cfg.templates)
-
-        @dataclass
-        class _AdhocItem:
-            case_text: str
-            pathogenesis_options: list[str]
-            syndrome_options: list[str]
-
-        item = _AdhocItem(case_text=args.question,
-                          pathogenesis_options=args.pathogenesis_option or ["未知病机"],
-                          syndrome_options=args.syndrome_option or ["未知证型"])
-        # an index directory holds chunks, not cases, so there is no demonstration here
-        blocks, _ = prompt_context(result, deps.chunk_texts, {})
-        bundle = build_prompt(item, "rag_cot" if blocks else "cot", templates,
-                              context_blocks=blocks, budget=cfg.budget)
-        provider = _chat_provider(cfg, args)
-        raw = generate_answer(provider, bundle, item)
-        answer, warnings = parse_answer(raw, item)
-        for warning in warnings:
+        item = ev.TaskItem(item_id="query", case_text=args.question,
+                           pathogenesis_options=args.pathogenesis_option or ["未知病机"],
+                           syndrome_options=args.syndrome_option or ["未知证型"],
+                           gold_pathogenesis=[], gold_syndromes=[])
+        # the demonstration is the top chunk's parent case, so it needs the case corpus
+        corpus_map = {c.case_id: c for c in load_corpus(cfg.corpus)} if cfg.corpus else {}
+        answer_deps = ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
+                                  chat=_chat_provider(cfg, args), corpus=corpus_map,
+                                  budget=cfg.budget)
+        raw, warnings = ev.answer_item(item, True, answer_deps, result, deps.chunk_texts)
+        answer, parse_warnings = parse_answer(raw, item)
+        for warning in warnings + parse_warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(serialize_answer(answer))
     return EXIT_OK

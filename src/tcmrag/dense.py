@@ -141,10 +141,6 @@ class VectorIndex:
         self._rows.append(vec.values)
         self._matrix = None
 
-    def vector(self, chunk_id: str) -> EmbeddingVector:
-        row = self._rows[self._by_id[chunk_id]]
-        return EmbeddingVector(dim=row.shape[0], values=row)
-
     def score(self, chunk_id: str, query: EmbeddingVector) -> float:
         return float(self._rows[self._by_id[chunk_id]] @ query.values)
 

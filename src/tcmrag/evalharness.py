@@ -8,10 +8,10 @@ from pathlib import Path
 
 from .corpus import ClinicalCase
 from .llm import ChatProvider, FnChatProvider, GenerationParams, Metrics, generate_answer
-from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, AnswerSchemaError, TemplateSet,
-                     build_prompt, parse_answer, serialize_answer)
-from .retrieve import (DENSE_ONLY, HYBRID, RetrievalConfig, RetrieverDeps, parent_case_id,
-                       prompt_context, two_stage_retrieve)
+from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, AnswerSchemaError, OptionItem,
+                     TemplateSet, build_prompt, parse_answer, serialize_answer)
+from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
+                       RetrieverDeps, parent_case_id, prompt_context, two_stage_retrieve)
 from .sparse import iou_score
 
 MODE_NONE = "none"
@@ -58,12 +58,6 @@ class RunConfig:
     def label(self) -> str:
         suffix = "+CoT" if self.cot else ""
         return f"{self.retrieval_mode}{suffix}"
-
-    @property
-    def variant(self) -> str:
-        if self.retrieval_mode == MODE_NONE:
-            return "cot" if self.cot else "base"
-        return "rag_cot" if self.cot else "rag"
 
 
 @dataclass
@@ -164,6 +158,23 @@ def score_item(pred: Answer, item: TaskItem) -> float:
         + 0.5 * iou_score(set(pred.syndromes), set(item.gold_syndromes))
 
 
+def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
+                retrieved: RetrievalResult | None = None,
+                chunk_texts: dict[str, str] | None = None,
+                metrics: Metrics | None = None) -> tuple[str, list[str]]:
+    """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one raw
+    answer; warns when a retrieval ran (`retrieved` not None) but found nothing."""
+    blocks, demo_text, warnings = [], None, []
+    if retrieved is not None:
+        blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
+        if not blocks:
+            warnings.append("nothing retrieved; answered without context")
+    variant = ("rag_cot" if cot else "rag") if blocks else ("cot" if cot else "base")
+    bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
+                          demonstration=demo_text, budget=deps.budget)
+    return generate_answer(deps.chat, bundle, item, deps.params, metrics), warnings
+
+
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
     """Retrieve (per mode), prompt, generate, parse, and score every item."""
     if config.retrieval_mode != MODE_NONE and config.retrieval_mode not in deps.retrievers:
@@ -176,22 +187,15 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
     warning_count = 0
     metrics = Metrics()
     for item in sorted(items, key=lambda it: it.item_id):
-        warnings: list[str] = []
-        blocks: list[tuple[str, str]] = []
-        demo_text: str | None = None
+        retrieved, chunk_texts = None, None
         if config.retrieval_mode != MODE_NONE:
             rdeps = deps.retrievers[config.retrieval_mode]
             rcfg = replace(config.retrieval, mode=_STAGE1_MODE[config.retrieval_mode])
             retrieved = two_stage_retrieve(item.case_text, rdeps, rcfg)
-            if retrieved.warnings:
-                fallbacks += 1
-                warnings.extend(retrieved.warnings)
-            blocks, demo_text = prompt_context(retrieved, rdeps.chunk_texts, deps.corpus)
-
-        bundle = build_prompt(item, config.variant, deps.templates,
-                              context_blocks=blocks, demonstration=demo_text,
-                              budget=deps.budget)
-        raw = generate_answer(deps.chat, bundle, item, deps.params, metrics)
+            chunk_texts = rdeps.chunk_texts
+            fallbacks += any(w.startswith(RERANK_FALLBACK) for w in retrieved.warnings)
+        raw, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts, metrics)
+        warnings = (retrieved.warnings if retrieved is not None else []) + warnings
         try:
             answer, parse_warnings = parse_answer(raw, item)
             warnings.extend(parse_warnings)

@@ -29,7 +29,6 @@ class CleaningError(ValueError):
 class GenerationParams:
     temperature: float = 0.0
     max_tokens: int = 1024
-    stop: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.temperature < 0:

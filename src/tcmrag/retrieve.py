@@ -13,6 +13,7 @@ DENSE_ONLY = "dense_only"
 SPARSE_ONLY = "sparse_only"
 HYBRID = "hybrid"
 MODES = (DENSE_ONLY, SPARSE_ONLY, HYBRID)
+RERANK_FALLBACK = "rerank provider failed, using fusion fallback"
 
 
 class RetrievalError(ValueError):
@@ -160,7 +161,7 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
         try:
             provider_scores = deps.rerank_provider.rerank(query_text, docs)
         except RerankProviderError as exc:
-            warnings.append(f"rerank provider failed, using fusion fallback: {exc}")
+            warnings.append(f"{RERANK_FALLBACK}: {exc}")
     if provider_scores is not None:
         for cand, s in zip(scored, provider_scores):
             cand.rerank_score = s

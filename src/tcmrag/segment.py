@@ -137,19 +137,25 @@ def _word_logp(word: str, lex: Lexicon) -> float:
     return -lex.log_total  # unknown single char: log(1/total)
 
 
+# Route scores this close are ties: the same words in another order sum to scores that
+# rounding can split by a few ulps.
+TIE_TOLERANCE = 1e-9
+
+
 def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> dict[int, int]:
-    """Right-to-left DP over the DAG; exact ties go to the longer word."""
+    """Right-to-left DP over the DAG; scores within TIE_TOLERANCE of the best are ties,
+    which go to the longer word."""
     n = len(sentence)
     score = [0.0] * (n + 1)
     route: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
-        best_s = -math.inf
-        best_j = i
-        for j in dag[i]:  # ascending, so >= prefers the larger j on exact ties
+        top = -math.inf
+        for j in dag[i]:  # ascending, so a later tie is a longer word and wins
             s = _word_logp(sentence[i:j + 1], lex) + score[j + 1]
-            if s >= best_s:
-                best_s = s
-                best_j = j
+            if s >= top - TIE_TOLERANCE:
+                best_s, best_j = s, j
+                if s > top:
+                    top = s
         score[i] = best_s
         route[i] = best_j
     return route

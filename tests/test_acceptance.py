@@ -46,7 +46,7 @@ def test_criterion_1_segmentation_dp_oracle():
     while len(words) < 30:
         n = rng.choice([1, 1, 2, 2, 2, 3])
         words.add("".join(rng.choice(alphabet) for _ in range(n)))
-    lex = build_lexicon(sorted((w, rng.randint(1, 40)) for w in words))
+    lex = build_lexicon([(w, rng.randint(1, 40)) for w in sorted(words)])
 
     started = time.monotonic()
     checked = 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tcmrag.cli import AppConfig, CliConfigError, main
+from tcmrag.prompt import COT_STEP_HEADERS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -226,6 +227,73 @@ def test_query_missing_index_is_config_error(workspace, tmp_path):
     code = main(["--config", str(workspace["cfg"]), "--stub", "query",
                  "症见胃脘胀痛。", "--index", str(tmp_path / "nowhere")])
     assert code == 2
+
+
+EMPTY_ANSWER = json.dumps({"clinical_features": [], "pathogenesis": [], "syndromes": [],
+                           "reasoning": ""})
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The messages of every chat request the CLI makes, answered with empty lists."""
+    from tcmrag import cli
+    from tcmrag.llm import FnChatProvider
+
+    calls: list[list[tuple[str, str]]] = []
+    provider = FnChatProvider(fn=lambda messages: calls.append(messages) or EMPTY_ANSWER)
+    monkeypatch.setattr(cli, "_chat_provider", lambda cfg, args, items=None: provider)
+    return calls
+
+
+def query_answer_argv(cfg: Path, index: Path, task: dict) -> list[str]:
+    argv = ["--config", str(cfg), "--stub", "query", task["case_text"],
+            "--index", str(index), "--answer"]
+    for option in task["pathogenesis_options"]:
+        argv += ["--pathogenesis-option", option]
+    for option in task["syndrome_options"]:
+        argv += ["--syndrome-option", option]
+    return argv
+
+
+def first_task() -> dict:
+    return json.loads((DATA / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+
+
+def test_query_answer_sends_the_prompt_eval_sends(workspace, tmp_path, sent, capsys):
+    task = first_task()
+    tasks = tmp_path / "one.jsonl"
+    tasks.write_text(json.dumps(task, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert main(["--config", str(workspace["cfg"]), "--stub", "eval", "--tasks", str(tasks),
+                 "--mode", "hybrid_jieba", "--cot",
+                 "--index-hybrid", str(workspace["hybrid"]), "--out", str(tmp_path / "r")]) == 0
+    assert main(query_answer_argv(workspace["cfg"], workspace["hybrid"], task)) == 0
+    assert len(sent) == 2
+    assert sent[1] == sent[0]
+    assert "【检索到的相关医案 CONTEXT】" in sent[0][1][1]
+
+
+def test_query_answer_demonstration_comes_from_the_config_corpus(workspace, tmp_path, sent,
+                                                                 capsys):
+    task = first_task()
+    no_corpus = write_config(tmp_path, corpus="")
+    assert main(query_answer_argv(workspace["cfg"], workspace["hybrid"], task)) == 0
+    assert main(query_answer_argv(no_corpus, workspace["hybrid"], task)) == 0
+    with_demo, without_demo = sent[0][1][1], sent[1][1][1]
+    assert "[示例病案 " in with_demo
+    assert "[示例病案 " not in without_demo and "(无示例)" in without_demo
+    assert "【检索到的相关医案 CONTEXT】" in without_demo
+
+
+def test_query_answer_without_tokens_answers_without_context(workspace, sent, capsys):
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "？？",
+                 "--index", str(workspace["hybrid"]), "--answer"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "no searchable tokens" in captured.err
+    assert "nothing retrieved; answered without context" in captured.err
+    user = sent[0][1][1]
+    assert COT_STEP_HEADERS[0] in user and "【检索到的相关医案 CONTEXT】" not in user
+    assert json.loads(captured.out.splitlines()[-1])["pathogenesis"] == []
 
 
 # ---------------------------------------------------------------------------

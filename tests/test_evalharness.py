@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,8 @@ from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RU
                                 echo_gold_provider, empty_answer_provider, load_tasks,
                                 retrieval_sensitive_provider, run_eval, score_item)
 from tcmrag.llm import FnChatProvider
-from tcmrag.prompt import Answer
+from tcmrag.prompt import COT_STEP_HEADERS, Answer
+from tcmrag.retrieve import RerankProviderError
 
 # ---------------------------------------------------------------------------
 # Task loading and validation
@@ -112,21 +114,47 @@ def test_score_item_values():
 # Run configuration
 # ---------------------------------------------------------------------------
 
-def test_run_config_labels_and_variants():
+def test_run_config_labels_and_variants(eval_setup, task_items, templates):
     assert RunConfig(retrieval_mode=MODE_NONE).label == "none"
     assert RunConfig(retrieval_mode=MODE_NONE, cot=True).label == "none+CoT"
-    assert RunConfig(retrieval_mode=MODE_NONE).variant == "base"
-    assert RunConfig(retrieval_mode=MODE_NONE, cot=True).variant == "cot"
-    assert RunConfig(retrieval_mode=MODE_NAIVE_RAG).variant == "rag"
-    assert RunConfig(retrieval_mode=MODE_HYBRID_JIEBA, cot=True).variant == "rag_cot"
     with pytest.raises(ConfigurationError):
         RunConfig(retrieval_mode="full_text")
     assert set(RUN_MODES) == {MODE_NONE, MODE_NAIVE_RAG, MODE_HYBRID_JIEBA}
+    # the variant each run sends: rag/rag_cot when retrieval gave context, else base/cot
+    corpus, retrievers = eval_setup
+    expected = {(MODE_NONE, False): "base", (MODE_NONE, True): "cot",
+                (MODE_NAIVE_RAG, False): "rag", (MODE_NAIVE_RAG, True): "rag_cot",
+                (MODE_HYBRID_JIEBA, False): "rag", (MODE_HYBRID_JIEBA, True): "rag_cot"}
+    for (mode, cot), variant in expected.items():
+        chat, sent = recording_chat()
+        run_eval(task_items[:1], RunConfig(retrieval_mode=mode, cot=cot),
+                 make_deps(templates, corpus, retrievers, chat))
+        assert [sent_variant(messages) for messages in sent] == [variant], (mode, cot)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end evaluation runs (offline mocks)
 # ---------------------------------------------------------------------------
+
+EMPTY_ANSWER = json.dumps({"clinical_features": [], "pathogenesis": [], "syndromes": [],
+                           "reasoning": ""})
+
+
+def recording_chat():
+    sent = []
+    return FnChatProvider(fn=lambda messages: sent.append(messages) or EMPTY_ANSWER), sent
+
+
+def sent_variant(messages) -> str:
+    user = messages[1][1]
+    rag = "【检索到的相关医案 CONTEXT】" in user
+    cot = COT_STEP_HEADERS[0] in user
+    return {(False, False): "base", (False, True): "cot",
+            (True, False): "rag", (True, True): "rag_cot"}[(rag, cot)]
+
+
+def no_token_item(like: TaskItem) -> TaskItem:
+    return replace(like, item_id="no-tokens", case_text="？？")
 
 @pytest.fixture(scope="module")
 def eval_setup(sample_cases, task_items, lexicon, hmm, templates):
@@ -187,6 +215,47 @@ def test_parse_failures_score_zero_and_are_counted(eval_setup, task_items, templ
     assert report.aggregate == pytest.approx(0.0)
     assert all(not r.parsed and r.score == 0.0 for r in report.items)
     assert all(r.warnings for r in report.items)
+
+
+def test_run_eval_answers_a_no_token_item_without_context(eval_setup, task_items, templates):
+    corpus, retrievers = eval_setup
+    item = no_token_item(task_items[0])
+    for mode in (MODE_NAIVE_RAG, MODE_HYBRID_JIEBA):
+        for cot in (False, True):
+            chat, sent = recording_chat()
+            report = run_eval([item], RunConfig(retrieval_mode=mode, cot=cot),
+                              make_deps(templates, corpus, retrievers, chat))
+            assert [sent_variant(messages) for messages in sent] == \
+                ["cot" if cot else "base"], (mode, cot)
+            assert report.items[0].parsed
+            warnings = report.items[0].warnings
+            assert len(warnings) == 2 and "no searchable tokens" in warnings[0]
+            assert warnings[1] == "nothing retrieved; answered without context"
+
+
+class FailingReranker:
+    def rerank(self, query, documents):
+        raise RerankProviderError("service unavailable")
+
+
+def test_provider_fallbacks_count_only_rerank_failures(eval_setup, task_items, templates):
+    corpus, retrievers = eval_setup
+    chat, _ = recording_chat()
+    items = task_items[:2] + [no_token_item(task_items[0])]
+    # a query with no tokens warns but reaches no provider, so it is no fallback
+    report = run_eval(items, RunConfig(retrieval_mode=MODE_HYBRID_JIEBA),
+                      make_deps(templates, corpus, retrievers, chat))
+    assert report.provider_fallbacks == 0
+    assert report.warning_count == 2
+    # a failed rerank provider falls back to fusion, once per item it was asked to rank
+    failing = {MODE_HYBRID_JIEBA: replace(retrievers[MODE_HYBRID_JIEBA],
+                                          rerank_provider=FailingReranker())}
+    report = run_eval(items, RunConfig(retrieval_mode=MODE_HYBRID_JIEBA),
+                      make_deps(templates, corpus, failing, chat))
+    assert report.provider_fallbacks == 2
+    assert report.warning_count == 4
+    ranked = [r for r in report.items if r.item_id != "no-tokens"]
+    assert all("fusion fallback" in r.warnings[0] for r in ranked)
 
 
 def test_report_items_sorted_by_item_id(eval_setup, task_items, templates):

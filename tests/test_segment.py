@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,9 +16,9 @@ from tcmrag.segment import (HmmModel, Lexicon, LexiconError, SegmentationResult,
 # Oracles: brute-force enumeration, independent of the DP/Viterbi code paths
 # ---------------------------------------------------------------------------
 
-def word_logp(word: str, lex: Lexicon) -> float:
-    freq = lex.entries.get(word, 0)
-    return (math.log(freq) if freq > 0 else 0.0) - lex.log_total
+def word_prob(word: str, lex: Lexicon) -> Fraction:
+    """freq/total exactly; an unknown single character counts as 1/total."""
+    return Fraction(max(lex.entries.get(word, 0), 1), lex.total)
 
 
 def all_segmentations(sentence: str, lex: Lexicon):
@@ -34,13 +35,15 @@ def all_segmentations(sentence: str, lex: Lexicon):
 
 
 def brute_force_cut(sentence: str, lex: Lexicon) -> list[str]:
-    """Max-score segmentation; exact ties prefer longer words from the left."""
+    """Max-probability segmentation, scored exactly (no rounding, so any two paths of
+    equal probability tie whatever their word order); ties prefer longer words from the
+    left."""
     best_key = None
     best_seg = None
     for seg in all_segmentations(sentence, lex):
-        score = 0.0
-        for word in reversed(seg):  # same fold order as the DP
-            score = word_logp(word, lex) + score
+        score = Fraction(1)
+        for word in seg:
+            score *= word_prob(word, lex)
         key = (score, tuple(len(w) for w in seg))
         if best_key is None or key > best_key:
             best_key = key
@@ -189,6 +192,14 @@ def test_route_tie_prefers_longer_word():
     route = max_prob_route("AB", build_dag("AB", lex), lex)
     assert route[0] == 1  # [AB] beats [A][B] on score; rule also prefers longer
     assert brute_force_cut("AB", lex) == ["AB"]
+
+
+def test_route_rounding_tie_prefers_longer_word():
+    # 风/风风/火 and 风风/风/火 hold the same words, so their scores are equal; summed in
+    # another order they round apart, and the tie must still go to the longer first word
+    lex = build_lexicon([("火风", 2), ("风风", 7)])
+    assert [t for t, _ in cut("风风风火", lex).tokens] == ["风风", "风", "火"]
+    assert brute_force_cut("风风风火", lex) == ["风风", "风", "火"]
 
 
 def test_route_all_unknown():

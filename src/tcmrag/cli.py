@@ -215,15 +215,16 @@ def _load_index_dir(index_dir: Path) -> tuple[dict, VectorIndex, KeywordIndex, d
     return meta, dense_index, kw_index, chunk_texts
 
 
-def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
-                        with_rerank_provider: bool = False) -> tuple[dict, RetrieverDeps]:
+def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
+                        stub: bool) -> tuple[dict, RetrieverDeps]:
+    """The index's retriever; it reranks with the configured provider unless `stub`."""
     meta, dense_index, kw_index, chunk_texts = _load_index_dir(index_dir)
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
     tokenize = make_tokenizer(lex, hmm)
     embedder = _embedder(cfg, stub or meta.get("stub", False), tokenize, dim=meta.get("dim"))
     rerank_provider = None
-    if with_rerank_provider and cfg.rerank_url:
+    if cfg.rerank_url and not stub:
         rerank_provider = HttpRerankProvider(url=cfg.rerank_url, model=cfg.rerank_model)
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts=chunk_texts,
@@ -232,8 +233,7 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
 
 
 def cmd_query(cfg: AppConfig, args) -> int:
-    meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub,
-                                     with_rerank_provider=not args.stub)
+    meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub)
     if args.expect_strategy and args.expect_strategy != meta["strategy"]:
         raise CliConfigError(
             f"index was built with strategy {meta['strategy']!r} but the query "

@@ -11,8 +11,6 @@ from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
 from .sparse import KeywordIndex
 
-STRATEGIES = (OVERLAP_WINDOW, TOKEN_CHUNK)
-
 
 def make_tokenizer(lex: Lexicon, hmm: HmmModel | None = None) -> Callable[[str], set[str]]:
     def tokenize(text: str) -> set[str]:

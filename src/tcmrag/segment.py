@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 
@@ -170,118 +172,77 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
     def emit(state: str, ch: str) -> float:
         return model.emit_logp.get(state, {}).get(ch, model.unseen_emit_logp)
 
-    v = [{s: model.start_logp.get(s, neg_inf) + emit(s, fragment[0]) for s in STATES}]
-    back: list[dict[str, str]] = [{}]
-    for t in range(1, len(fragment)):
-        row: dict[str, float] = {}
+    row = {s: model.start_logp.get(s, neg_inf) + emit(s, fragment[0]) for s in STATES}
+    back: list[dict[str, str]] = []
+    for ch in fragment[1:]:
+        scores: dict[str, float] = {}
         ptr: dict[str, str] = {}
         for s in STATES:
             best_p = neg_inf
             best_prev = ""
-            for p in STATES:  # fixed order; strict > keeps the earliest state on ties
-                if p not in _PREV[s]:
-                    continue
-                cand = v[t - 1][p] + model.trans_logp.get(p, {}).get(s, neg_inf)
+            for p in _PREV[s]:  # in B<M<E<S order; strict > keeps the earliest state on ties
+                cand = row[p] + model.trans_logp.get(p, {}).get(s, neg_inf)
                 if cand > best_p:
                     best_p = cand
                     best_prev = p
-            row[s] = best_p + emit(s, fragment[t])
+            scores[s] = best_p + emit(s, ch)
             ptr[s] = best_prev
-        v.append(row)
+        row = scores
         back.append(ptr)
 
-    last = len(fragment) - 1
-    final = max(_FINAL_STATES, key=lambda s: (v[last][s], -STATES.index(s)))
-    path = [final]
-    for t in range(last, 0, -1):
-        path.append(back[t][path[-1]])
+    path = [max(_FINAL_STATES, key=lambda s: (row[s], -STATES.index(s)))]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
     path.reverse()
 
     tokens: list[tuple[str, tuple[int, int]]] = []
     start = 0
-    for t, state in enumerate(path):
+    for t, state in enumerate(path):  # the path ends in E or S, so every char is covered
         if state in "ES":
             tokens.append((fragment[start:t + 1], (start, t + 1)))
             start = t + 1
-    if start < len(fragment):  # degenerate path ending in B/M cannot happen, but stay lossless
-        tokens.append((fragment[start:], (start, len(fragment))))
     return tokens
 
 
-def _is_cjk(ch: str) -> bool:
-    return "一" <= ch <= "鿿" or "㐀" <= ch <= "䶿"
+# A CJK run (group 1: U+3400-U+4DBF and U+4E00-U+9FFF), an ASCII letter/digit run,
+# or any other single character.
+_PIECE = re.compile(r"([\u3400-\u4dbf\u4e00-\u9fff]+)|[0-9A-Za-z]+|.", re.S)
 
 
 def _cut_cjk(block: str, base: int, lex: Lexicon,
              hmm: HmmModel | None) -> list[tuple[str, tuple[int, int]]]:
-    dag = build_dag(block, lex)
-    route = max_prob_route(block, dag, lex)
+    route = max_prob_route(block, build_dag(block, lex), lex)
     words: list[tuple[int, int]] = []
     i = 0
     while i < len(block):
-        j = route[i]
-        words.append((i, j + 1))
-        i = j + 1
+        words.append((i, route[i] + 1))
+        i = route[i] + 1
+
+    def unknown(word: tuple[int, int]) -> bool:
+        s, e = word
+        return e - s == 1 and lex.entries.get(block[s], 0) == 0
 
     tokens: list[tuple[str, tuple[int, int]]] = []
-    pending: list[tuple[int, int]] = []  # run of unknown single chars for HMM re-decode
-
-    def flush() -> None:
-        if not pending:
-            return
-        s, e = pending[0][0], pending[-1][1]
-        if hmm is not None:
-            for text, (ts, te) in viterbi(block[s:e], hmm):
-                tokens.append((text, (base + s + ts, base + s + te)))
+    for is_unknown, group in groupby(words, key=unknown):
+        run = list(group)
+        if is_unknown and hmm is not None:  # re-decode the run of unknown single chars
+            s, e = run[0][0], run[-1][1]
+            tokens += [(text, (base + s + ts, base + s + te))
+                       for text, (ts, te) in viterbi(block[s:e], hmm)]
         else:
-            for ps, pe in pending:
-                tokens.append((block[ps:pe], (base + ps, base + pe)))
-        pending.clear()
-
-    for s, e in words:
-        if e - s == 1 and lex.entries.get(block[s:e], 0) == 0:
-            pending.append((s, e))
-        else:
-            flush()
-            tokens.append((block[s:e], (base + s, base + e)))
-    flush()
-    return tokens
-
-
-def _cut_plain(block: str, base: int) -> list[tuple[str, tuple[int, int]]]:
-    """Non-CJK text: ASCII alphanumeric runs are atomic; everything else is per-char."""
-    tokens: list[tuple[str, tuple[int, int]]] = []
-    i = 0
-    while i < len(block):
-        ch = block[i]
-        if ch.isascii() and ch.isalnum():
-            j = i
-            while j < len(block) and block[j].isascii() and block[j].isalnum():
-                j += 1
-            tokens.append((block[i:j], (base + i, base + j)))
-            i = j
-        else:
-            tokens.append((ch, (base + i, base + i + 1)))
-            i += 1
+            tokens += [(block[s:e], (base + s, base + e)) for s, e in run]
     return tokens
 
 
 def cut(sentence: str, lex: Lexicon, hmm: HmmModel | None = None) -> SegmentationResult:
-    """Segment a sentence: dictionary DP over CJK runs, HMM over unknown runs."""
+    """Segment a sentence: dictionary DP over CJK runs, HMM over unknown runs. Outside
+    CJK runs an ASCII letter/digit run is one token and any other character is its own."""
     tokens: list[tuple[str, tuple[int, int]]] = []
-    i = 0
-    n = len(sentence)
-    while i < n:
-        j = i
-        cjk = _is_cjk(sentence[i])
-        while j < n and _is_cjk(sentence[j]) == cjk:
-            j += 1
-        block = sentence[i:j]
-        if cjk:
-            tokens.extend(_cut_cjk(block, i, lex, hmm))
+    for m in _PIECE.finditer(sentence):
+        if m.group(1):
+            tokens += _cut_cjk(m.group(1), m.start(), lex, hmm)
         else:
-            tokens.extend(_cut_plain(block, i))
-        i = j
+            tokens.append((m.group(), m.span()))
     return SegmentationResult(tokens=tokens)
 
 

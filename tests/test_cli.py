@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import requests
 
 from tcmrag.cli import AppConfig, CliConfigError, main
+from tcmrag.corpus import load_chunks
 from tcmrag.prompt import COT_STEP_HEADERS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -159,6 +163,33 @@ def test_index_build_is_deterministic(workspace, tmp_path):
         a = hashlib.sha256((workspace["naive"] / name).read_bytes()).hexdigest()
         b = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert a == b, name
+
+
+# SHA-256 of the text files of both stub indexes of the sample corpus, built with
+# small chunks so that the strategies differ. vectors.bin is left out: its float bytes
+# may differ with the BLAS library.
+SMALL_CHUNKS = {"window": 64, "overlap": 16, "max_tokens": 24, "overlap_tokens": 4}
+INDEX_DIGESTS = {
+    ("overlap_window", "keywords.tsv"):
+        "6d0a99ae99f7d9c90f5e147c9d42ea1baf6dd408b337d2d7b0ea8cb3a7673b90",
+    ("overlap_window", "chunks.jsonl"):
+        "4b34a0b528801702c568b50a2d68465fd2af59cf15cf1061fd6c28fa8af287d2",
+    ("token_chunk", "keywords.tsv"):
+        "96b9197b42f4ed942760e294ae8c01280d15e87503221f87944811abde0f2bc4",
+    ("token_chunk", "chunks.jsonl"):
+        "6bf3ad924d3ad3b1c87592c1f81b673fbbcd64b97aacbfbf2761abc2bed690c4",
+}
+
+
+def test_index_text_files_match_recorded_digests(tmp_path):
+    cfg = write_config(tmp_path, **SMALL_CHUNKS)
+    for strategy in ("overlap_window", "token_chunk"):
+        out = tmp_path / strategy
+        assert main(["--config", str(cfg), "--stub", "index",
+                     "--strategy", strategy, "--out", str(out)]) == 0
+        for name in ("keywords.tsv", "chunks.jsonl"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == INDEX_DIGESTS[strategy, name], (strategy, name)
 
 
 def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
@@ -318,6 +349,53 @@ def test_eval_three_modes_writes_reports_and_comparison(workspace, tmp_path, cap
     assert by_label["hybrid_jieba"] >= by_label["naive_rag"] >= by_label["none"]
     assert "Method" in (out / "comparison.txt").read_text(encoding="utf-8")
     assert not (out / ".lock").exists()
+
+
+def rerank_reply(payload, status_code=200):
+    return SimpleNamespace(status_code=status_code, json=lambda: payload)
+
+
+def test_eval_falls_back_to_fusion_when_the_rerank_provider_fails(workspace, tmp_path, sent,
+                                                                   monkeypatch, capsys):
+    cfg = write_config(tmp_path, rerank_url="http://rerank.test/v1/rerank")
+    monkeypatch.setattr(requests, "post", lambda *a, **k: rerank_reply(None, status_code=500))
+    out = tmp_path / "r"
+    assert main(["--config", str(cfg), "eval", "--tasks", str(DATA / "tasks.jsonl"),
+                 "--mode", "hybrid_jieba", "--index-hybrid", str(workspace["hybrid"]),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report_hybrid_jieba.json").read_text(encoding="utf-8"))
+    assert report["provider_fallbacks"] == len(report["items"]) == 20
+
+
+def test_eval_and_query_rank_by_the_rerank_provider(workspace, tmp_path, sent, monkeypatch,
+                                                    capsys):
+    """The provider scores the pool (sent in chunk_id order) by position, so the context
+    lists the pooled chunks last to first, as the provider ranks them, in eval and query."""
+    posted: list[list[str]] = []
+
+    def post(url, json, headers, timeout):
+        posted.append(json["documents"])
+        return rerank_reply({"results": [{"index": i, "relevance_score": float(i)}
+                                         for i in range(len(json["documents"]))]})
+
+    monkeypatch.setattr(requests, "post", post)
+    cfg = write_config(tmp_path, rerank_url="http://rerank.test/v1/rerank")
+    task = first_task()
+    tasks = tmp_path / "one.jsonl"
+    tasks.write_text(json.dumps(task, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "eval", "--tasks", str(tasks), "--mode", "hybrid_jieba",
+                 "--cot", "--index-hybrid", str(workspace["hybrid"]),
+                 "--out", str(tmp_path / "r")]) == 0
+    query_argv = [a for a in query_answer_argv(cfg, workspace["hybrid"], task) if a != "--stub"]
+    assert main(query_argv) == 0
+    assert len(posted) == 2 and len(sent) == 2 and sent[1] == sent[0]
+    chunk_texts = {c.chunk_id: c.text for c in load_chunks(workspace["hybrid"] / "chunks.jsonl")}
+    context_ids = re.findall(r"\[CONTEXT \d+ \| ([^\]]+)\]", sent[0][1][1])
+    assert len(context_ids) >= 2
+    assert [chunk_texts[c] for c in context_ids] == posted[0][::-1][:len(context_ids)]
+    report = json.loads((tmp_path / "r" / "report_hybrid_jieba+CoT.json")
+                        .read_text(encoding="utf-8"))
+    assert report["provider_fallbacks"] == 0
 
 
 def test_eval_missing_index_is_config_error(workspace, tmp_path, capsys):

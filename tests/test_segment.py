@@ -283,6 +283,59 @@ def test_cut_lossless(lexicon, text):
     assert "".join(t for t, _ in result.tokens) == text
 
 
+# Each pair of neighbours across a CJK range boundary is a lexicon word, so a pair cut as
+# one token proves both characters CJK.
+CLASS_LEXICON = [("㏿㐀", 3), ("㐀䶿", 3), ("䶿䷀", 3), ("一鿿", 3), ("鿿ꀀ", 3),
+                 ("\U00020000一", 3), ("Ａ１", 3), ("中", 3)]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("㏿㐀", [("㏿", (0, 1)), ("㐀", (1, 2))]),                    # U+33FF, U+3400
+    ("㐀䶿", [("㐀䶿", (0, 2))]),                                  # U+3400, U+4DBF
+    ("䶿䷀", [("䶿", (0, 1)), ("䷀", (1, 2))]),                    # U+4DBF, U+4DC0
+    ("一鿿", [("一鿿", (0, 2))]),                                  # U+4E00, U+9FFF
+    ("鿿ꀀ", [("鿿", (0, 1)), ("ꀀ", (1, 2))]),                    # U+9FFF, U+A000
+    ("\U00020000一", [("\U00020000", (0, 1)), ("一", (1, 2))]),  # U+20000
+    ("Ａ１", [("Ａ", (0, 1)), ("１", (1, 2))]),
+    ("aé1", [("a", (0, 1)), ("é", (1, 2)), ("1", (2, 3))]),
+    ("x²y", [("x", (0, 1)), ("²", (1, 2)), ("y", (2, 3))]),
+    ("7٣8", [("7", (0, 1)), ("٣", (1, 2)), ("8", (2, 3))]),
+    ("a_b", [("a", (0, 1)), ("_", (1, 2)), ("b", (2, 3))]),
+    ("\tZ9\t", [("\t", (0, 1)), ("Z9", (1, 3)), ("\t", (3, 4))]),
+    ("\r\n", [("\r", (0, 1)), ("\n", (1, 2))]),
+    ("ab12中x", [("ab12", (0, 4)), ("中", (4, 5)), ("x", (5, 6))]),
+])
+def test_cut_character_classes(text, expected):
+    assert cut(text, build_lexicon(CLASS_LEXICON)).tokens == expected
+
+
+def is_cjk(ch: str) -> bool:
+    return "\u3400" <= ch <= "\u4dbf" or "\u4e00" <= ch <= "\u9fff"
+
+
+def plain_tokens(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """The documented rule outside CJK runs, one character at a time: an ASCII letter or
+    digit run is one token, any other character is its own."""
+    tokens = []
+    for i, ch in enumerate(text):
+        if is_cjk(ch):
+            continue
+        prev = tokens[-1] if tokens else None
+        if (ch.isascii() and ch.isalnum() and prev is not None and prev[1][1] == i
+                and prev[0][-1].isascii() and prev[0][-1].isalnum()):
+            tokens[-1] = (prev[0] + ch, (prev[1][0], i + 1))
+        else:
+            tokens.append((ch, (i, i + 1)))
+    return tokens
+
+
+@given(st.text(alphabet="中医药方㏿㐀䶿䷀一鿿ꀀ\U00020000aZ09_Ａ１é²٣，。 \t\r\n", max_size=40))
+def test_cut_non_cjk_tokens_follow_the_rule(lexicon, hmm, text):
+    tokens = cut(text, lexicon, hmm).tokens
+    assert all(all(map(is_cjk, t)) for t, _ in tokens if is_cjk(t[0]))
+    assert [tok for tok in tokens if not is_cjk(tok[0][0])] == plain_tokens(text)
+
+
 def test_token_set_drops_punct_and_dupes():
     result = SegmentationResult(tokens=[("中医", (0, 2)), ("，", (2, 3)), ("中医", (3, 5))])
     assert token_set(result) == {"中医"}
@@ -305,7 +358,7 @@ def toy_lexicon() -> Lexicon:
     while len(words) < 30:
         n = rng.choice([1, 1, 2, 2, 2, 3])
         words.add("".join(rng.choice(TOY_ALPHABET) for _ in range(n)))
-    return build_lexicon(sorted((w, rng.randint(1, 40)) for w in words))
+    return build_lexicon([(w, rng.randint(1, 40)) for w in sorted(words)])
 
 
 def test_cut_matches_brute_force_short():

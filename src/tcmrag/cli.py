@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,39 +173,35 @@ def cmd_index(cfg: AppConfig, args) -> int:
     tokenize = make_tokenizer(lex, hmm)
     out_dir = Path(args.out)
     lock = _acquire_lock(out_dir)
-    written: list[Path] = []
     try:
         chunks = chunk_corpus(cases, args.strategy, lex, hmm,
                               window=cfg.window, overlap=cfg.overlap,
                               max_tokens=cfg.max_tokens, overlap_tokens=cfg.overlap_tokens)
         embedder = _embedder(cfg, args.stub, tokenize)
         dense_index, kw_index = build_indexes(chunks, tokenize, embedder)
-
-        vec_path = out_dir / VECTORS_FILE
-        kw_path = out_dir / KEYWORDS_FILE
-        chunks_path = out_dir / CHUNKS_FILE
-        meta_path = out_dir / META_FILE
-        for path, write in ((vec_path, lambda: dense_index.save(vec_path)),
-                            (kw_path, lambda: kw_index.save(kw_path)),
-                            (chunks_path, lambda: dump_chunks(chunks, chunks_path))):
-            written.append(path)
-            write()
-        written.append(meta_path)
-        meta = {"strategy": args.strategy, "dim": dense_index.dim, "count": len(chunks),
-                "stub": bool(args.stub)}
-        meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+        # staged, so that a failed build leaves the previous index whole; meta.json moves last
+        with tempfile.TemporaryDirectory(prefix=".index-", dir=out_dir) as tmp:
+            stage = Path(tmp)
+            dense_index.save(stage / VECTORS_FILE)
+            kw_index.save(stage / KEYWORDS_FILE)
+            dump_chunks(chunks, stage / CHUNKS_FILE)
+            meta = {"strategy": args.strategy, "dim": dense_index.dim, "count": len(chunks),
+                    "stub": bool(args.stub)}
+            (stage / META_FILE).write_text(json.dumps(meta, sort_keys=True) + "\n",
+                                           encoding="utf-8")
+            for name in (VECTORS_FILE, KEYWORDS_FILE, CHUNKS_FILE, META_FILE):
+                os.replace(stage / name, out_dir / name)
         print(f"index: {len(cases)} cases -> {len(chunks)} chunks "
               f"(strategy={args.strategy}, dim={dense_index.dim}) in {out_dir}")
         return EXIT_OK
-    except Exception:
-        for path in written:  # never leave a half-written index behind
-            path.unlink(missing_ok=True)
-        raise
     finally:
         lock.unlink(missing_ok=True)
 
 
-def _load_index_dir(index_dir: Path) -> tuple[dict, VectorIndex, KeywordIndex, dict[str, str]]:
+def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
+                        stub: bool) -> tuple[dict, RetrieverDeps]:
+    """The index's retriever; it reranks with the configured provider unless `stub`.
+    Raises CliConfigError for a missing index or one whose files disagree."""
     meta_path = index_dir / META_FILE
     if not meta_path.exists():
         raise CliConfigError(f"no index at {index_dir} (missing {META_FILE})")
@@ -212,13 +209,10 @@ def _load_index_dir(index_dir: Path) -> tuple[dict, VectorIndex, KeywordIndex, d
     dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
     kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
     chunk_texts = {c.chunk_id: c.text for c in load_chunks(index_dir / CHUNKS_FILE)}
-    return meta, dense_index, kw_index, chunk_texts
-
-
-def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
-                        stub: bool) -> tuple[dict, RetrieverDeps]:
-    """The index's retriever; it reranks with the configured provider unless `stub`."""
-    meta, dense_index, kw_index, chunk_texts = _load_index_dir(index_dir)
+    if not (set(dense_index.ids) == set(kw_index.doc_tokens) == set(chunk_texts)
+            and len(chunk_texts) == meta.get("count")):
+        raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
+                             f"the chunk ids or their count; rebuild it with 'index'")
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
     tokenize = make_tokenizer(lex, hmm)
@@ -239,7 +233,8 @@ def cmd_query(cfg: AppConfig, args) -> int:
             f"index was built with strategy {meta['strategy']!r} but the query "
             f"expects {args.expect_strategy!r}")
     rcfg = RetrievalConfig(n_dense=cfg.n_dense, n_sparse=cfg.n_sparse,
-                           top_k=args.k, alpha=cfg.alpha, mode=args.mode)
+                           top_k=cfg.top_k if args.k is None else args.k,
+                           alpha=cfg.alpha, mode=args.mode)
     result = two_stage_retrieve(args.question, deps, rcfg)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="one-shot retrieval with optional answer generation")
     p.add_argument("question")
     p.add_argument("--index", required=True, help="index directory from 'index'")
-    p.add_argument("--k", type=int, default=RetrievalConfig.top_k)
+    p.add_argument("--k", type=int, default=None, help="results to print (default: config top_k)")
     p.add_argument("--mode", default="hybrid", choices=list(MODES))
     p.add_argument("--expect-strategy", default=None, choices=[OVERLAP_WINDOW, TOKEN_CHUNK],
                    help="fail if the index was built with a different chunking strategy")

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 
@@ -17,6 +17,7 @@ class ChunkingError(ValueError):
 
 REQUIRED_CASE_KEYS = ("case_id", "patient_background", "clinical_info", "pathogenesis", "syndromes")
 OPTIONAL_CASE_KEYS = ("doctor_notes", "source", "raw_text")
+CHUNK_KEYS = ("chunk_id", "case_id", "text", "start", "end", "strategy")
 
 OVERLAP_WINDOW = "overlap_window"
 TOKEN_CHUNK = "token_chunk"
@@ -63,45 +64,45 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
 
 
-def load_corpus(path: str | Path) -> list[ClinicalCase]:
-    """Read a line-delimited JSON corpus file into validated cases (order kept)."""
-    cases: list[ClinicalCase] = []
-    seen: set[str] = set()
+def _read_records(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...],
+                  error: type[Exception]):
+    """Yield (`path:lineno`, record) for each non-blank line; raise `error` unless the line
+    is a JSON object with every `required` key and no key outside `required + optional`."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                raise error(f"{where}: malformed JSON: {exc}") from exc
             if not isinstance(rec, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            missing = [k for k in REQUIRED_CASE_KEYS if k not in rec]
+                raise error(f"{where}: record is not an object")
+            missing = [k for k in required if k not in rec]
             if missing:
-                raise CorpusError(f"{path}:{lineno}: missing keys {missing}")
-            unknown = [k for k in rec if k not in REQUIRED_CASE_KEYS + OPTIONAL_CASE_KEYS]
+                raise error(f"{where}: missing keys {missing}")
+            unknown = [k for k in rec if k not in required and k not in optional]
             if unknown:
-                raise CorpusError(f"{path}:{lineno}: unknown keys {unknown}")
-            syndromes = rec["syndromes"]
-            if not isinstance(syndromes, list) or any(not isinstance(s, str) for s in syndromes):
-                raise CorpusError(f"{path}:{lineno}: syndromes must be an array of strings")
-            case = ClinicalCase(
-                case_id=rec["case_id"],
-                patient_background=rec["patient_background"],
-                clinical_info=rec["clinical_info"],
-                pathogenesis=rec["pathogenesis"],
-                syndromes=list(syndromes),
-                doctor_notes=rec.get("doctor_notes", ""),
-                source=rec.get("source", ""),
-                raw_text=rec.get("raw_text", ""),
-            )
-            validate_case(case, where=f"{path}:{lineno}")
-            if case.case_id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate case_id {case.case_id!r}")
-            seen.add(case.case_id)
-            cases.append(case)
+                raise error(f"{where}: unknown keys {unknown}")
+            yield where, rec
+
+
+def load_corpus(path: str | Path) -> list[ClinicalCase]:
+    """Read a line-delimited JSON corpus file into validated cases (order kept)."""
+    cases: list[ClinicalCase] = []
+    seen: set[str] = set()
+    for where, rec in _read_records(path, REQUIRED_CASE_KEYS, OPTIONAL_CASE_KEYS, CorpusError):
+        syndromes = rec["syndromes"]
+        if not isinstance(syndromes, list) or any(not isinstance(s, str) for s in syndromes):
+            raise CorpusError(f"{where}: syndromes must be an array of strings")
+        case = ClinicalCase(**rec)
+        validate_case(case, where=where)
+        if case.case_id in seen:
+            raise CorpusError(f"{where}: duplicate case_id {case.case_id!r}")
+        seen.add(case.case_id)
+        cases.append(case)
     return cases
 
 
@@ -224,23 +225,11 @@ def chunk_by_tokens(text: str, tokens: list[tuple[str, tuple[int, int]]],
 def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for c in chunks:
-            rec = {"chunk_id": c.chunk_id, "case_id": c.case_id, "text": c.text,
-                   "start": c.char_span[0], "end": c.char_span[1], "strategy": c.strategy}
+            rec = dict(zip(CHUNK_KEYS, (c.chunk_id, c.case_id, c.text, *c.char_span, c.strategy)))
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    chunks: list[Chunk] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            chunks.append(Chunk(
-                chunk_id=rec["chunk_id"], case_id=rec["case_id"], text=rec["text"],
-                char_span=(rec["start"], rec["end"]), strategy=rec["strategy"]))
-    return chunks
+    return [Chunk(chunk_id=rec["chunk_id"], case_id=rec["case_id"], text=rec["text"],
+                  char_span=(rec["start"], rec["end"]), strategy=rec["strategy"])
+            for _, rec in _read_records(path, CHUNK_KEYS, (), CorpusError)]

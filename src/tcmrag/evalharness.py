@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import ClinicalCase
+from .corpus import ClinicalCase, _read_records
 from .llm import ChatProvider, FnChatProvider, GenerationParams, Metrics, generate_answer
 from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, AnswerSchemaError, OptionItem,
                      TemplateSet, build_prompt, parse_answer, serialize_answer)
@@ -31,6 +31,10 @@ class TaskError(ValueError):
 
 class ConfigurationError(ValueError):
     pass
+
+
+TASK_KEYS = ("item_id", "case_text", "pathogenesis_options", "syndrome_options",
+             "gold_pathogenesis", "gold_syndromes")
 
 
 @dataclass
@@ -110,32 +114,24 @@ class ScoreReport:
 def load_tasks(path: str | Path) -> list[TaskItem]:
     items: list[TaskItem] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TaskError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            item = TaskItem(
-                item_id=rec["item_id"],
-                case_text=rec["case_text"],
-                pathogenesis_options=rec["pathogenesis_options"],
-                syndrome_options=rec["syndrome_options"],
-                gold_pathogenesis=rec["gold_pathogenesis"],
-                gold_syndromes=rec["gold_syndromes"],
-            )
-            _validate_item(item)
-            if item.item_id in seen:
-                raise TaskError(f"{path}:{lineno}: duplicate item_id {item.item_id!r}")
-            seen.add(item.item_id)
-            items.append(item)
+    for where, rec in _read_records(path, TASK_KEYS, (), TaskError):
+        item = TaskItem(**rec)
+        _validate_item(item)
+        if item.item_id in seen:
+            raise TaskError(f"{where}: duplicate item_id {item.item_id!r}")
+        seen.add(item.item_id)
+        items.append(item)
     return items
 
 
 def _validate_item(item: TaskItem) -> None:
+    for name in ("item_id", "case_text"):
+        if not isinstance(getattr(item, name), str):
+            raise TaskError(f"item {item.item_id!r}: {name} must be a string")
+    for name in TASK_KEYS[2:]:  # the option and gold label lists
+        value = getattr(item, name)
+        if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
+            raise TaskError(f"item {item.item_id!r}: {name} must be an array of strings")
     for name, options in (("pathogenesis_options", item.pathogenesis_options),
                           ("syndrome_options", item.syndrome_options)):
         if len(options) < 2:

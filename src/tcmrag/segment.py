@@ -191,6 +191,8 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
         back.append(ptr)
 
     path = [max(_FINAL_STATES, key=lambda s: (row[s], -STATES.index(s)))]
+    if row[path[0]] == neg_inf:  # no path ends a word: one token per character
+        return [(ch, (i, i + 1)) for i, ch in enumerate(fragment)]
     for ptr in reversed(back):
         path.append(ptr[path[-1]])
     path.reverse()

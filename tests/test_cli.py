@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ import pytest
 import requests
 
 from tcmrag.cli import AppConfig, CliConfigError, main
-from tcmrag.corpus import load_chunks
+from tcmrag.corpus import load_chunks, load_corpus
+from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_digest, split_cases
 from tcmrag.prompt import COT_STEP_HEADERS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -139,6 +141,65 @@ def test_ingest_clean_canned_requires_file(tmp_path):
                  "--clean", "--chat", "canned"]) == 2
 
 
+def write_canned_cleaning(path: Path, blob: str, pieces: list[str], fields: dict) -> Path:
+    """A canned response file that splits `blob` into `pieces` and extracts `fields` from
+    each piece, keyed by the digests of the messages the cleaning steps send."""
+    replies: dict[str, str] = {}
+
+    def reply(messages):
+        text = json.dumps(pieces if messages[-1][1].startswith(blob) else fields,
+                          ensure_ascii=False)
+        replies[messages_digest(messages)] = text
+        return text
+
+    recorder = FnChatProvider(fn=reply)
+    try:
+        for piece in split_cases(recorder, blob):
+            extract_fields(recorder, piece)
+    except CleaningError:
+        pass  # the split was refused, so no extraction follows
+    path.write_text(json.dumps(replies, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+CASE_FIELDS = {"patient_background": "某男,45岁。", "clinical_info": "胃脘胀痛,嗳气吞酸。",
+               "pathogenesis": "肝气犯胃", "syndromes": ["肝胃不和证"], "doctor_notes": ""}
+
+
+def test_ingest_clean_splits_and_extracts_cases(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    pieces = ["病案一:胃脘胀痛,嗳气吞酸。", "病案二:头晕目眩,耳鸣。"]
+    (raw / "book.txt").write_text(" ".join(pieces), encoding="utf-8")
+    canned = write_canned_cleaning(tmp_path / "canned.json", " ".join(pieces), pieces,
+                                   CASE_FIELDS)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out),
+                 "--clean", "--chat", "canned", "--canned", str(canned)]) == 0
+    cases = load_corpus(out)
+    assert [c.case_id for c in cases] == ["book-0", "book-1"]
+    assert [c.raw_text for c in cases] == pieces
+    assert {c.source for c in cases} == {str(raw / "book.txt")}
+    assert cases[0].syndromes == ["肝胃不和证"]
+    assert "wrote 2 cases" in capsys.readouterr().out
+
+
+def test_ingest_clean_coverage_guard_fails_the_file(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    blob = "病案一:胃脘胀痛,嗳气吞酸。病案二:头晕目眩,耳鸣。"
+    (raw / "book.txt").write_text(blob, encoding="utf-8")
+    # a rewrite, not a split: the guard must refuse it
+    canned = write_canned_cleaning(tmp_path / "canned.json", blob, ["胃痛病案。"], CASE_FIELDS)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out),
+                 "--clean", "--chat", "canned", "--canned", str(canned)]) == 1
+    err = capsys.readouterr().err
+    assert "coverage guard" in err
+    assert f"ingest: failed: {raw / 'book.txt'}" in err
+    assert out.read_text(encoding="utf-8") == ""
+
+
 # ---------------------------------------------------------------------------
 # index
 # ---------------------------------------------------------------------------
@@ -200,6 +261,45 @@ def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
     assert code == 1
     for name in ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json", ".lock"):
         assert not (out / name).exists(), name
+    assert not list(out.glob(".index-*"))
+
+
+INDEX_FILES = ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
+
+
+def test_failed_rebuild_keeps_the_previous_index(workspace, tmp_path, monkeypatch, capsys):
+    from tcmrag import cli
+    out = tmp_path / "idx"
+    shutil.copytree(workspace["naive"], out)
+    before = {name: (out / name).read_bytes() for name in INDEX_FILES}
+
+    def fail(chunks, path):
+        Path(path).write_text("partial", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "dump_chunks", fail)
+    code = main(["--config", str(workspace["cfg"]), "--stub", "index",
+                 "--strategy", "token_chunk", "--out", str(out)])
+    assert code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in INDEX_FILES} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(INDEX_FILES)
+    assert main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(out)]) == 0
+    assert "1\t" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["keywords.tsv", "chunks.jsonl"])
+def test_query_on_an_index_with_a_truncated_file_is_config_error(workspace, tmp_path, name,
+                                                                  capsys):
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    lines = (index / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    (index / name).write_text("".join(lines[:-1]), encoding="utf-8")
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    assert "rebuild it with 'index'" in capsys.readouterr().err
 
 
 def test_index_respects_lock(workspace, tmp_path, capsys):
@@ -228,6 +328,14 @@ def test_query_prints_ranked_rows(workspace, capsys):
     assert first[2].startswith("rerank=")
     assert first[3].startswith("dense=")
     assert first[4].startswith("sparse=")
+
+
+def test_query_prints_config_top_k_rows_by_default(workspace, tmp_path, capsys):
+    code = main(["--config", str(write_config(tmp_path, top_k=5)), "--stub", "query",
+                 "症见胃脘胀痛，嗳气吞酸。", "--index", str(workspace["naive"])])
+    assert code == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
+    assert len(rows) == 5
 
 
 def test_query_punctuation_only_is_empty_with_a_warning(workspace, capsys):

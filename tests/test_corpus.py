@@ -171,6 +171,20 @@ def test_chunk_dump_roundtrip(tmp_path):
            [(c.chunk_id, c.text, c.char_span, c.strategy) for c in chunks]
 
 
+@pytest.mark.parametrize("line, message", [
+    ('"a string"', r"chunks\.jsonl:2: record is not an object"),
+    ('{"chunk_id": "c1#1", "case_id": "c1", "text": "2345"}',
+     r"chunks\.jsonl:2: missing keys \['start', 'end', 'strategy'\]"),
+], ids=["not_object", "missing_key"])
+def test_load_chunks_rejects_malformed_records(tmp_path, line, message):
+    path = tmp_path / "chunks.jsonl"
+    dump_chunks(chunk_overlap("0123456789", 4, 2, case_id="c1")[:1], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(CorpusError, match=message):
+        load_chunks(path)
+
+
 def test_case_document_contains_all_fields(sample_cases):
     case = sample_cases[0]
     doc = case_document(case)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from tcmrag.segment import (HmmModel, Lexicon, LexiconError, SegmentationResult, build_dag,
-                            build_lexicon, cut, load_hmm, load_lexicon, max_prob_route,
-                            token_set, viterbi)
+from tcmrag.segment import (HmmModel, HmmModelError, Lexicon, LexiconError, SegmentationResult,
+                            build_dag, build_lexicon, cut, load_hmm, load_lexicon,
+                            max_prob_route, token_set, viterbi)
 
 # ---------------------------------------------------------------------------
 # Oracles: brute-force enumeration, independent of the DP/Viterbi code paths
@@ -238,6 +239,29 @@ def test_viterbi_lossless(hmm):
     spans = [s for _, s in tokens]
     assert spans[0][0] == 0 and spans[-1][1] == len(frag)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+def test_viterbi_without_a_path_to_a_final_state_gives_one_token_per_character():
+    # B->E->B... ends in B on odd lengths, so no path ends in E or S
+    model = HmmModel(start_logp={"B": 0.0}, trans_logp={"B": {"E": 0.0}, "E": {"B": 0.0}},
+                     emit_logp={}, unseen_emit_logp=-1.0)
+    assert viterbi("abc", model) == [("a", (0, 1)), ("b", (1, 2)), ("c", (2, 3))]
+    assert viterbi("abcd", model) == [("ab", (0, 2)), ("cd", (2, 4))]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"trans": None}, "missing key 'trans'"),
+    ({"start": {"M": 0.0}}, "disallowed state 'M'"),
+    ({"trans": {"B": {"S": 0.0}}}, "disallowed transition B->S"),
+], ids=["missing_key", "start_state", "transition"])
+def test_load_hmm_rejects_malformed_models(tmp_path, change, message):
+    raw = {"start": {"B": 0.0}, "trans": {"B": {"E": 0.0}}, "emit": {}, "unseen": -1.0}
+    raw.update(change)
+    path = tmp_path / "hmm.json"
+    path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}),
+                    encoding="utf-8")
+    with pytest.raises(HmmModelError, match=message):
+        load_hmm(path)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .engine import build_indexes, chunk_corpus, make_tokenizer
 from .llm import CannedChatProvider, ChatProviderError, CleaningError, GenerationParams, \
     HttpChatProvider, extract_fields, split_cases
 from .prompt import DEFAULT_BUDGET, TemplateSet, parse_answer, serialize_answer
-from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrieverDeps,
-                       two_stage_retrieve)
+from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrievalError,
+                       RetrieverDeps, two_stage_retrieve)
 from .segment import load_hmm, load_lexicon
 from .sparse import KeywordIndex
 
@@ -201,14 +201,20 @@ def cmd_index(cfg: AppConfig, args) -> int:
 def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
                         stub: bool) -> tuple[dict, RetrieverDeps]:
     """The index's retriever; it reranks with the configured provider unless `stub`.
-    Raises CliConfigError for a missing index or one whose files disagree."""
+    Raises CliConfigError for a missing, unreadable or inconsistent index."""
     meta_path = index_dir / META_FILE
     if not meta_path.exists():
         raise CliConfigError(f"no index at {index_dir} (missing {META_FILE})")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
-    kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
-    chunk_texts = {c.chunk_id: c.text for c in load_chunks(index_dir / CHUNKS_FILE)}
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{META_FILE} is not a JSON object")
+        dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
+        kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
+        chunk_texts = {c.chunk_id: c.text for c in load_chunks(index_dir / CHUNKS_FILE)}
+    except ValueError as exc:
+        raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
+                             f"rebuild it with 'index'") from exc
     if not (set(dense_index.ids) == set(kw_index.doc_tokens) == set(chunk_texts)
             and len(chunk_texts) == meta.get("count")):
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
@@ -376,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = AppConfig.load(args.config) if args.config else AppConfig()
         return args.func(cfg, args)
-    except (CliConfigError, ev.ConfigurationError) as exc:
+    except (CliConfigError, ev.ConfigurationError, RetrievalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -68,7 +68,7 @@ def stub_embed(tokens: set[str], dim: int = DEFAULT_STUB_DIM) -> EmbeddingVector
 
 
 class EmbedProvider(Protocol):
-    def embed_raw(self, text: str) -> list[float]: ...
+    def embed_raw(self, text: str) -> list[float] | np.ndarray: ...
 
 
 @dataclass
@@ -77,8 +77,8 @@ class StubEmbedProvider:
     tokenize: Callable[[str], set[str]]
     dim: int = DEFAULT_STUB_DIM
 
-    def embed_raw(self, text: str) -> list[float]:
-        return list(stub_embed(self.tokenize(text), self.dim).values)
+    def embed_raw(self, text: str) -> np.ndarray:
+        return stub_embed(self.tokenize(text), self.dim).values
 
 
 @dataclass
@@ -121,13 +121,8 @@ class VectorIndex:
     def __init__(self) -> None:
         self.ids: list[str] = []
         self.dim: int | None = None
-        self._rows: list[np.ndarray] = []
         self._by_id: dict[str, int] = {}
-        self._matrix: np.ndarray | None = None
-        self.search_count = 0
-
-    def __len__(self) -> int:
-        return len(self.ids)
+        self._matrix = np.empty((0, 0))  # row i holds ids[i]; later rows are spare capacity
 
     def add(self, chunk_id: str, vec: EmbeddingVector) -> None:
         if chunk_id in self._by_id:
@@ -136,25 +131,24 @@ class VectorIndex:
             self.dim = vec.dim
         elif vec.dim != self.dim:
             raise EmbeddingError(f"dim mismatch: index {self.dim}, vector {vec.dim}")
-        self._by_id[chunk_id] = len(self.ids)
+        row = len(self.ids)
+        if row == len(self._matrix):
+            self._matrix = np.resize(self._matrix, (max(1, 2 * row), self.dim))
+        self._matrix[row] = vec.values
+        self._by_id[chunk_id] = row
         self.ids.append(chunk_id)
-        self._rows.append(vec.values)
-        self._matrix = None
 
     def score(self, chunk_id: str, query: EmbeddingVector) -> float:
-        return float(self._rows[self._by_id[chunk_id]] @ query.values)
+        return float(self._matrix[self._by_id[chunk_id]] @ query.values)
 
     def search(self, query: EmbeddingVector, n: int) -> list[tuple[str, float]]:
         if n < 1:
             raise EmbeddingError(f"n must be >= 1, got {n}")
-        self.search_count += 1
         if not self.ids:
             return []
         if query.dim != self.dim:
             raise EmbeddingError(f"dim mismatch: index {self.dim}, query {query.dim}")
-        if self._matrix is None:
-            self._matrix = np.vstack(self._rows)
-        scores = self._matrix @ query.values
+        scores = self._matrix[:len(self.ids)] @ query.values
         ranked = sorted(zip(self.ids, scores), key=lambda x: (-x[1], x[0]))
         return [(cid, float(s)) for cid, s in ranked[:n]]
 
@@ -163,11 +157,11 @@ class VectorIndex:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
             fh.write(struct.pack("<II", self.dim or 0, len(self.ids)))
-            for cid, row in zip(self.ids, self._rows):
+            for cid, row in zip(self.ids, self._matrix):
                 raw = cid.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
-                fh.write(struct.pack(f"<{row.shape[0]}d", *row))
+                fh.write(row.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -186,12 +180,15 @@ class VectorIndex:
             if version != _VERSION:
                 raise EmbeddingError(f"{path}: unsupported version {version}")
             dim, count = struct.unpack("<II", read(8))
+            if count * (4 + 8 * dim) > Path(path).stat().st_size - fh.tell():
+                raise EmbeddingError(f"{path}: truncated vector index file")
+            index._matrix = np.empty((count, dim))
             for _ in range(count):
                 (id_len,) = struct.unpack("<I", read(4))
                 try:
                     cid = read(id_len).decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise EmbeddingError(f"{path}: chunk id is not UTF-8: {exc}") from exc
-                row = np.frombuffer(read(8 * dim), dtype="<f8").astype(np.float64)
+                row = np.frombuffer(read(8 * dim), dtype="<f8")
                 index.add(cid, EmbeddingVector(dim=dim, values=row))
         return index

@@ -37,6 +37,9 @@ class RetrievalConfig:
             raise RetrievalError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise RetrievalError(f"alpha must be in [0,1], got {self.alpha}")
+        for name in ("top_k", "n_dense", "n_sparse"):
+            if getattr(self, name) < 1:
+                raise RetrievalError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.top_k > self.n_dense + self.n_sparse:
             raise RetrievalError("top_k exceeds the first-stage pool bound")
 
@@ -117,27 +120,15 @@ def first_stage(query_text: str, deps: RetrieverDeps,
         return []
     query_vec = embed(query_text, deps.embedder)
 
-    dense_ids: list[str] = []
-    sparse_ids: list[str] = []
-    if cfg.mode in (DENSE_ONLY, HYBRID) and len(deps.dense_index):
-        dense_ids = [cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)]
-    if cfg.mode in (SPARSE_ONLY, HYBRID) and len(deps.kw_index):
-        sparse_ids = [cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)]
-
-    pool: dict[str, RetrievalCandidate] = {}
-    for cid in dense_ids:
-        pool[cid] = RetrievalCandidate(chunk_id=cid, dense_score=0.0, sparse_score=0.0,
-                                       from_dense=True)
-    for cid in sparse_ids:
-        if cid in pool:
-            pool[cid].from_sparse = True
-        else:
-            pool[cid] = RetrievalCandidate(chunk_id=cid, dense_score=0.0, sparse_score=0.0,
-                                           from_sparse=True)
-    for cid, cand in pool.items():
-        cand.dense_score = deps.dense_index.score(cid, query_vec)
-        cand.sparse_score = iou_score(query_tokens, deps.kw_index.tokens(cid))
-    return [pool[cid] for cid in sorted(pool)]
+    dense_ids = ({cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)}
+                 if cfg.mode in (DENSE_ONLY, HYBRID) else set())
+    sparse_ids = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
+                  if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
+    return [RetrievalCandidate(
+                chunk_id=cid, dense_score=deps.dense_index.score(cid, query_vec),
+                sparse_score=iou_score(query_tokens, deps.kw_index.doc_tokens[cid]),
+                from_dense=cid in dense_ids, from_sparse=cid in sparse_ids)
+            for cid in sorted(dense_ids | sparse_ids)]
 
 
 def fusion_score(cand: RetrievalCandidate, alpha: float) -> float:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 
 class KeywordIndexError(ValueError):
@@ -20,26 +21,18 @@ class KeywordIndex:
     def __init__(self) -> None:
         self.postings: dict[str, list[str]] = {}
         self.doc_tokens: dict[str, set[str]] = {}
-        self.search_count = 0
 
-    def __len__(self) -> int:
-        return len(self.doc_tokens)
-
-    def add(self, chunk_id: str, tokens: set[str]) -> None:
+    def add(self, chunk_id: str, tokens: Iterable[str]) -> None:
         if chunk_id in self.doc_tokens:
             raise KeywordIndexError(f"duplicate chunk_id {chunk_id!r}")
-        self.doc_tokens[chunk_id] = set(tokens)
-        for tok in tokens:
+        doc = self.doc_tokens[chunk_id] = set(tokens)
+        for tok in doc:
             self.postings.setdefault(tok, []).append(chunk_id)
-
-    def tokens(self, chunk_id: str) -> set[str]:
-        return self.doc_tokens[chunk_id]
 
     def search(self, query_tokens: set[str], n: int) -> list[tuple[str, float]]:
         """Top-n candidates sharing at least one token, by IoU desc then chunk_id asc."""
         if n < 1:
             raise KeywordIndexError(f"n must be >= 1, got {n}")
-        self.search_count += 1
         candidates: set[str] = set()
         for tok in query_tokens:
             candidates.update(self.postings.get(tok, ()))
@@ -63,5 +56,5 @@ class KeywordIndex:
                 if "\t" not in line:
                     raise KeywordIndexError(f"{path}:{lineno}: expected '<chunk_id>\\t<tokens>'")
                 cid, rest = line.split("\t", 1)
-                index.add(cid, set(rest.split()) if rest else set())
+                index.add(cid, rest.split())
         return index

@@ -302,6 +302,42 @@ def test_query_on_an_index_with_a_truncated_file_is_config_error(workspace, tmp_
     assert "rebuild it with 'index'" in capsys.readouterr().err
 
 
+def cut_in_half(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def drop_first_tab(path: Path) -> None:
+    path.write_text(path.read_text(encoding="utf-8").replace("\t", " ", 1), encoding="utf-8")
+
+
+def cut_last_line(path: Path) -> None:
+    path.write_bytes(path.read_bytes().rstrip(b"\n")[:-5] + b"\n")
+
+
+UNREADABLE_INDEX = {
+    "truncated meta.json": ("meta.json", cut_in_half),
+    "meta.json not an object": ("meta.json", lambda p: p.write_text("[1]\n")),
+    "truncated vectors.bin": ("vectors.bin", cut_in_half),
+    "keywords.tsv line without a tab": ("keywords.tsv", drop_first_tab),
+    "chunks.jsonl line cut": ("chunks.jsonl", cut_last_line),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INDEX))
+def test_query_on_an_unreadable_index_is_config_error(workspace, tmp_path, case, capsys):
+    name, damage = UNREADABLE_INDEX[case]
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    damage(index / name)
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"index at {index} is unusable" in err
+    assert "rebuild it with 'index'" in err
+
+
 def test_index_respects_lock(workspace, tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
@@ -336,6 +372,35 @@ def test_query_prints_config_top_k_rows_by_default(workspace, tmp_path, capsys):
     assert code == 0
     rows = [l for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ({}, ["--k", "-1"], "top_k must be >= 1"),
+    ({}, ["--k", "0"], "top_k must be >= 1"),
+    ({}, ["--k", "200"], "top_k exceeds the first-stage pool bound"),
+    ({"n_dense": 0}, [], "n_dense must be >= 1"),
+    ({"n_sparse": 0}, [], "n_sparse must be >= 1"),
+    ({"alpha": 1.5}, [], "alpha must be in [0,1]"),
+], ids=["k=-1", "k=0", "k=200", "n_dense=0", "n_sparse=0", "alpha=1.5"])
+def test_query_retrieval_setting_out_of_range_is_config_error(workspace, tmp_path, config,
+                                                               argv, message, capsys):
+    code = main(["--config", str(write_config(tmp_path, **config)), "--stub", "query",
+                 "症见胃脘胀痛。", "--index", str(workspace["naive"]), *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_eval_with_top_k_0_is_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["--config", str(write_config(tmp_path, top_k=0)), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "naive_rag",
+                 "--chat", "echo_gold", "--index-naive", str(workspace["naive"]),
+                 "--out", str(out)])
+    assert code == 2
+    assert "top_k must be >= 1" in capsys.readouterr().err
+    assert not (out / "report_naive_rag.json").exists()
 
 
 def test_query_punctuation_only_is_empty_with_a_warning(workspace, capsys):

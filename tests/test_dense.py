@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -258,13 +259,30 @@ def test_index_errors_and_empty_search():
         index.search(unit([1.0, 0.0]), 0)
 
 
-def test_index_search_count_tracks_queries():
+def test_index_row_added_after_a_search_is_found_by_the_next():
     index = VectorIndex()
     index.add("a", unit([1.0, 0.0]))
-    assert index.search_count == 0
-    index.search(unit([1.0, 0.0]), 1)
-    index.search(unit([0.0, 1.0]), 1)
-    assert index.search_count == 2
+    assert index.search(unit([0.0, 1.0]), 2) == [("a", 0.0)]
+    index.add("b", unit([0.0, 1.0]))
+    assert index.search(unit([0.0, 1.0]), 2) == [("b", 1.0), ("a", 0.0)]
+
+
+@pytest.mark.parametrize("count", [1, 16, 17, 33])
+def test_index_equals_a_stacked_matrix_bitwise(count):
+    """Sizes on both sides of a capacity doubling; scores compared with ==, not approx."""
+    rng = np.random.default_rng(count)
+    ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
+    rows = [unit(rng.normal(size=24)).values for _ in ids]
+    index = VectorIndex()
+    for cid, row in zip(ids, rows):
+        index.add(cid, EmbeddingVector(dim=24, values=row))
+    for _ in range(3):
+        q = unit(rng.normal(size=24)).values
+        expected = sorted(zip(ids, np.vstack(rows) @ q), key=lambda x: (-x[1], x[0]))
+        for n in (1, count // 2 + 1, count):
+            assert index.search(EmbeddingVector(dim=24, values=q), n) == expected[:n]
+        for cid, row in zip(ids, rows):
+            assert index.score(cid, EmbeddingVector(dim=24, values=q)) == float(row @ q)
 
 
 def test_index_matches_brute_force_oracle():
@@ -314,6 +332,33 @@ def test_index_persistence_roundtrip(tmp_path):
         hashlib.sha256(path2.read_bytes()).hexdigest()
 
 
+def test_index_file_layout(tmp_path):
+    """Version 1: magic, version, dim, count, then per row the id's length, the id and
+    the vector, all little-endian."""
+    index = VectorIndex()
+    index.add("病#0", unit([3.0, 4.0]))
+    index.add("b#1", unit([0.0, 1.0]))
+    index.save(tmp_path / "vectors.bin")
+    expected = (b"TCMRAGVIDX\x00\x00" + struct.pack("<III", 1, 2, 2)
+                + struct.pack("<I", 5) + "病#0".encode("utf-8") + struct.pack("<2d", 0.6, 0.8)
+                + struct.pack("<I", 3) + b"b#1" + struct.pack("<2d", 0.0, 1.0))
+    assert (tmp_path / "vectors.bin").read_bytes() == expected
+
+
+def test_loaded_index_accepts_another_add(tmp_path):
+    index = VectorIndex()
+    for i in range(3):
+        index.add(f"c{i}#0", unit([1.0, float(i), 0.0]))
+    index.save(tmp_path / "vectors.bin")
+    loaded = VectorIndex.load(tmp_path / "vectors.bin")
+    loaded.add("d#0", unit([0.0, 0.0, 1.0]))
+    assert loaded.ids == ["c0#0", "c1#0", "c2#0", "d#0"]
+    assert loaded.search(unit([0.0, 0.0, 1.0]), 1) == [("d#0", 1.0)]
+    q = unit([1.0, 2.0, 3.0])
+    assert [loaded.score(cid, q) for cid in index.ids] == [index.score(cid, q)
+                                                          for cid in index.ids]
+
+
 def test_index_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not an index at all")
@@ -333,6 +378,9 @@ def test_index_load_rejects_every_truncation(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(EmbeddingError):
             VectorIndex.load(cut)
+    cut.write_bytes(data[:20] + struct.pack("<I", 2 ** 32 - 1) + data[24:])  # header count
+    with pytest.raises(EmbeddingError, match="truncated"):
+        VectorIndex.load(cut)
     cut.write_bytes(data)
     assert VectorIndex.load(cut).ids == index.ids
 

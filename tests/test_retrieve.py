@@ -61,6 +61,10 @@ def test_config_validation():
         RetrievalConfig(alpha=1.5)
     with pytest.raises(RetrievalError, match="pool"):
         RetrievalConfig(n_dense=2, n_sparse=2, top_k=5)
+    for name in ("top_k", "n_dense", "n_sparse"):
+        for value in (0, -1):
+            with pytest.raises(RetrievalError, match=f"{name} must be >= 1"):
+                RetrievalConfig(**{name: value})
     assert SPARSE_ONLY in MODES and DENSE_ONLY in MODES
 
 
@@ -84,19 +88,23 @@ def test_first_stage_hybrid_pools_and_fills_both_scores():
     assert by_id["c1#0"].from_dense and by_id["c1#0"].from_sparse
 
 
-def test_first_stage_dense_only_skips_keyword_search():
+def never_called(*args, **kwargs):
+    pytest.fail("the skipped index was searched")
+
+
+def test_first_stage_dense_only_skips_keyword_search(monkeypatch):
     deps = make_deps()
+    monkeypatch.setattr(deps.kw_index, "search", never_called)
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig(mode=DENSE_ONLY))
-    assert deps.kw_index.search_count == 0
     assert all(c.from_dense and not c.from_sparse for c in pool)
     # sparse scores are still filled in for downstream fusion
     assert {c.chunk_id: c.sparse_score for c in pool}["c1#0"] == pytest.approx(1.0)
 
 
-def test_first_stage_sparse_only_skips_vector_search():
+def test_first_stage_sparse_only_skips_vector_search(monkeypatch):
     deps = make_deps()
+    monkeypatch.setattr(deps.dense_index, "search", never_called)
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig(mode=SPARSE_ONLY))
-    assert deps.dense_index.search_count == 0
     assert [c.chunk_id for c in pool] == ["c1#0", "c2#0"]  # c3 has no shared token
     assert all(c.from_sparse and not c.from_dense for c in pool)
 

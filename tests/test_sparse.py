@@ -88,13 +88,6 @@ def test_add_duplicate_and_bad_n():
         index.search({"x"}, 0)
 
 
-def test_search_count_tracks_queries():
-    index = small_index()
-    index.search({"胀痛"}, 1)
-    index.search({"咳嗽"}, 1)
-    assert index.search_count == 2
-
-
 def test_search_matches_exhaustive_oracle():
     index = small_index()
     query = {"胀痛", "咽痒", "不存在"}

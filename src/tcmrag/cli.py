@@ -17,7 +17,7 @@ from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, Vecto
 from .engine import build_indexes, chunk_corpus, make_tokenizer
 from .llm import CannedChatProvider, ChatProviderError, CleaningError, GenerationParams, \
     HttpChatProvider, extract_fields, split_cases
-from .prompt import DEFAULT_BUDGET, TemplateSet, parse_answer, serialize_answer
+from .prompt import DEFAULT_BUDGET, TemplateSet, serialize_answer
 from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrievalError,
                        RetrieverDeps, two_stage_retrieve)
 from .segment import load_hmm, load_lexicon
@@ -262,10 +262,11 @@ def cmd_query(cfg: AppConfig, args) -> int:
         answer_deps = ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
                                   chat=_chat_provider(cfg, args), corpus=corpus_map,
                                   budget=cfg.budget)
-        raw, warnings = ev.answer_item(item, True, answer_deps, result, deps.chunk_texts)
-        answer, parse_warnings = parse_answer(raw, item)
-        for warning in warnings + parse_warnings:
+        answer, warnings = ev.answer_item(item, True, answer_deps, result, deps.chunk_texts)
+        for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
+        if answer is None:
+            return EXIT_RUNTIME
         print(serialize_answer(answer))
     return EXIT_OK
 

@@ -101,7 +101,11 @@ class HttpEmbedProvider:
 
 
 def _first_embedding(reply) -> list[float]:
-    return reply["data"][0]["embedding"]
+    values = reply["data"][0]["embedding"]
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError("embedding is not a list of numbers")
+    return values
 
 
 def embed(text: str, provider: EmbedProvider) -> EmbeddingVector:

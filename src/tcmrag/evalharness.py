@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .corpus import ClinicalCase, _read_records
 from .llm import ChatProvider, FnChatProvider, GenerationParams, Metrics, generate_answer
-from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, AnswerSchemaError, OptionItem,
-                     TemplateSet, build_prompt, parse_answer, serialize_answer)
+from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, TemplateSet,
+                     build_prompt, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
                        RetrieverDeps, parent_case_id, prompt_context, two_stage_retrieve)
 from .sparse import iou_score
@@ -157,9 +157,10 @@ def score_item(pred: Answer, item: TaskItem) -> float:
 def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
                 retrieved: RetrievalResult | None = None,
                 chunk_texts: dict[str, str] | None = None,
-                metrics: Metrics | None = None) -> tuple[str, list[str]]:
-    """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one raw
-    answer; warns when a retrieval ran (`retrieved` not None) but found nothing."""
+                metrics: Metrics | None = None) -> tuple[Answer | None, list[str]]:
+    """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one parsed
+    answer, or None with an "unparseable answer" warning when even the repaired reply does
+    not parse; warns when a retrieval ran (`retrieved` not None) but found nothing."""
     blocks, demo_text, warnings = [], None, []
     if retrieved is not None:
         blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
@@ -168,7 +169,12 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
     variant = ("rag_cot" if cot else "rag") if blocks else ("cot" if cot else "base")
     bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
                           demonstration=demo_text, budget=deps.budget)
-    return generate_answer(deps.chat, bundle, item, deps.params, metrics), warnings
+    try:
+        answer, parse_warnings = generate_answer(deps.chat, bundle, item, deps.params, metrics)
+    except AnswerParseError as exc:
+        warnings.append(f"unparseable answer: {exc}")
+        return None, warnings
+    return answer, warnings + parse_warnings
 
 
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
@@ -190,22 +196,15 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
             retrieved = two_stage_retrieve(item.case_text, rdeps, rcfg)
             chunk_texts = rdeps.chunk_texts
             fallbacks += any(w.startswith(RERANK_FALLBACK) for w in retrieved.warnings)
-        raw, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts, metrics)
+        answer, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts, metrics)
         warnings = (retrieved.warnings if retrieved is not None else []) + warnings
-        try:
-            answer, parse_warnings = parse_answer(raw, item)
-            warnings.extend(parse_warnings)
-            score = score_item(answer, item)
-            answer_json = serialize_answer(answer)
-            parsed = True
-        except (AnswerParseError, AnswerSchemaError) as exc:
+        if answer is None:
             parse_failures += 1
-            warnings.append(f"unparseable answer: {exc}")
-            score = 0.0
-            answer_json = ""
-            parsed = False
+            score, answer_json = 0.0, ""
+        else:
+            score, answer_json = score_item(answer, item), serialize_answer(answer)
         warning_count += len(warnings)
-        results.append(ItemResult(item_id=item.item_id, score=score, parsed=parsed,
+        results.append(ItemResult(item_id=item.item_id, score=score, parsed=answer is not None,
                                   answer_json=answer_json, warnings=warnings))
 
     aggregate = 100.0 * (sum(r.score for r in results) / len(results)) if results else 0.0

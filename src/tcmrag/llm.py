@@ -9,8 +9,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .corpus import ClinicalCase
-from .prompt import (AnswerParseError, AnswerSchemaError, OptionItem, PromptBundle,
-                     _first_json, parse_answer)
+from .prompt import Answer, OptionItem, PromptBundle, _first_json, parse_answer
 from .transport import RETRIES, PermanentError, post_json, with_retries
 from .transport import TransientError as TransientChatError  # retryable transport/server failure
 
@@ -104,7 +103,10 @@ class HttpChatProvider:
 
 def _first_choice(reply) -> tuple[str, str]:
     choice = reply["choices"][0]
-    return choice["message"]["content"], choice.get("finish_reason", "stop")
+    content = choice["message"]["content"]
+    if not isinstance(content, str):
+        raise ValueError(f"message content is {type(content).__name__}, not a string")
+    return content, choice.get("finish_reason", "stop")
 
 
 def complete(provider: ChatProvider, messages: list[Message],
@@ -154,18 +156,29 @@ _EXTRACT_FORMAT = (
     "缺失的字段用空值。"
 )
 
+_ANSWER_REPAIR = ("上一次输出无法解析（{}）。请严格按要求重新输出 JSON 对象，"
+                  "键为 clinical_features, pathogenesis, syndromes, reasoning。")
+
 COVERAGE_THRESHOLD = 0.8
 
 
-def _complete_json(provider: ChatProvider, messages: list[Message], kind: type,
-                   format_note: str, params: GenerationParams, metrics: Metrics | None,
-                   sleep: Callable[[float], None]):
-    """The first JSON value of `kind` in the reply; one repair turn re-states the format."""
+def _complete_repaired(provider: ChatProvider, messages: list[Message],
+                       read: Callable[[str], object], repair_note: Callable[[ValueError], str],
+                       params: GenerationParams, metrics: Metrics | None,
+                       sleep: Callable[[float], None]):
+    """read() of the reply. When read raises ValueError, one repair turn sends the reply
+    back with repair_note(error), and read() of the second reply is returned or raises."""
     raw = complete(provider, messages, params, metrics, sleep)
+    try:
+        return read(raw)
+    except ValueError as exc:
+        messages = messages + [("assistant", raw), ("user", repair_note(exc))]
+    return read(complete(provider, messages, params, metrics, sleep))
+
+
+def _cleaning_json(raw: str, kind: type):
+    """The first JSON value of `kind` in a cleaning reply; CleaningError if there is none."""
     value = _first_json(raw, kind)
-    if value is None:
-        messages = messages + [("assistant", raw), ("user", format_note)]
-        value = _first_json(complete(provider, messages, params, metrics, sleep), kind)
     if value is None:
         what = "object" if kind is dict else "array"
         raise CleaningError(f"no JSON {what} found in cleaning output")
@@ -190,7 +203,8 @@ def split_cases(provider: ChatProvider, blob: str,
         raise ValueError("blob must be non-empty")
     messages: list[Message] = [("system", _SPLIT_SYSTEM),
                                ("user", blob + "\n\n" + _SPLIT_FORMAT)]
-    items = _complete_json(provider, messages, list, _SPLIT_FORMAT, params, metrics, sleep)
+    items = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, list),
+                               lambda exc: _SPLIT_FORMAT, params, metrics, sleep)
     if not items or any(not isinstance(x, str) or not x.strip() for x in items):
         raise CleaningError("cleaning output must be a non-empty array of non-empty strings")
 
@@ -212,7 +226,8 @@ def extract_fields(provider: ChatProvider, raw_case: str,
         raise ValueError("raw_case must be non-empty")
     messages: list[Message] = [("system", _EXTRACT_SYSTEM),
                                ("user", raw_case + "\n\n" + _EXTRACT_FORMAT)]
-    obj = _complete_json(provider, messages, dict, _EXTRACT_FORMAT, params, metrics, sleep)
+    obj = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, dict),
+                             lambda exc: _EXTRACT_FORMAT, params, metrics, sleep)
 
     def text_field(key: str) -> str:
         value = obj.get(key) or ""
@@ -240,16 +255,9 @@ def extract_fields(provider: ChatProvider, raw_case: str,
 def generate_answer(provider: ChatProvider, bundle: PromptBundle, item: OptionItem,
                     params: GenerationParams = GenerationParams(),
                     metrics: Metrics | None = None,
-                    sleep: Callable[[float], None] = time.sleep) -> str:
-    """One completion; if the answer fails to parse, exactly one repair retry with the
-    parse error appended. The second raw text is returned regardless."""
+                    sleep: Callable[[float], None] = time.sleep) -> tuple[Answer, list[str]]:
+    """One completion parsed into (answer, warnings); if the answer fails to parse, exactly
+    one repair retry with the parse error appended, whose AnswerParseError propagates."""
     messages: list[Message] = [("system", bundle.system_text), ("user", bundle.user_text)]
-    raw = complete(provider, messages, params, metrics, sleep)
-    try:
-        parse_answer(raw, item)
-        return raw
-    except (AnswerParseError, AnswerSchemaError) as exc:
-        repair = (f"上一次输出无法解析（{exc}）。请严格按要求重新输出 JSON 对象，"
-                  f"键为 clinical_features, pathogenesis, syndromes, reasoning。")
-        messages = messages + [("assistant", raw), ("user", repair)]
-        return complete(provider, messages, params, metrics, sleep)
+    return _complete_repaired(provider, messages, lambda raw: parse_answer(raw, item),
+                              _ANSWER_REPAIR.format, params, metrics, sleep)

@@ -37,19 +37,11 @@ class TemplateError(ValueError):
 
 
 class AnswerParseError(ValueError):
-    """No JSON object found in the model output. Carries the raw text for repair."""
-
-    def __init__(self, message: str, raw: str) -> None:
-        super().__init__(message)
-        self.raw = raw
+    """The model output holds no valid answer; raised as is when it has no JSON object."""
 
 
-class AnswerSchemaError(ValueError):
-    """JSON found but required keys/types missing. Carries the raw text for repair."""
-
-    def __init__(self, message: str, raw: str) -> None:
-        super().__init__(message)
-        self.raw = raw
+class AnswerSchemaError(AnswerParseError):
+    """JSON found but required keys/types missing."""
 
 
 class OptionItem(Protocol):
@@ -62,9 +54,7 @@ class OptionItem(Protocol):
 class PromptBundle:
     system_text: str
     user_text: str
-    variant: str
     context_blocks: list[tuple[str, str]] = field(default_factory=list)
-    demonstration: str | None = None
 
 
 @dataclass
@@ -143,21 +133,17 @@ def build_prompt(item: OptionItem, variant: str, templates: TemplateSet,
         raise PromptError(f"variant {variant!r} requires context blocks or a demonstration")
 
     template = templates.user_templates[variant]
-
-    def rendered(b: list[tuple[str, str]], d: str | None) -> str:
-        return _render(template, item, b, d)
-
-    user = rendered(blocks, demo)
-    if len(templates.system_text) + len(user) > budget and demo is not None:
+    room = budget - len(templates.system_text)
+    user = _render(template, item, blocks, demo)
+    if len(user) > room and demo is not None:
         demo = None
-        user = rendered(blocks, demo)
-    while len(templates.system_text) + len(user) > budget and blocks:
+        user = _render(template, item, blocks, demo)
+    while len(user) > room and blocks:
         blocks = blocks[:-1]
-        user = rendered(blocks, demo)
-    if len(templates.system_text) + len(user) > budget:
+        user = _render(template, item, blocks, demo)
+    if len(user) > room:
         raise PromptError(f"prompt exceeds budget {budget} even with all optional parts dropped")
-    return PromptBundle(system_text=templates.system_text, user_text=user, variant=variant,
-                        context_blocks=blocks, demonstration=demo)
+    return PromptBundle(system_text=templates.system_text, user_text=user, context_blocks=blocks)
 
 
 def _first_json(raw: str, kind: type):
@@ -173,10 +159,10 @@ def _first_json(raw: str, kind: type):
     return None
 
 
-def _string_list(obj: dict, key: str, raw: str) -> list[str]:
+def _string_list(obj: dict, key: str) -> list[str]:
     value = obj[key]
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise AnswerSchemaError(f"key {key!r} must be a list of strings", raw)
+        raise AnswerSchemaError(f"key {key!r} must be a list of strings")
     return value
 
 
@@ -198,18 +184,18 @@ def parse_answer(raw: str, item: OptionItem) -> tuple[Answer, list[str]]:
     """
     obj = _first_json(raw, dict)
     if obj is None:
-        raise AnswerParseError("no JSON object found in model output", raw)
+        raise AnswerParseError("no JSON object found in model output")
     missing = [k for k in ANSWER_KEYS if k not in obj]
     if missing:
-        raise AnswerSchemaError(f"missing required keys {missing}", raw)
+        raise AnswerSchemaError(f"missing required keys {missing}")
     if not isinstance(obj["reasoning"], str):
-        raise AnswerSchemaError("key 'reasoning' must be a string", raw)
+        raise AnswerSchemaError("key 'reasoning' must be a string")
 
     warnings: list[str] = []
 
     def filtered(key: str, options: list[str]) -> list[str]:
         kept = []
-        for v in _dedupe(_string_list(obj, key, raw)):
+        for v in _dedupe(_string_list(obj, key)):
             if v in options:
                 kept.append(v)
             else:
@@ -217,7 +203,7 @@ def parse_answer(raw: str, item: OptionItem) -> tuple[Answer, list[str]]:
         return kept
 
     answer = Answer(
-        clinical_features=_dedupe(_string_list(obj, "clinical_features", raw)),
+        clinical_features=_dedupe(_string_list(obj, "clinical_features")),
         pathogenesis=filtered("pathogenesis", item.pathogenesis_options),
         syndromes=filtered("syndromes", item.syndrome_options),
         reasoning=obj["reasoning"],

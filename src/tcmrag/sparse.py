@@ -49,12 +49,18 @@ class KeywordIndex:
     def load(cls, path: str | Path) -> "KeywordIndex":
         index = cls()
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise KeywordIndexError(f"{path}:{lineno}: expected '<chunk_id>\\t<tokens>'")
-                cid, rest = line.split("\t", 1)
-                index.add(cid, rest.split())
+            try:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.endswith("\n"):  # save ends every line; this one was cut
+                        raise KeywordIndexError(f"{path}:{lineno}: line cut short")
+                    line = line[:-1]
+                    if not line:
+                        continue
+                    if "\t" not in line:
+                        raise KeywordIndexError(
+                            f"{path}:{lineno}: expected '<chunk_id>\\t<tokens>'")
+                    cid, rest = line.split("\t", 1)
+                    index.add(cid, rest.split())
+            except UnicodeDecodeError as exc:
+                raise KeywordIndexError(f"{path}: not UTF-8 text: {exc}") from exc
         return index

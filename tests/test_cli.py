@@ -315,11 +315,17 @@ def cut_last_line(path: Path) -> None:
     path.write_bytes(path.read_bytes().rstrip(b"\n")[:-5] + b"\n")
 
 
+def cut_last_line_mid_line(path: Path) -> None:
+    text = path.read_text(encoding="utf-8").rstrip("\n")
+    path.write_text(text[:text.rindex(" ")], encoding="utf-8")  # drop its last token and \n
+
+
 UNREADABLE_INDEX = {
     "truncated meta.json": ("meta.json", cut_in_half),
     "meta.json not an object": ("meta.json", lambda p: p.write_text("[1]\n")),
     "truncated vectors.bin": ("vectors.bin", cut_in_half),
     "keywords.tsv line without a tab": ("keywords.tsv", drop_first_tab),
+    "keywords.tsv cut mid-line": ("keywords.tsv", cut_last_line_mid_line),
     "chunks.jsonl line cut": ("chunks.jsonl", cut_last_line),
 }
 
@@ -498,6 +504,24 @@ def test_query_answer_without_tokens_answers_without_context(workspace, sent, ca
     user = sent[0][1][1]
     assert COT_STEP_HEADERS[0] in user and "【检索到的相关医案 CONTEXT】" not in user
     assert json.loads(captured.out.splitlines()[-1])["pathogenesis"] == []
+
+
+@pytest.mark.parametrize("question", ["症见胃脘胀痛，嗳气吞酸。", "？？"])
+def test_query_answer_unparseable_prints_warnings_and_exits_1(workspace, monkeypatch, capsys,
+                                                              question):
+    from tcmrag import cli
+    from tcmrag.llm import FnChatProvider
+
+    provider = FnChatProvider(fn=lambda messages: "自由文本")
+    monkeypatch.setattr(cli, "_chat_provider", lambda cfg, args, items=None: provider)
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", question,
+                 "--index", str(workspace["hybrid"]), "--answer"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "warning: unparseable answer: no JSON object found" in captured.err
+    if question == "？？":
+        assert "warning: nothing retrieved; answered without context" in captured.err
+    assert not captured.out.splitlines()[-1].startswith("{")
 
 
 # ---------------------------------------------------------------------------

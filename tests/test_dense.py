@@ -215,6 +215,23 @@ def test_http_embed_exhausts_retries(monkeypatch):
     assert slept == [1.0, 2.0, 4.0]
 
 
+@pytest.mark.parametrize("embedding", ["abc", {"a": 1}, [1.0, "x"], [[1.0, 2.0]], [1.0, True]],
+                         ids=repr)
+def test_http_embed_wrong_typed_payload_is_retried_as_malformed(monkeypatch, embedding):
+    calls = []
+
+    def post(*args, **kwargs):
+        calls.append(1)
+        return FakeResponse(200, {"data": [{"embedding": embedding}]})
+
+    monkeypatch.setattr(requests, "post", post)
+    provider = HttpEmbedProvider(url="http://x", model="m", sleep=lambda s: None)
+    with pytest.raises(ProviderError, match="after 3 retries") as exc:
+        provider.embed_raw("hi")
+    assert "malformed" in str(exc.value.__cause__)
+    assert len(calls) == 4
+
+
 # ---------------------------------------------------------------------------
 # Vector index
 # ---------------------------------------------------------------------------

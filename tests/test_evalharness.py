@@ -236,6 +236,33 @@ def test_parse_failures_score_zero_and_are_counted(eval_setup, task_items, templ
     assert all(r.warnings for r in report.items)
 
 
+def test_run_eval_parses_each_reply_once(eval_setup, task_items, templates, monkeypatch):
+    from tcmrag import cli, evalharness, llm, prompt
+
+    calls, parse_answer = [], prompt.parse_answer
+
+    def counting(raw, item):
+        calls.append(raw)
+        return parse_answer(raw, item)
+
+    for module in (prompt, llm, evalharness, cli):
+        if hasattr(module, "parse_answer"):
+            monkeypatch.setattr(module, "parse_answer", counting)
+    gold = echo_gold_provider(task_items)
+    first = task_items[0]
+
+    def fn(messages):  # the first item's first reply is malformed, its repair is gold
+        if len(messages) == 2 and first.case_text in messages[1][1]:
+            return "不是JSON"
+        return gold.fn(messages[:2])
+
+    corpus, retrievers = eval_setup
+    report = run_eval(task_items[:3], RunConfig(retrieval_mode=MODE_NONE),
+                      make_deps(templates, corpus, retrievers, FnChatProvider(fn=fn)))
+    assert report.aggregate == pytest.approx(100.0)
+    assert len(calls) == 4  # one parse per reply: 1 + 1 + 2 (malformed, then repaired)
+
+
 def test_run_eval_answers_a_no_token_item_without_context(eval_setup, task_items, templates):
     corpus, retrievers = eval_setup
     item = no_token_item(task_items[0])

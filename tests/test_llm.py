@@ -10,7 +10,7 @@ from tcmrag.llm import (CannedChatProvider, ChatProviderError, CleaningError, Fn
                         GenerationParams, HttpChatProvider, Metrics, TransientChatError,
                         canonical_messages, complete, extract_fields, generate_answer,
                         messages_digest, split_cases)
-from tcmrag.prompt import PromptBundle
+from tcmrag.prompt import AnswerParseError, PromptBundle, parse_answer
 
 NO_SLEEP = lambda s: None
 
@@ -138,9 +138,12 @@ def test_http_provider_error_mapping(monkeypatch):
     with pytest.raises(TransientChatError):
         provider.send(MSGS, GenerationParams())
 
-    monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, {"unexpected": 1}))
-    with pytest.raises(TransientChatError, match="malformed"):
-        provider.send(MSGS, GenerationParams())
+    malformed = [{"unexpected": 1}] + [{"choices": [{"message": {"content": content}}]}
+                                       for content in (None, 7, ["x"])]
+    for payload in malformed:
+        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, payload))
+        with pytest.raises(TransientChatError, match="malformed"):
+            provider.send(MSGS, GenerationParams())
 
     payload = {"choices": [{"message": {"content": "回答"}, "finish_reason": "stop"}]}
     monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, payload))
@@ -266,7 +269,7 @@ class Item:
 
 
 def bundle() -> PromptBundle:
-    return PromptBundle(system_text="系统", user_text="用户", variant="base")
+    return PromptBundle(system_text="系统", user_text="用户")
 
 
 GOOD = json.dumps({"clinical_features": [], "pathogenesis": ["肝气犯胃"],
@@ -275,22 +278,25 @@ GOOD = json.dumps({"clinical_features": [], "pathogenesis": ["肝气犯胃"],
 
 def test_generate_answer_no_repair_when_parse_succeeds():
     provider = ScriptedProvider([(GOOD, "stop")])
-    assert generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP) == GOOD
+    answer, warnings = generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
+    assert answer == parse_answer(GOOD, Item())[0] and warnings == []
     assert len(provider.calls) == 1
 
 
 def test_generate_answer_repairs_once_and_appends_error():
     provider = ScriptedProvider([("不是JSON", "stop"), (GOOD, "stop")])
-    assert generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP) == GOOD
+    answer, _ = generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
+    assert answer.syndromes == ["肝胃不和证"]
     assert len(provider.calls) == 2
     repair_msgs = provider.calls[1]
     assert repair_msgs[2] == ("assistant", "不是JSON")
     assert repair_msgs[3][0] == "user" and "无法解析" in repair_msgs[3][1]
 
 
-def test_generate_answer_returns_second_raw_even_if_still_bad():
+def test_generate_answer_raises_second_parse_error():
     provider = ScriptedProvider([("坏1", "stop"), ("坏2", "stop")])
-    assert generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP) == "坏2"
+    with pytest.raises(AnswerParseError, match="no JSON object"):
+        generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
     assert len(provider.calls) == 2
 
 

@@ -128,3 +128,26 @@ def test_load_rejects_malformed_line(tmp_path):
     path.write_text("a#0\tx\nno-tab-here\n", encoding="utf-8")
     with pytest.raises(KeywordIndexError, match=":2"):
         KeywordIndex.load(path)
+
+
+def test_load_accepts_only_prefixes_cut_at_a_line_end(tmp_path):
+    index = KeywordIndex()
+    index.add("c1#0", {"胃脘", "胀痛", "嗳气"})
+    index.add("c2#0", {"头晕", "目眩"})
+    index.add("c3#0", {"肝气", "犯胃", "吞酸"})
+    path = tmp_path / "kw.tsv"
+    index.save(path)
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    loaded = 0
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        whole = data[:cut].count(b"\n")
+        if data[:cut] == b"".join(lines[:whole]):
+            assert KeywordIndex.load(path).doc_tokens == {
+                cid: index.doc_tokens[cid] for cid in sorted(index.doc_tokens)[:whole]}
+            loaded += 1
+        else:
+            with pytest.raises(KeywordIndexError):
+                KeywordIndex.load(path)
+    assert loaded == len(lines)

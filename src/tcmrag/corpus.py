@@ -51,13 +51,14 @@ class Chunk:
     text: str
     char_span: tuple[int, int]
     strategy: str
-    token_count: int = 0
 
 
 def validate_case(case: ClinicalCase, where: str = "") -> None:
     ctx = f" ({where})" if where else ""
     if not case.case_id:
         raise CorpusError(f"empty case_id{ctx}")
+    if any(sep in case.case_id for sep in "\t\n\r"):  # the index files' separators
+        raise CorpusError(f"case {case.case_id!r}: tab or line break in case_id{ctx}")
     if not case.clinical_info:
         raise CorpusError(f"case {case.case_id!r}: empty clinical_info{ctx}")
     if any(not s for s in case.syndromes):
@@ -107,9 +108,11 @@ def load_corpus(path: str | Path) -> list[ClinicalCase]:
 
 
 def save_corpus(cases: list[ClinicalCase], path: str | Path) -> None:
+    """Write the cases, or raise CorpusError for an invalid one before touching `path`."""
+    for case in cases:
+        validate_case(case)
     with open(path, "w", encoding="utf-8") as fh:
         for case in cases:
-            validate_case(case)
             fh.write(json.dumps(asdict(case), ensure_ascii=False) + "\n")
 
 
@@ -214,7 +217,6 @@ def chunk_by_tokens(text: str, tokens: list[tuple[str, tuple[int, int]]],
             text=text[span[0]:span[1]],
             char_span=span,
             strategy=TOKEN_CHUNK,
-            token_count=end - start,
         ))
         if end == n:
             break

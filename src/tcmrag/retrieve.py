@@ -1,6 +1,7 @@
 """Two-stage hybrid retrieval: pooled dense+sparse candidates, rerank, prompt context."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
@@ -93,7 +94,7 @@ class HttpRerankProvider:
 
 def _rerank_scores(reply, n: int) -> list[float]:
     """Per-document scores from a reply giving each of the n documents exactly one
-    entry with an int `index` in [0, n) and a numeric `relevance_score`."""
+    entry with an int `index` in [0, n) and a finite numeric `relevance_score`."""
     results = reply["results"]
     if not isinstance(results, list):
         raise ValueError("'results' is not a list")
@@ -102,8 +103,8 @@ def _rerank_scores(reply, n: int) -> list[float]:
         index, score = entry["index"], entry["relevance_score"]
         if type(index) is not int or not 0 <= index < n:
             raise ValueError(f"result index {index!r} is not a document index in [0, {n})")
-        if type(score) not in (int, float):
-            raise ValueError(f"relevance_score {score!r} is not a number")
+        if type(score) not in (int, float) or not math.isfinite(score):
+            raise ValueError(f"relevance_score {score!r} is not a finite number")
         if scores[index] is not None:
             raise ValueError(f"document {index} is scored twice")
         scores[index] = float(score)

@@ -112,52 +112,34 @@ def load_hmm(path: str | Path) -> HmmModel:
                     unseen_emit_logp=float(raw["unseen"]))
 
 
-def build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
-    """For each start index, the end indexes of all dictionary words (plus a self-edge)."""
-    n = len(sentence)
-    dag: dict[int, list[int]] = {}
-    for i in range(n):
-        ends: list[int] = []
-        j = i
-        while j < n:
-            freq = lex.entries.get(sentence[i:j + 1])
-            if freq is None:
-                break
-            if freq > 0:
-                ends.append(j)
-            j += 1
-        if not ends or ends[0] != i:
-            ends.insert(0, i)
-        dag[i] = ends
-    return dag
-
-
-def _word_logp(word: str, lex: Lexicon) -> float:
-    freq = lex.entries.get(word, 0)
-    if freq > 0:
-        return math.log(freq) - lex.log_total
-    return -lex.log_total  # unknown single char: log(1/total)
-
-
 # Route scores this close are ties: the same words in another order sum to scores that
 # rounding can split by a few ulps.
 TIE_TOLERANCE = 1e-9
 
 
-def max_prob_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> dict[int, int]:
-    """Right-to-left DP over the DAG; scores within TIE_TOLERANCE of the best are ties,
-    which go to the longer word."""
+def max_prob_route(sentence: str, lex: Lexicon) -> list[int]:
+    """The end index of the best word starting at each index, from a right-to-left DP that
+    walks the prefix DAG in place: from i it extends j while sentence[i:j + 1] is an entry
+    (a prefix holds 0 and keeps the walk going). The single character is always an edge, a
+    longer entry only with a positive frequency. Scores within TIE_TOLERANCE of the best
+    are ties, which go to the longer word."""
     n = len(sentence)
+    entries, log_total = lex.entries, lex.log_total
     score = [0.0] * (n + 1)
-    route: dict[int, int] = {}
+    route = [0] * n
     for i in range(n - 1, -1, -1):
         top = -math.inf
-        for j in dag[i]:  # ascending, so a later tie is a longer word and wins
-            s = _word_logp(sentence[i:j + 1], lex) + score[j + 1]
-            if s >= top - TIE_TOLERANCE:
-                best_s, best_j = s, j
-                if s > top:
-                    top = s
+        for j in range(i, n):  # ascending, so a later tie is a longer word and wins
+            freq = entries.get(sentence[i:j + 1])
+            if j == i or freq:
+                # an unknown single character scores log(1/total)
+                s = (math.log(freq) - log_total if freq else -log_total) + score[j + 1]
+                if s >= top - TIE_TOLERANCE:
+                    best_s, best_j = s, j
+                    if s > top:
+                        top = s
+            if freq is None:
+                break
         score[i] = best_s
         route[i] = best_j
     return route
@@ -213,7 +195,7 @@ _PIECE = re.compile(r"([\u3400-\u4dbf\u4e00-\u9fff]+)|[0-9A-Za-z]+|.", re.S)
 
 def _cut_cjk(block: str, base: int, lex: Lexicon,
              hmm: HmmModel | None) -> list[tuple[str, tuple[int, int]]]:
-    route = max_prob_route(block, build_dag(block, lex), lex)
+    route = max_prob_route(block, lex)
     words: list[tuple[int, int]] = []
     i = 0
     while i < len(block):

@@ -21,7 +21,8 @@ class PermanentError(RuntimeError):
 def post_json(url: str, body: dict, api_key_env: str, timeout: float,
               extract: Callable[[Any], Any]) -> Any:
     """POST body with a bearer key; `extract` reads the decoded reply and signals an
-    unreadable one by raising LookupError, TypeError or ValueError."""
+    unreadable one by raising LookupError, TypeError, ValueError or OverflowError (an
+    integer too large for a float)."""
     headers = {"Authorization": f"Bearer {os.environ.get(api_key_env, '')}"}
     try:
         resp = requests.post(url, json=body, headers=headers, timeout=timeout)
@@ -33,7 +34,7 @@ def post_json(url: str, body: dict, api_key_env: str, timeout: float,
         raise TransientError(f"server failure: HTTP {resp.status_code}")
     try:
         return extract(resp.json())
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise TransientError(f"malformed response body: {exc!r}") from exc
 
 

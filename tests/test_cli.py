@@ -111,6 +111,18 @@ def test_ingest_passthrough(tmp_path, capsys):
     assert "wrote 2 cases" in capsys.readouterr().out
 
 
+def test_ingest_refuses_a_file_name_with_a_tab(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.txt").write_text("某男，胃痛三年。", encoding="utf-8")
+    (raw / "b\tc.txt").write_text("某女，头晕一月。", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    out.write_text("previous\n", encoding="utf-8")
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out)]) == 1
+    assert "case_id" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
 def test_ingest_empty_file_counts_as_failure(tmp_path, capsys):
     raw = tmp_path / "raw"
     raw.mkdir()
@@ -287,6 +299,25 @@ def test_failed_rebuild_keeps_the_previous_index(workspace, tmp_path, monkeypatc
     assert main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
                  "--index", str(out)]) == 0
     assert "1\t" in capsys.readouterr().out
+
+
+def test_index_refuses_a_case_id_with_a_tab_or_line_break(workspace, tmp_path, capsys):
+    # such an id would split its keywords.tsv line, and no later query could open the index
+    lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    recs = [json.loads(line) for line in lines]
+    recs[0]["case_id"], recs[1]["case_id"] = "c\t1", "c\n2"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in recs),
+                      encoding="utf-8")
+    out = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], out)
+    before = {name: (out / name).read_bytes() for name in INDEX_FILES}
+    code = main(["--config", str(write_config(tmp_path, corpus=corpus)), "--stub", "index",
+                 "--strategy", "token_chunk", "--out", str(out)])
+    assert code == 1
+    assert "corpus.jsonl:1" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in INDEX_FILES} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(INDEX_FILES)
 
 
 @pytest.mark.parametrize("name", ["keywords.tsv", "chunks.jsonl"])

@@ -341,10 +341,15 @@ def scored(*pairs):
     scored((0, 0.9), (1, 0.5)),                                   # a document missing
     scored((0, 0.9), (1, "high"), (2, 0.1)),                      # a score not a number
     scored((0, 0.9), (True, 0.5), (2, 0.1)),                      # an index not an int
+    scored((0, float("nan")), (1, 0.5), (2, 0.1)),                # NaN, as json() parses it
+    scored((0, float("inf")), (1, 0.5), (2, 0.1)),                # Infinity
+    scored((0, 0.9), (1, float("-inf")), (2, 0.1)),               # -Infinity
+    scored((0, 10 ** 400), (1, 0.5), (2, 0.1)),                   # an int no float holds
     {"results": {"0": 0.9}},                                      # results not a list
     {"data": []},                                                 # no results at all
 ], ids=["no-score", "index-minus-1", "index-n", "duplicate", "missing-doc", "str-score",
-        "bool-index", "results-dict", "no-results"])
+        "bool-index", "nan-score", "inf-score", "minus-inf-score", "huge-int-score",
+        "results-dict", "no-results"])
 def test_http_rerank_malformed_reply_falls_back_to_fusion(monkeypatch, payload):
     deps, pool, posted = http_rerank(monkeypatch, payload)
     ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig(alpha=0.5))

@@ -9,8 +9,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from tcmrag.segment import (HmmModel, HmmModelError, Lexicon, LexiconError, SegmentationResult,
-                            build_dag, build_lexicon, cut, load_hmm, load_lexicon,
+from tcmrag.segment import (TIE_TOLERANCE, HmmModel, HmmModelError, Lexicon, LexiconError,
+                            SegmentationResult, build_lexicon, cut, load_hmm, load_lexicon,
                             max_prob_route, token_set, viterbi)
 
 # ---------------------------------------------------------------------------
@@ -145,52 +145,85 @@ def test_load_lexicon_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# DAG construction
+# Max-probability route
 # ---------------------------------------------------------------------------
+
+def reference_build_dag(sentence: str, lex: Lexicon) -> dict[int, list[int]]:
+    """The two-pass route as it stood before the DAG walk moved into the DP: first the
+    end indexes of all dictionary words at each start (plus a self-edge)..."""
+    n = len(sentence)
+    dag: dict[int, list[int]] = {}
+    for i in range(n):
+        ends: list[int] = []
+        j = i
+        while j < n:
+            freq = lex.entries.get(sentence[i:j + 1])
+            if freq is None:
+                break
+            if freq > 0:
+                ends.append(j)
+            j += 1
+        if not ends or ends[0] != i:
+            ends.insert(0, i)
+        dag[i] = ends
+    return dag
+
+
+def reference_word_logp(word: str, lex: Lexicon) -> float:
+    freq = lex.entries.get(word, 0)
+    if freq > 0:
+        return math.log(freq) - lex.log_total
+    return -lex.log_total  # unknown single char: log(1/total)
+
+
+def reference_route(sentence: str, dag: dict[int, list[int]], lex: Lexicon) -> dict[int, int]:
+    """...then a right-to-left DP over that DAG, looking each edge's word up again."""
+    n = len(sentence)
+    score = [0.0] * (n + 1)
+    route: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        top = -math.inf
+        for j in dag[i]:  # ascending, so a later tie is a longer word and wins
+            s = reference_word_logp(sentence[i:j + 1], lex) + score[j + 1]
+            if s >= top - TIE_TOLERANCE:
+                best_s, best_j = s, j
+                if s > top:
+                    top = s
+        score[i] = best_s
+        route[i] = best_j
+    return route
+
+
+ALPHABET = "风寒暑湿燥火"
+words_of = st.text(alphabet=ALPHABET[:4], min_size=1, max_size=4)
+lexicon_pairs = st.lists(st.tuples(words_of, st.sampled_from([1, 2, 3, 4, 7, 8, 16])),
+                         min_size=1, max_size=12)
+
+
+@given(lexicon_pairs, st.text(alphabet=ALPHABET, max_size=12),
+       st.text(alphabet=ALPHABET, max_size=12))
+def test_route_equals_the_two_pass_reference(pairs, left, right):
+    # lists, not sets, so the lexicon's insertion order is the same under every hash seed;
+    # 燥/火 and "X" are never words, so every sentence holds a character outside it
+    lex = build_lexicon(pairs)
+    sentence = left + "X" + right
+    reference = reference_route(sentence, reference_build_dag(sentence, lex), lex)
+    assert max_prob_route(sentence, lex) == [reference[i] for i in range(len(sentence))]
+
 
 @pytest.fixture(scope="module")
 def abc_lex():
     return build_lexicon([("AB", 4), ("ABC", 2), ("A", 2), ("B", 1), ("C", 1)])
 
 
-def test_build_dag_example(abc_lex):
-    assert build_dag("ABC", abc_lex) == {0: [0, 1, 2], 1: [1], 2: [2]}
-
-
-def test_build_dag_unknown_char(abc_lex):
-    assert build_dag("X", abc_lex) == {0: [0]}
-
-
-def test_build_dag_degenerate_lexicon():
-    lex = Lexicon(entries={}, total=1, log_total=0.0)
-    assert build_dag("XYZ", lex) == {0: [0], 1: [1], 2: [2]}
-
-
-def test_build_dag_equals_naive_substring_scan(lexicon):
-    sentence = "症见胃脘胀痛、嗳气吞酸。"
-    dag = build_dag(sentence, lexicon)
-    for i in range(len(sentence)):
-        naive = [j for j in range(i, len(sentence))
-                 if lexicon.entries.get(sentence[i:j + 1], 0) > 0]
-        if not naive or naive[0] != i:
-            naive.insert(0, i)
-        assert dag[i] == naive
-
-
-# ---------------------------------------------------------------------------
-# Max-probability route
-# ---------------------------------------------------------------------------
-
 def test_route_prefers_whole_word(abc_lex):
-    dag = build_dag("ABC", abc_lex)
-    route = max_prob_route("ABC", dag, abc_lex)
-    assert route[0] == 2
+    assert max_prob_route("ABC", abc_lex)[0] == 2
     assert brute_force_cut("ABC", abc_lex) == ["ABC"]
 
 
 def test_route_tie_prefers_longer_word():
     lex = build_lexicon([("AB", 2), ("A", 2), ("B", 2)])
-    route = max_prob_route("AB", build_dag("AB", lex), lex)
+    route = max_prob_route("AB", lex)
     assert route[0] == 1  # [AB] beats [A][B] on score; rule also prefers longer
     assert brute_force_cut("AB", lex) == ["AB"]
 
@@ -205,8 +238,8 @@ def test_route_rounding_tie_prefers_longer_word():
 
 def test_route_all_unknown():
     lex = build_lexicon([("中医", 5)])
-    route = max_prob_route("XY", build_dag("XY", lex), lex)
-    assert route == {0: 0, 1: 1}
+    assert max_prob_route("XY", lex) == [0, 1]
+    assert max_prob_route("XYZ", Lexicon(entries={}, total=1, log_total=0.0)) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def _first_embedding(reply) -> list[float]:
     if not isinstance(values, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise ValueError("embedding is not a list of numbers")
-    return values
+    return [float(v) for v in values]  # OverflowError for an int too large for a float
 
 
 def embed(text: str, provider: EmbedProvider) -> EmbeddingVector:
@@ -153,8 +153,11 @@ class VectorIndex:
         if query.dim != self.dim:
             raise EmbeddingError(f"dim mismatch: index {self.dim}, query {query.dim}")
         scores = self._matrix[:len(self.ids)] @ query.values
-        ranked = sorted(zip(self.ids, scores), key=lambda x: (-x[1], x[0]))
-        return [(cid, float(s)) for cid, s in ranked[:n]]
+        floor = np.partition(scores, -n)[-n] if n < len(scores) else -np.inf
+        rows = np.flatnonzero(scores >= floor)  # every row tied with the n-th best stays in
+        ranked = sorted(zip(scores[rows].tolist(), [self.ids[r] for r in rows.tolist()]),
+                        key=lambda x: (-x[0], x[1]))
+        return [(cid, s) for s, cid in ranked[:n]]
 
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as fh:

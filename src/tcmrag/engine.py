@@ -13,8 +13,16 @@ from .sparse import KeywordIndex
 
 
 def make_tokenizer(lex: Lexicon, hmm: HmmModel | None = None) -> Callable[[str], set[str]]:
+    """text -> token set. It remembers its last text, so the keyword index and a stub
+    embedder sharing it cut each text once; callers must not mutate the returned set."""
+    last_text: str | None = None
+    last_tokens: set[str] = set()
+
     def tokenize(text: str) -> set[str]:
-        return token_set(cut(text, lex, hmm))
+        nonlocal last_text, last_tokens
+        if text != last_text:
+            last_tokens, last_text = token_set(cut(text, lex, hmm)), text
+        return last_tokens
     return tokenize
 
 

@@ -168,7 +168,8 @@ def two_stage_retrieve(query_text: str, deps: RetrieverDeps,
                        cfg: RetrievalConfig) -> RetrievalResult:
     pool = first_stage(query_text, deps, cfg)
     if not pool:
-        # re-tokenized only here, to tell a query with no tokens from one that matched nothing
+        # tells a query with no tokens from one that matched nothing; the tokenizer
+        # remembers the text first_stage just cut, so this cuts nothing again
         if deps.tokenize(query_text):
             return RetrievalResult(candidates=[])
         return RetrievalResult(candidates=[], warnings=[

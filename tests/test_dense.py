@@ -215,8 +215,8 @@ def test_http_embed_exhausts_retries(monkeypatch):
     assert slept == [1.0, 2.0, 4.0]
 
 
-@pytest.mark.parametrize("embedding", ["abc", {"a": 1}, [1.0, "x"], [[1.0, 2.0]], [1.0, True]],
-                         ids=repr)
+@pytest.mark.parametrize("embedding", ["abc", {"a": 1}, [1.0, "x"], [[1.0, 2.0]], [1.0, True],
+                                       [10**400, 1.0]], ids=repr)
 def test_http_embed_wrong_typed_payload_is_retried_as_malformed(monkeypatch, embedding):
     calls = []
 
@@ -300,6 +300,26 @@ def test_index_equals_a_stacked_matrix_bitwise(count):
             assert index.search(EmbeddingVector(dim=24, values=q), n) == expected[:n]
         for cid, row in zip(ids, rows):
             assert index.score(cid, EmbeddingVector(dim=24, values=q)) == float(row @ q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_index_search_keeps_ties_across_the_cut(seed):
+    """Planted duplicate rows tie exactly; every n, past the row count too, returns the
+    head of the full sort by (-score, id), compared with ==."""
+    rng = np.random.default_rng(seed)
+    planted = [unit([1.0, 0.0, 0.0, 0.0]).values, unit([0.0, 1.0, 0.0, 0.0]).values,
+               unit([1.0, 1.0, 0.0, 0.0]).values]
+    count = int(rng.integers(1, 25))
+    ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
+    rows = [planted[int(rng.integers(0, 3))] if rng.random() < 0.7
+            else unit(rng.normal(size=4)).values for _ in ids]
+    index = VectorIndex()
+    for cid, row in zip(ids, rows):
+        index.add(cid, EmbeddingVector(dim=4, values=row))
+    for q in (planted[0], planted[2], unit(rng.normal(size=4)).values):
+        expected = sorted(zip(ids, (np.vstack(rows) @ q).tolist()), key=lambda x: (-x[1], x[0]))
+        for n in range(1, count + 3):
+            assert index.search(EmbeddingVector(dim=4, values=q), n) == expected[:n]
 
 
 def test_index_matches_brute_force_oracle():

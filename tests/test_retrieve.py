@@ -3,12 +3,14 @@ from __future__ import annotations
 import pytest
 import requests
 
-from tcmrag.corpus import ClinicalCase, render_demonstration
+from tcmrag import engine
+from tcmrag.corpus import TOKEN_CHUNK, ClinicalCase, render_demonstration
 from tcmrag.dense import StubEmbedProvider, VectorIndex, embed, token_bucket
 from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, SPARSE_ONLY, HttpRerankProvider,
                              RerankProviderError, RetrievalCandidate, RetrievalConfig,
                              RetrievalError, RetrieverDeps, first_stage, fusion_score,
                              parent_case_id, prompt_context, rerank, two_stage_retrieve)
+from tcmrag.segment import token_set
 from tcmrag.sparse import KeywordIndex
 
 DIM = 256
@@ -374,3 +376,34 @@ def test_http_rerank_valid_reply_ranks_by_provider_scores(monkeypatch):
     assert posted[0]["documents"] == [deps.chunk_texts[c.chunk_id] for c in pool]
     assert [(c.chunk_id, c.rerank_score) for c in ranked] == \
         [("c2#0", 0.9), ("c3#0", 0.5), ("c1#0", 0.1)]
+
+
+# ---------------------------------------------------------------------------
+# One cut per text
+# ---------------------------------------------------------------------------
+
+def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sample_cases):
+    real_cut = engine.cut
+    cut_texts: list[str] = []
+
+    def counting_cut(text, lex, hmm=None):
+        cut_texts.append(text)
+        return real_cut(text, lex, hmm)
+
+    chunks = engine.chunk_corpus(sample_cases, TOKEN_CHUNK, lexicon, hmm)
+    monkeypatch.setattr(engine, "cut", counting_cut)
+    tokenize = engine.make_tokenizer(lexicon, hmm)
+    embedder = StubEmbedProvider(tokenize=tokenize)
+    dense_index, kw_index = engine.build_indexes(chunks, tokenize, embedder)
+    assert cut_texts == [c.text for c in chunks]
+    for c in chunks:
+        assert kw_index.doc_tokens[c.chunk_id] == token_set(real_cut(c.text, lexicon, hmm))
+        assert dense_index.score(c.chunk_id, embed(c.text, embedder)) == pytest.approx(1.0)
+
+    deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
+                         kw_index=kw_index, chunk_texts={c.chunk_id: c.text for c in chunks})
+    for query in ("胃脘胀痛，嗳气吞酸", "？？"):
+        cut_texts.clear()
+        first_stage(query, deps, RetrievalConfig())
+        two_stage_retrieve(query, deps, RetrievalConfig())
+        assert cut_texts == [query]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcmrag.sparse import KeywordIndex, KeywordIndexError, iou_score
 
@@ -38,6 +41,12 @@ def test_iou_counting_oracle(q, d):
     union = len(set(list(q) + list(d)))
     expected = inter / union if union else 0.0
     assert iou_score(q, d) == pytest.approx(expected)
+
+
+@given(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
+def test_iou_equals_the_set_quotient_exactly(q, d):
+    union = len(q | d)
+    assert iou_score(q, d) == (len(q & d) / union if union else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +107,38 @@ def test_search_matches_exhaustive_oracle():
     assert index.search(query, 10) == [(cid, pytest.approx(s)) for cid, s in expected]
 
 
+def exhaustive(docs: dict[str, set[str]], query: set[str], n: int) -> list[tuple[str, float]]:
+    return sorted(((cid, len(query & toks) / len(query | toks))
+                   for cid, toks in docs.items() if query & toks),
+                  key=lambda x: (-x[1], x[0]))[:n]
+
+
+chunk_docs = st.dictionaries(st.text("ab#01中", min_size=1, max_size=4),
+                             st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4),
+                             max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_docs, chunk_docs, st.sets(st.sampled_from("abcdefg"), max_size=5),
+       st.integers(1, 40))
+def test_search_equals_the_exhaustive_sort_exactly(first, later, query, n):
+    """Few tokens give many tied IoUs; n may exceed the candidates; an add after a
+    search must show in the next one; a reloaded index answers the same."""
+    index = KeywordIndex()
+    for cid, toks in first.items():
+        index.add(cid, toks)
+    assert index.search(query, n) == exhaustive(first, query, n)
+    docs = {**later, **first}
+    for cid, toks in later.items():
+        if cid not in first:
+            index.add(cid, toks)
+    assert index.search(query, n) == exhaustive(docs, query, n)
+    with tempfile.TemporaryDirectory() as d:
+        index.save(Path(d) / "kw.tsv")
+        loaded = KeywordIndex.load(Path(d) / "kw.tsv")
+    assert loaded.search(query, n) == exhaustive(docs, query, n)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -108,7 +149,8 @@ def test_save_load_roundtrip(tmp_path):
     index.save(path)
     loaded = KeywordIndex.load(path)
     assert loaded.doc_tokens == index.doc_tokens
-    assert loaded.postings == index.postings
+    for tok in set().union(*index.doc_tokens.values()):
+        assert loaded.search({tok}, 10) == index.search({tok}, 10)
     path2 = tmp_path / "again.tsv"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()

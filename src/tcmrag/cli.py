@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,15 +86,40 @@ class AppConfig:
 
 
 def _acquire_lock(out_dir: Path) -> Path:
+    """Create `out_dir/.lock` holding this process's pid and start time. A lock that
+    exists is never taken over: the error names its owner and whether that pid runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_FILE
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CliConfigError(
-            f"output directory {out_dir} is locked by another command ({lock})") from None
-    os.close(fd)
+        raise CliConfigError(f"output directory {out_dir} is locked ({lock}): "
+                             f"{_lock_owner(lock)}") from None
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"pid": os.getpid(), "started": time.strftime(
+            "%Y-%m-%dT%H:%M:%SZ", time.gmtime())}) + "\n")
     return lock
+
+
+def _lock_owner(lock: Path) -> str:
+    remove = f"if no command is using it, remove {lock}"
+    try:
+        owner = json.loads(lock.read_text(encoding="utf-8"))
+        pid, started = int(owner["pid"]), str(owner["started"])
+    except (OSError, ValueError, TypeError, KeyError):
+        pid = 0
+    if not 0 < pid < 2 ** 31:  # pid 0 and -1 would name groups of processes
+        return f"its owner is unknown (the lock holds no pid); {remove}"
+    if os.name != "posix":  # os.kill(pid, 0) would end the process elsewhere
+        return f"held by pid {pid} since {started}; {remove}"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return (f"held by pid {pid} since {started}, which is no longer running "
+                f"(a stale lock, left by a killed command); {remove}")
+    except PermissionError:
+        pass  # the pid exists under another user
+    return f"held by pid {pid} since {started}, which is still running"
 
 
 def _embedder(cfg: AppConfig, stub: bool, tokenize, dim: int | None = None):

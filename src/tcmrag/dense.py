@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -55,15 +55,23 @@ def _normalize(values: np.ndarray) -> EmbeddingVector:
     return EmbeddingVector(dim=values.shape[0], values=values / norm)
 
 
-def stub_embed(tokens: set[str], dim: int = DEFAULT_STUB_DIM) -> EmbeddingVector:
-    """Bag-of-hashed-tokens embedding: FNV-1a bucket counts, L2-normalized."""
+def stub_embed(tokens: set[str], dim: int = DEFAULT_STUB_DIM,
+               buckets: dict[str, int] | None = None) -> EmbeddingVector:
+    """Bag-of-hashed-tokens embedding: FNV-1a bucket counts, L2-normalized. `buckets`, a
+    token -> token_bucket(token, dim) dict for this dim, is read and filled, so that FNV-1a
+    runs once per distinct token across calls."""
     if dim < 8:
         raise EmbeddingError(f"dim must be >= 8, got {dim}")
     if not tokens:
         raise EmbeddingError("empty token set")
+    if buckets is None:
+        buckets = {}
     values = np.zeros(dim, dtype=np.float64)
     for tok in tokens:
-        values[token_bucket(tok, dim)] += 1.0
+        b = buckets.get(tok)
+        if b is None:
+            b = buckets[tok] = token_bucket(tok, dim)
+        values[b] += 1.0
     return _normalize(values)
 
 
@@ -71,14 +79,23 @@ class EmbedProvider(Protocol):
     def embed_raw(self, text: str) -> list[float] | np.ndarray: ...
 
 
-@dataclass
+# Most distinct tokens a StubEmbedProvider's bucket memo holds; it is emptied when full.
+_BUCKET_MEMO_LIMIT = 1 << 16
+
+
+@dataclass(frozen=True)
 class StubEmbedProvider:
     """Offline provider: tokenize then hash-bucket. Deterministic, network-free."""
     tokenize: Callable[[str], set[str]]
     dim: int = DEFAULT_STUB_DIM
+    _buckets: dict[str, int] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def embed_raw(self, text: str) -> np.ndarray:
-        return stub_embed(self.tokenize(text), self.dim).values
+        values = stub_embed(self.tokenize(text), self.dim, self._buckets).values
+        if len(self._buckets) > _BUCKET_MEMO_LIMIT:
+            self._buckets.clear()
+        return values
 
 
 @dataclass

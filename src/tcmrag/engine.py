@@ -14,7 +14,9 @@ from .sparse import KeywordIndex
 
 def make_tokenizer(lex: Lexicon, hmm: HmmModel | None = None) -> Callable[[str], set[str]]:
     """text -> token set. It remembers its last text, so the keyword index and a stub
-    embedder sharing it cut each text once; callers must not mutate the returned set."""
+    embedder sharing it cut each text once; callers must not mutate the returned set.
+    Across texts, `cut` cuts each distinct CJK run once per `lex` object and `hmm` (the
+    run memo on `lex`), so a tokenizer and `chunk_corpus` given the same `lex` share it."""
     last_text: str | None = None
     last_tokens: set[str] = set()
 

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 
@@ -26,15 +26,21 @@ _FINAL_STATES = "ES"
 
 DEFAULT_UNSEEN_EMIT_LOGP = -16.0
 
+# Most distinct CJK runs a Lexicon's run memo holds; it is emptied when full.
+_RUN_MEMO_LIMIT = 4096
+
 
 @dataclass
 class Lexicon:
     entries: dict[str, int]   # word -> frequency; prefixes of real words present with 0
     total: int
     log_total: float
+    # (CJK run, HMM or None) -> the run's tokens, spans relative to the run; see cut
+    _runs: dict[tuple[str, HmmModel | None], tuple[tuple[str, tuple[int, int]], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, as a key of Lexicon._runs
 class HmmModel:
     start_logp: dict[str, float]
     trans_logp: dict[str, dict[str, float]]
@@ -193,7 +199,7 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
 _PIECE = re.compile(r"([\u3400-\u4dbf\u4e00-\u9fff]+)|[0-9A-Za-z]+|.", re.S)
 
 
-def _cut_cjk(block: str, base: int, lex: Lexicon,
+def _cut_cjk(block: str, lex: Lexicon,
              hmm: HmmModel | None) -> list[tuple[str, tuple[int, int]]]:
     route = max_prob_route(block, lex)
     words: list[tuple[int, int]] = []
@@ -211,20 +217,34 @@ def _cut_cjk(block: str, base: int, lex: Lexicon,
         run = list(group)
         if is_unknown and hmm is not None:  # re-decode the run of unknown single chars
             s, e = run[0][0], run[-1][1]
-            tokens += [(text, (base + s + ts, base + s + te))
-                       for text, (ts, te) in viterbi(block[s:e], hmm)]
+            tokens += [(text, (s + ts, s + te)) for text, (ts, te) in viterbi(block[s:e], hmm)]
         else:
-            tokens += [(block[s:e], (base + s, base + e)) for s, e in run]
+            tokens += [(block[s:e], (s, e)) for s, e in run]
     return tokens
 
 
 def cut(sentence: str, lex: Lexicon, hmm: HmmModel | None = None) -> SegmentationResult:
     """Segment a sentence: dictionary DP over CJK runs, HMM over unknown runs. Outside
-    CJK runs an ASCII letter/digit run is one token and any other character is its own."""
+    CJK runs an ASCII letter/digit run is one token and any other character is its own.
+
+    Each distinct CJK run is cut once per lexicon object and HMM: its tokens, with spans
+    relative to the run, are kept in a memo on `lex` (at most _RUN_MEMO_LIMIT runs,
+    emptied when full) and shifted by the run's start. This is exact because `_PIECE`
+    ends a run at every non-CJK character, so a run's tokens never depend on its
+    neighbours. Do not change `lex` or `hmm` in place after cutting with them."""
+    runs = lex._runs
     tokens: list[tuple[str, tuple[int, int]]] = []
     for m in _PIECE.finditer(sentence):
-        if m.group(1):
-            tokens += _cut_cjk(m.group(1), m.start(), lex, hmm)
+        block = m.group(1)
+        if block:
+            key = (block, hmm)
+            run = runs.get(key)
+            if run is None:
+                if len(runs) >= _RUN_MEMO_LIMIT:
+                    runs.clear()
+                run = runs[key] = tuple(_cut_cjk(block, lex, hmm))
+            base = m.start()
+            tokens += [(text, (base + s, base + e)) for text, (s, e) in run]
         else:
             tokens.append((m.group(), m.span()))
     return SegmentationResult(tokens=tokens)
@@ -235,5 +255,6 @@ def _is_ignorable(token: str) -> bool:
 
 
 def token_set(result: SegmentationResult) -> set[str]:
-    """Distinct token texts, dropping pure punctuation/whitespace tokens."""
-    return {text for text, _ in result.tokens if not _is_ignorable(text)}
+    """Distinct token texts, dropping pure punctuation/whitespace tokens. Each distinct
+    text is checked once, however often it occurs."""
+    return {text for text in {text for text, _ in result.tokens} if not _is_ignorable(text)}

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -383,6 +386,62 @@ def test_index_respects_lock(workspace, tmp_path, capsys):
                  "--strategy", "overlap_window", "--out", str(out)])
     assert code == 2
     assert "locked" in capsys.readouterr().err
+
+
+def index_into(workspace, out) -> int:
+    return main(["--config", str(workspace["cfg"]), "--stub", "index",
+                 "--strategy", "overlap_window", "--out", str(out)])
+
+
+def test_index_lock_holds_the_owner_pid_while_it_runs(workspace, tmp_path, monkeypatch):
+    from tcmrag import cli
+    original, seen = cli.dump_chunks, []
+
+    def dump(chunks, path):
+        seen.append(json.loads((tmp_path / "idx" / ".lock").read_text(encoding="utf-8")))
+        return original(chunks, path)
+
+    monkeypatch.setattr(cli, "dump_chunks", dump)
+    assert index_into(workspace, tmp_path / "idx") == 0
+    assert seen[0]["pid"] == os.getpid()
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", seen[0]["started"])
+    assert not (tmp_path / "idx" / ".lock").exists()
+
+
+def test_index_refuses_a_stale_lock_and_names_its_dead_owner(workspace, tmp_path, capsys):
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()  # exited and reaped: its pid runs nothing
+    out = tmp_path / "idx"
+    out.mkdir()
+    held = json.dumps({"pid": proc.pid, "started": "2026-01-02T03:04:05Z"}) + "\n"
+    (out / ".lock").write_text(held, encoding="utf-8")
+    assert index_into(workspace, out) == 2
+    err = capsys.readouterr().err
+    assert f"pid {proc.pid} since 2026-01-02T03:04:05Z, which is no longer running" in err
+    assert f"remove {out / '.lock'}" in err
+    assert (out / ".lock").read_text(encoding="utf-8") == held  # never taken over
+    assert not (out / "meta.json").exists()
+
+
+def test_index_refuses_a_lock_whose_owner_runs(workspace, tmp_path, capsys):
+    out = tmp_path / "idx"
+    out.mkdir()
+    (out / ".lock").write_text(json.dumps({"pid": os.getpid(), "started": "2026-01-02T03:04:05Z"}),
+                               encoding="utf-8")
+    assert index_into(workspace, out) == 2
+    assert f"pid {os.getpid()} since 2026-01-02T03:04:05Z, which is still running" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", "1234", "{}", '{"pid": 0, "started": "x"}',
+                                     '{"pid": -1, "started": "x"}', "\xff garbage"])
+def test_index_refuses_a_lock_without_a_usable_pid(workspace, tmp_path, capsys, content):
+    out = tmp_path / "idx"
+    out.mkdir()
+    (out / ".lock").write_text(content, encoding="utf-8")
+    assert index_into(workspace, out) == 2
+    assert "its owner is unknown" in capsys.readouterr().err
+    assert (out / ".lock").read_text(encoding="utf-8") == content
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from tcmrag import dense
 from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, EmbeddingVector, HttpEmbedProvider,
                           ProviderError, StubEmbedProvider, VectorIndex, embed, fnv1a64,
                           stub_embed, token_bucket)
@@ -125,6 +126,27 @@ def test_stub_provider_and_embed_roundtrip():
     provider = StubEmbedProvider(tokenize=lambda text: set(text.split()), dim=64)
     vec = embed("a b", provider)
     assert np.allclose(vec.values, stub_embed({"a", "b"}, 64).values)
+
+
+@given(st.lists(st.sets(st.text(alphabet="abc中医汤", min_size=1, max_size=4), min_size=1,
+                        max_size=12), min_size=1, max_size=6), st.sampled_from([8, 64, 256]))
+def test_stub_provider_equals_stub_embed_bitwise_warm_and_cold(token_sets, dim):
+    texts = [str(i) for i in range(len(token_sets))]
+    provider = StubEmbedProvider(tokenize=dict(zip(texts, token_sets)).__getitem__, dim=dim)
+    for _ in range(2):  # the first pass fills the bucket memo, the second reads it
+        for text, tokens in zip(texts, token_sets):
+            assert provider.embed_raw(text).tobytes() == stub_embed(tokens, dim).values.tobytes()
+    assert provider._buckets == {tok: token_bucket(tok, dim) for ts in token_sets for tok in ts}
+
+
+def test_stub_provider_bucket_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(dense, "_BUCKET_MEMO_LIMIT", 5)
+    provider = StubEmbedProvider(tokenize=lambda text: set(text.split()), dim=16)
+    for i in range(12):
+        text = f"t{i} t{i + 1} t{i + 2}"
+        got = provider.embed_raw(text)
+        assert got.tobytes() == stub_embed(set(text.split()), 16).values.tobytes()
+        assert len(provider._buckets) <= 5
 
 
 def test_embed_rejects_empty_text_and_zero_vectors():

@@ -4,11 +4,12 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tcmrag import segment
 from tcmrag.segment import (TIE_TOLERANCE, HmmModel, HmmModelError, Lexicon, LexiconError,
                             SegmentationResult, build_lexicon, cut, load_hmm, load_lexicon,
                             max_prob_route, token_set, viterbi)
@@ -400,6 +401,80 @@ def test_token_set_drops_punct_and_dupes():
     result = SegmentationResult(
         tokens=[("a", (0, 1)), ("b", (1, 2)), ("a", (2, 3)), ("。", (3, 4))])
     assert token_set(result) == {"a", "b"}
+
+
+# ---------------------------------------------------------------------------
+# The run memo on Lexicon: each distinct CJK run is cut once per lexicon and HMM
+# ---------------------------------------------------------------------------
+
+def cold(lex: Lexicon) -> Lexicon:
+    """The same lexicon in a new object, so with an empty run memo."""
+    return Lexicon(entries=lex.entries, total=lex.total, log_total=lex.log_total)
+
+
+# Words of the fixture lexicon, characters it lacks (龘, 㐀, 鿿: unknown to the HMM
+# too; 风, 寒, 湿: known only as prefixes), ASCII, other characters and punctuation.
+PIECES = ["胃脘胀痛", "嗳气吞酸", "舌红", "苔黄", "中医", "风寒湿", "龘", "㐀鿿", "风",
+          "abc", "12", "é", "，", "。", " ", "\n"]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=14).map("".join), st.booleans())
+def test_cut_is_its_runs_cut_alone_and_shifted(lexicon, hmm, text, use_hmm):
+    model = hmm if use_hmm else None
+    expected = []
+    start = 0
+    for _, group in groupby(text, key=is_cjk):  # maximal CJK and non-CJK stretches
+        piece = "".join(group)
+        expected += [(t, (start + s, start + e))
+                     for t, (s, e) in cut(piece, cold(lexicon), model).tokens]
+        start += len(piece)
+    assert cut(text, cold(lexicon), model).tokens == expected
+    assert cut(text, lexicon, model).tokens == expected  # warm: the fixture is shared
+    assert cut(text + "，" + text, lexicon, model).tokens == expected + [
+        ("，", (len(text), len(text) + 1))] + [
+        (t, (len(text) + 1 + s, len(text) + 1 + e)) for t, (s, e) in expected]
+
+
+def test_one_lexicon_gives_each_hmm_its_own_tokens(hmm):
+    lex = build_lexicon([("中医", 50)])
+    text = "中医风寒湿中医"  # 风寒湿 is unknown to this lexicon: the HMM re-decodes it
+    one_word = HmmModel(start_logp={"B": 0.0}, emit_logp={},
+                        trans_logp={"B": {"M": 0.0, "E": 0.0}, "M": {"M": 0.0, "E": 0.0}})
+    models = [None, hmm, one_word]
+    want = [cut(text, cold(lex), model).tokens for model in models]
+    assert want[0][1:4] == [("风", (2, 3)), ("寒", (3, 4)), ("湿", (4, 5))]
+    assert want[2][1] == ("风寒湿", (2, 5))
+    assert [t for t, _ in want[1][1:-1]] == brute_force_viterbi("风寒湿", hmm)
+    for _ in range(2):
+        for model, tokens in zip(models, want):
+            assert cut(text, lex, model).tokens == tokens
+    # models made and dropped in turn may share an id; each still gets its own tokens
+    for i in range(6):
+        model = HmmModel(**{k: getattr(models[1 + i % 2], k)
+                            for k in ("start_logp", "trans_logp", "emit_logp")})
+        assert cut(text, lex, model).tokens == want[1 + i % 2]
+        del model
+
+
+def test_run_memo_never_exceeds_its_bound(lexicon):
+    lex = cold(lexicon)
+    chars = [chr(0x4E00 + i) for i in range(80)]
+    runs = [a + b for a in chars for b in chars]  # 6,400 distinct two-character runs
+    for i in range(0, len(runs), 500):
+        text = "，".join(runs[i:i + 500])
+        assert cut(text, lex).tokens == cut(text, cold(lexicon)).tokens
+        assert 0 < len(lex._runs) <= segment._RUN_MEMO_LIMIT
+
+
+@pytest.mark.parametrize("text", ["胃脘胀痛龘风寒", "胃脘胀痛龘风寒，胃脘胀痛龘风寒"])
+def test_mutating_returned_tokens_leaves_later_cuts_alone(lexicon, hmm, text):
+    lex = cold(lexicon)
+    want = cut(text, cold(lexicon), hmm).tokens
+    first = cut(text, lex, hmm)
+    first.tokens[0] = ("x", (0, 1))
+    first.tokens.append(("y", (99, 100)))
+    del first.tokens[1:3]
+    assert cut(text, lex, hmm).tokens == want
 
 
 # ---------------------------------------------------------------------------

@@ -159,17 +159,26 @@ class VectorIndex:
         self._by_id[chunk_id] = row
         self.ids.append(chunk_id)
 
-    def score(self, chunk_id: str, query: EmbeddingVector) -> float:
-        return float(self._matrix[self._by_id[chunk_id]] @ query.values)
+    def _row_scores(self, rows: np.ndarray, query: EmbeddingVector) -> np.ndarray:
+        """Each row's dot product with the query, one row at a time: unlike a BLAS
+        matrix-vector product, whose last bits depend on where a row sits in the
+        matrix, a row's score depends only on the row and the query, so identical
+        rows tie exactly and a gathered row scores what it scores in the whole matrix."""
+        if query.dim != self.dim:
+            raise EmbeddingError(f"dim mismatch: index {self.dim}, query {query.dim}")
+        return np.einsum("ij,j->i", rows, query.values)
+
+    def score(self, chunk_ids: list[str], query: EmbeddingVector) -> list[float]:
+        """The given chunks' scores, bit for bit the ones `search` ranks them by."""
+        return self._row_scores(self._matrix[[self._by_id[cid] for cid in chunk_ids]],
+                                query).tolist()
 
     def search(self, query: EmbeddingVector, n: int) -> list[tuple[str, float]]:
         if n < 1:
             raise EmbeddingError(f"n must be >= 1, got {n}")
         if not self.ids:
             return []
-        if query.dim != self.dim:
-            raise EmbeddingError(f"dim mismatch: index {self.dim}, query {query.dim}")
-        scores = self._matrix[:len(self.ids)] @ query.values
+        scores = self._row_scores(self._matrix[:len(self.ids)], query)
         floor = np.partition(scores, -n)[-n] if n < len(scores) else -np.inf
         rows = np.flatnonzero(scores >= floor)  # every row tied with the n-th best stays in
         ranked = sorted(zip(scores[rows].tolist(), [self.ids[r] for r in rows.tolist()]),

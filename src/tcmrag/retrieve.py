@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .corpus import ClinicalCase, render_demonstration
@@ -115,21 +115,31 @@ def _rerank_scores(reply, n: int) -> list[float]:
 
 def first_stage(query_text: str, deps: RetrieverDeps,
                 cfg: RetrievalConfig) -> list[RetrievalCandidate]:
-    """Pool dense and sparse top lists (per mode); fill both scores for every candidate."""
+    """Pool dense and sparse top lists (per mode); fill both scores for every candidate.
+
+    Each score comes from the search list that found the candidate. A score its list
+    lacks is computed as that search scores: `VectorIndex.score` for the dense score of
+    a sparse-only candidate, `iou_score` for the sparse score of a dense-only one."""
     query_tokens = deps.tokenize(query_text)
     if not query_tokens:
         return []
     query_vec = embed(query_text, deps.embedder)
 
-    dense_ids = ({cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)}
-                 if cfg.mode in (DENSE_ONLY, HYBRID) else set())
-    sparse_ids = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
-                  if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
+    dense = (dict(deps.dense_index.search(query_vec, cfg.n_dense))
+             if cfg.mode in (DENSE_ONLY, HYBRID) else {})
+    sparse = (dict(deps.kw_index.search(query_tokens, cfg.n_sparse))
+              if cfg.mode in (SPARSE_ONLY, HYBRID) else {})
+    pooled = sorted(dense.keys() | sparse.keys())
+    missing = [cid for cid in pooled if cid not in dense]
+    dense_scores = (dense | dict(zip(missing, deps.dense_index.score(missing, query_vec)))
+                    if missing else dense)
+    doc_tokens = deps.kw_index.doc_tokens
     return [RetrievalCandidate(
-                chunk_id=cid, dense_score=deps.dense_index.score(cid, query_vec),
-                sparse_score=iou_score(query_tokens, deps.kw_index.doc_tokens[cid]),
-                from_dense=cid in dense_ids, from_sparse=cid in sparse_ids)
-            for cid in sorted(dense_ids | sparse_ids)]
+                chunk_id=cid, dense_score=dense_scores[cid],
+                sparse_score=(sparse[cid] if cid in sparse
+                              else iou_score(query_tokens, doc_tokens[cid])),
+                from_dense=cid in dense, from_sparse=cid in sparse)
+            for cid in pooled]
 
 
 def fusion_score(cand: RetrievalCandidate, alpha: float) -> float:
@@ -146,20 +156,18 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
     if not candidates:
         raise RetrievalError("rerank requires a non-empty candidate list")
     warnings: list[str] = []
-    scored = [replace(c) for c in candidates]
-    provider_scores: list[float] | None = None
+    scores: list[float] | None = None
     if deps.rerank_provider is not None:
-        docs = [deps.chunk_texts[c.chunk_id] for c in scored]
+        docs = [deps.chunk_texts[c.chunk_id] for c in candidates]
         try:
-            provider_scores = deps.rerank_provider.rerank(query_text, docs)
+            scores = deps.rerank_provider.rerank(query_text, docs)
         except RerankProviderError as exc:
             warnings.append(f"{RERANK_FALLBACK}: {exc}")
-    if provider_scores is not None:
-        for cand, s in zip(scored, provider_scores):
-            cand.rerank_score = s
-    else:
-        for cand in scored:
-            cand.rerank_score = fusion_score(cand, cfg.alpha)
+    if scores is None:
+        scores = [fusion_score(c, cfg.alpha) for c in candidates]
+    scored = [RetrievalCandidate(c.chunk_id, c.dense_score, c.sparse_score, s,
+                                 c.from_dense, c.from_sparse)
+              for c, s in zip(candidates, scores)]
     scored.sort(key=lambda c: (-c.rerank_score, c.chunk_id))
     return scored, warnings
 

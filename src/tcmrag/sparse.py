@@ -59,6 +59,9 @@ class KeywordIndex:
         inter = cnt[cand]
         # the same two integers as len(q & d) / len(q | d), so the same rounded float
         iou = inter / (len(query_tokens) + sizes[cand] - inter)
+        if n < len(iou):  # only the rows at or above the n-th best IoU are sorted
+            keep = np.flatnonzero(iou >= np.partition(iou, -n)[-n])
+            cand, iou = cand[keep], iou[keep]
         top = np.argsort(-iou, kind="stable")[:n]  # cand ascends: ties stay in chunk_id order
         return [(ids[r], s) for r, s in zip(cand[top].tolist(), iou[top].tolist())]
 

@@ -308,20 +308,31 @@ def test_index_row_added_after_a_search_is_found_by_the_next():
 
 @pytest.mark.parametrize("count", [1, 16, 17, 33])
 def test_index_equals_a_stacked_matrix_bitwise(count):
-    """Sizes on both sides of a capacity doubling; scores compared with ==, not approx."""
+    """Sizes on both sides of a capacity doubling; scores compared with ==, not approx.
+    The grown index scores each row as the stacked rows' per-row dot product does,
+    `score` gives an id the float `search` gave it, and one vector planted at the head,
+    middle and tail rows ties exactly, which a BLAS matrix-vector product does not
+    promise: its last bits may depend on where a row sits."""
     rng = np.random.default_rng(count)
     ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
     rows = [unit(rng.normal(size=24)).values for _ in ids]
+    planted = sorted({0, count // 2, count - 1})
+    for pos in planted:
+        rows[pos] = rows[0]
     index = VectorIndex()
     for cid, row in zip(ids, rows):
         index.add(cid, EmbeddingVector(dim=24, values=row))
     for _ in range(3):
-        q = unit(rng.normal(size=24)).values
-        expected = sorted(zip(ids, np.vstack(rows) @ q), key=lambda x: (-x[1], x[0]))
+        q = EmbeddingVector(dim=24, values=unit(rng.normal(size=24)).values)
+        per_row = np.einsum("ij,j->i", np.vstack(rows), q.values).tolist()
+        expected = sorted(zip(ids, per_row), key=lambda x: (-x[1], x[0]))
         for n in (1, count // 2 + 1, count):
-            assert index.search(EmbeddingVector(dim=24, values=q), n) == expected[:n]
-        for cid, row in zip(ids, rows):
-            assert index.score(cid, EmbeddingVector(dim=24, values=q)) == float(row @ q)
+            assert index.search(q, n) == expected[:n]
+        searched = dict(index.search(q, count))
+        for cid in ids:
+            assert index.score([cid], q) == [searched[cid]]
+        assert index.score(ids[::-1], q) == [searched[cid] for cid in ids[::-1]]
+        assert len({searched[ids[pos]] for pos in planted}) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -368,7 +379,7 @@ def test_index_matches_brute_force_oracle():
 def test_index_score_and_vector_accessors():
     index = VectorIndex()
     index.add("a", unit([1.0, 1.0]))
-    assert index.score("a", unit([1.0, 0.0])) == pytest.approx(1.0 / math.sqrt(2))
+    assert index.score(["a"], unit([1.0, 0.0])) == [pytest.approx(1.0 / math.sqrt(2))]
     assert index.dim == 2
 
 
@@ -384,7 +395,7 @@ def test_index_persistence_roundtrip(tmp_path):
     assert loaded.dim == index.dim
     basis = [EmbeddingVector(dim=12, values=row) for row in np.eye(12)]
     for cid in index.ids:  # a one-hot query scores exactly one stored value
-        assert [loaded.score(cid, e) for e in basis] == [index.score(cid, e) for e in basis]
+        assert [loaded.score([cid], e) for e in basis] == [index.score([cid], e) for e in basis]
     path2 = tmp_path / "again.bin"
     loaded.save(path2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
@@ -414,8 +425,8 @@ def test_loaded_index_accepts_another_add(tmp_path):
     assert loaded.ids == ["c0#0", "c1#0", "c2#0", "d#0"]
     assert loaded.search(unit([0.0, 0.0, 1.0]), 1) == [("d#0", 1.0)]
     q = unit([1.0, 2.0, 3.0])
-    assert [loaded.score(cid, q) for cid in index.ids] == [index.score(cid, q)
-                                                          for cid in index.ids]
+    assert [loaded.score([cid], q) for cid in index.ids] == [index.score([cid], q)
+                                                            for cid in index.ids]
 
 
 def test_index_load_rejects_foreign_file(tmp_path):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from tcmrag import engine
 from tcmrag.corpus import TOKEN_CHUNK, ClinicalCase, render_demonstration
@@ -11,7 +15,7 @@ from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, SPARSE_ONLY, HttpRerankP
                              RetrievalError, RetrieverDeps, first_stage, fusion_score,
                              parent_case_id, prompt_context, rerank, two_stage_retrieve)
 from tcmrag.segment import token_set
-from tcmrag.sparse import KeywordIndex
+from tcmrag.sparse import KeywordIndex, iou_score
 
 DIM = 256
 
@@ -115,6 +119,116 @@ def test_first_stage_respects_pool_sizes():
     deps = make_deps()
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig(n_dense=1, n_sparse=1, top_k=1))
     assert [c.chunk_id for c in pool] == ["c1#0"]
+
+
+def unit(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return values / np.linalg.norm(values)
+
+
+class FixedEmbedder:
+    """Embeds every text as one given vector."""
+
+    def __init__(self, values) -> None:
+        self.values = values
+
+    def embed_raw(self, text):
+        return self.values
+
+
+def vector_deps(rows: dict[str, np.ndarray], docs: dict[str, set[str]], query_values):
+    dense_index, kw_index = VectorIndex(), KeywordIndex()
+    for cid, row in rows.items():
+        dense_index.add(cid, embed(cid, FixedEmbedder(row)))
+        kw_index.add(cid, docs[cid])
+    return RetrieverDeps(tokenize=lambda text: set(text.split()),
+                         embedder=FixedEmbedder(query_values), dense_index=dense_index,
+                         kw_index=kw_index, chunk_texts={cid: cid for cid in rows})
+
+
+def brute_force_fused(query: str, deps: RetrieverDeps, rows: dict[str, np.ndarray],
+                      docs: dict[str, set[str]], cfg: RetrievalConfig):
+    """The fused top k from each row's exactly rounded dot product: identical rows tie
+    wherever they sit, and each list keeps its first n by (-score, chunk_id)."""
+    q = embed(query, deps.embedder).values
+    q_tokens = deps.tokenize(query)
+    dense = {cid: math.fsum(row * q) for cid, row in rows.items()}
+    sparse = {cid: iou_score(q_tokens, toks) for cid, toks in docs.items()}
+    pool: set[str] = set()
+    if cfg.mode != SPARSE_ONLY:
+        pool.update(sorted(dense, key=lambda c: (-dense[c], c))[:cfg.n_dense])
+    if cfg.mode != DENSE_ONLY:
+        hits = [c for c in sparse if sparse[c] > 0]
+        pool.update(sorted(hits, key=lambda c: (-sparse[c], c))[:cfg.n_sparse])
+    fused = {c: cfg.alpha * dense[c] + (1.0 - cfg.alpha) * sparse[c] for c in pool}
+    return sorted(fused.items(), key=lambda x: (-x[1], x[0]))[:cfg.top_k]
+
+
+PLANTED_ROWS = (10, 30, 48, 49)
+
+
+@pytest.mark.parametrize("mode", [DENSE_ONLY, HYBRID])
+@pytest.mark.parametrize("seed", [23, 37])
+def test_identical_rows_tied_at_the_dense_cut_enter_the_pool_by_chunk_id(seed, mode):
+    """One vector at rows 10, 30, 48 and 49 of a 50 x 24 index ties at the n_dense-th
+    place; the pool takes the chunk_id-first ones whatever their rows, and the fused
+    order is the brute force's. On an x86-64 OpenBLAS a matrix-vector product scores
+    the last two rows (past the last block of 16) a few ulps above the others for
+    these seeds' queries, and so let c48 and c49 in."""
+    rng = np.random.default_rng(seed)
+    planted = unit(rng.normal(size=24))
+    q = unit(planted + 0.3 * unit(rng.normal(size=24)))
+    vectors = [unit(rng.normal(size=24)) for _ in range(50)]
+    for row in PLANTED_ROWS:
+        vectors[row] = planted
+    for row in (0, 1):  # the two best rows, above the tie
+        vectors[row] = unit(q + 0.05 * unit(rng.normal(size=24)))
+    rows = {f"c{row:02d}#0": v for row, v in enumerate(vectors)}
+    docs = {f"c{row:02d}#0": {"v"} if row in PLANTED_ROWS else {f"x{row % 7}", f"y{row % 3}"}
+            for row in range(50)}
+    deps = vector_deps(rows, docs, q)
+    cfg = RetrievalConfig(n_dense=4, n_sparse=1, top_k=5, mode=mode)
+    pool = first_stage("x1 y2", deps, cfg)
+    assert [c.chunk_id for c in pool if docs[c.chunk_id] == {"v"}] == ["c10#0", "c30#0"]
+    assert len({c.dense_score for c in pool if docs[c.chunk_id] == {"v"}}) == 1
+    got = two_stage_retrieve("x1 y2", deps, cfg).candidates
+    want = brute_force_fused("x1 y2", deps, rows, docs, cfg)
+    assert [c.chunk_id for c in got] == [cid for cid, _ in want]
+    assert [c.rerank_score for c in got] == [pytest.approx(s, abs=1e-9) for _, s in want]
+
+
+small_vectors = st.lists(st.integers(0, 2), min_size=6, max_size=6).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(small_vectors, st.sets(st.sampled_from("abcde"), min_size=1)),
+                min_size=1, max_size=30),
+       small_vectors, st.sets(st.sampled_from("abcdef"), min_size=1),
+       st.sampled_from(MODES), st.integers(1, 8), st.integers(1, 8))
+def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tokens, mode,
+                                                 n_dense, n_sparse):
+    """Small integer vectors and few tokens give many ties. Each pooled candidate
+    carries, compared with ==, the score its search list gave it; a score missing from
+    the lists is `score([id])` or `iou_score`, which equal what a search would give."""
+    ids = [f"c{i:02d}#0" for i in range(len(chunks))][::-1]  # rows out of chunk_id order
+    rows = {cid: np.array(v, dtype=np.float64) for cid, (v, _) in zip(ids, chunks)}
+    docs = {cid: toks for cid, (_, toks) in zip(ids, chunks)}
+    deps = vector_deps(rows, docs, np.array(query_vector, dtype=np.float64))
+    query = " ".join(sorted(query_tokens))
+    cfg = RetrievalConfig(n_dense=n_dense, n_sparse=n_sparse, top_k=1, mode=mode)
+    q = embed(query, deps.embedder)
+    dense = dict(deps.dense_index.search(q, n_dense)) if mode != SPARSE_ONLY else {}
+    sparse = dict(deps.kw_index.search(query_tokens, n_sparse)) if mode != DENSE_ONLY else {}
+    pool = first_stage(query, deps, cfg)
+    assert [c.chunk_id for c in pool] == sorted(dense.keys() | sparse.keys())
+    for c in pool:
+        assert (c.from_dense, c.from_sparse) == (c.chunk_id in dense, c.chunk_id in sparse)
+        assert [c.dense_score] == deps.dense_index.score([c.chunk_id], q)
+        assert c.sparse_score == iou_score(query_tokens, docs[c.chunk_id])
+        if c.from_dense:
+            assert c.dense_score == dense[c.chunk_id]
+        if c.from_sparse:
+            assert c.sparse_score == sparse[c.chunk_id]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +512,7 @@ def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sampl
     assert cut_texts == [c.text for c in chunks]
     for c in chunks:
         assert kw_index.doc_tokens[c.chunk_id] == token_set(real_cut(c.text, lexicon, hmm))
-        assert dense_index.score(c.chunk_id, embed(c.text, embedder)) == pytest.approx(1.0)
+        assert dense_index.score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
 
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts={c.chunk_id: c.text for c in chunks})

@@ -139,6 +139,23 @@ def test_search_equals_the_exhaustive_sort_exactly(first, later, query, n):
     assert loaded.search(query, n) == exhaustive(docs, query, n)
 
 
+def test_search_keeps_iou_ties_straddling_every_n():
+    """Runs of equal IoU, their ids interleaved, straddle the n-th place for most n;
+    every n, up to two past the number of hit rows, returns the head of the exhaustive
+    (-iou, chunk_id) sort, compared with ==."""
+    query = {"a", "b", "c"}
+    shapes = [{"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "x"}, {"x"}, {"b", "c", "x", "y"}]
+    docs = {f"d{i:02d}": shapes[(7 * i) % len(shapes)] for i in range(30)}
+    index = KeywordIndex()
+    for cid, toks in docs.items():
+        index.add(cid, toks)
+    hits = len(exhaustive(docs, query, len(docs)))
+    ranked = exhaustive(docs, query, hits)
+    assert sum(ranked[n - 1][1] == ranked[n][1] for n in range(1, hits)) > hits // 2
+    for n in range(1, hits + 3):
+        assert index.search(query, n) == exhaustive(docs, query, n)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------

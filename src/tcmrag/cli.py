@@ -242,13 +242,13 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
         raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
                              f"rebuild it with 'index'") from exc
     if not (set(dense_index.ids) == set(kw_index.doc_tokens) == set(chunk_texts)
-            and len(chunk_texts) == meta.get("count")):
+            and len(chunk_texts) == meta.get("count") and meta.get("dim") == dense_index.dim):
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
-                             f"the chunk ids or their count; rebuild it with 'index'")
+                             f"the chunk ids, their count or the dim; rebuild it with 'index'")
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
     tokenize = make_tokenizer(lex, hmm)
-    embedder = _embedder(cfg, stub or meta.get("stub", False), tokenize, dim=meta.get("dim"))
+    embedder = _embedder(cfg, stub or meta.get("stub", False), tokenize, dim=dense_index.dim)
     rerank_provider = None
     if cfg.rerank_url and not stub:
         rerank_provider = HttpRerankProvider(url=cfg.rerank_url, model=cfg.rerank_model)

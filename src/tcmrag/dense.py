@@ -1,6 +1,7 @@
 """Embedding providers, deterministic offline stub embedder, and an exact flat cosine index."""
 from __future__ import annotations
 
+import json
 import struct
 import time
 from dataclasses import dataclass, field
@@ -26,8 +27,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-_MAGIC = b"TCMRAGVIDX\x00\x00"  # 12 bytes; 4-byte version follows
-_VERSION = 1
+_MAGIC = b"TCMRAGVIDX\x00\x00"
+_VERSION = 2
+# magic, version, dim, row count, byte length of the ids' JSON array; then that array
+# (UTF-8) and the rows as one count x dim block of little-endian float64
+_HEADER = struct.Struct("<12sIIIQ")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -41,22 +45,16 @@ def token_bucket(token: str, dim: int) -> int:
     return fnv1a64(token.encode("utf-8")) % dim
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    dim: int
-    values: np.ndarray  # unit L2 norm
-
-
-def _normalize(values: np.ndarray) -> EmbeddingVector:
+def _normalize(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     norm = float(np.linalg.norm(values))
     if norm == 0.0 or not np.isfinite(norm):
         raise EmbeddingError("zero or non-finite vector")
-    return EmbeddingVector(dim=values.shape[0], values=values / norm)
+    return values / norm
 
 
 def stub_embed(tokens: set[str], dim: int = DEFAULT_STUB_DIM,
-               buckets: dict[str, int] | None = None) -> EmbeddingVector:
+               buckets: dict[str, int] | None = None) -> np.ndarray:
     """Bag-of-hashed-tokens embedding: FNV-1a bucket counts, L2-normalized. `buckets`, a
     token -> token_bucket(token, dim) dict for this dim, is read and filled, so that FNV-1a
     runs once per distinct token across calls."""
@@ -92,7 +90,7 @@ class StubEmbedProvider:
                                      compare=False)
 
     def embed_raw(self, text: str) -> np.ndarray:
-        values = stub_embed(self.tokenize(text), self.dim, self._buckets).values
+        values = stub_embed(self.tokenize(text), self.dim, self._buckets)
         if len(self._buckets) > _BUCKET_MEMO_LIMIT:
             self._buckets.clear()
         return values
@@ -125,13 +123,13 @@ def _first_embedding(reply) -> list[float]:
     return [float(v) for v in values]  # OverflowError for an int too large for a float
 
 
-def embed(text: str, provider: EmbedProvider) -> EmbeddingVector:
+def embed(text: str, provider: EmbedProvider) -> np.ndarray:
     """Provider's vector, L2-normalized locally. Zero vectors are a provider fault."""
     if not text:
         raise EmbeddingError("empty text")
     raw = provider.embed_raw(text)
     try:
-        return _normalize(np.asarray(raw, dtype=np.float64))
+        return _normalize(raw)
     except EmbeddingError as exc:
         raise EmbeddingError(f"provider returned an unusable vector: {exc}") from exc
 
@@ -143,37 +141,37 @@ class VectorIndex:
         self.ids: list[str] = []
         self.dim: int | None = None
         self._by_id: dict[str, int] = {}
-        self._matrix = np.empty((0, 0))  # row i holds ids[i]; later rows are spare capacity
+        self._matrix = np.empty((0, 0), dtype="<f8")  # row i holds ids[i]; later rows are spare
 
-    def add(self, chunk_id: str, vec: EmbeddingVector) -> None:
+    def add(self, chunk_id: str, vec: np.ndarray) -> None:
         if chunk_id in self._by_id:
             raise EmbeddingError(f"duplicate chunk_id {chunk_id!r}")
         if self.dim is None:
-            self.dim = vec.dim
-        elif vec.dim != self.dim:
-            raise EmbeddingError(f"dim mismatch: index {self.dim}, vector {vec.dim}")
+            self.dim = len(vec)
+        elif len(vec) != self.dim:
+            raise EmbeddingError(f"dim mismatch: index {self.dim}, vector {len(vec)}")
         row = len(self.ids)
         if row == len(self._matrix):
             self._matrix = np.resize(self._matrix, (max(1, 2 * row), self.dim))
-        self._matrix[row] = vec.values
+        self._matrix[row] = vec
         self._by_id[chunk_id] = row
         self.ids.append(chunk_id)
 
-    def _row_scores(self, rows: np.ndarray, query: EmbeddingVector) -> np.ndarray:
+    def _row_scores(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the query, one row at a time: unlike a BLAS
         matrix-vector product, whose last bits depend on where a row sits in the
         matrix, a row's score depends only on the row and the query, so identical
         rows tie exactly and a gathered row scores what it scores in the whole matrix."""
-        if query.dim != self.dim:
-            raise EmbeddingError(f"dim mismatch: index {self.dim}, query {query.dim}")
-        return np.einsum("ij,j->i", rows, query.values)
+        if len(query) != self.dim:
+            raise EmbeddingError(f"dim mismatch: index {self.dim}, query {len(query)}")
+        return np.einsum("ij,j->i", rows, query)
 
-    def score(self, chunk_ids: list[str], query: EmbeddingVector) -> list[float]:
+    def score(self, chunk_ids: list[str], query: np.ndarray) -> list[float]:
         """The given chunks' scores, bit for bit the ones `search` ranks them by."""
         return self._row_scores(self._matrix[[self._by_id[cid] for cid in chunk_ids]],
                                 query).tolist()
 
-    def search(self, query: EmbeddingVector, n: int) -> list[tuple[str, float]]:
+    def search(self, query: np.ndarray, n: int) -> list[tuple[str, float]]:
         if n < 1:
             raise EmbeddingError(f"n must be >= 1, got {n}")
         if not self.ids:
@@ -186,42 +184,43 @@ class VectorIndex:
         return [(cid, s) for s, cid in ranked[:n]]
 
     def save(self, path: str | Path) -> None:
+        ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            fh.write(struct.pack("<II", self.dim or 0, len(self.ids)))
-            for cid, row in zip(self.ids, self._matrix):
-                raw = cid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(row.astype("<f8").tobytes())
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, self.dim or 0, len(self.ids), len(ids)))
+            fh.write(ids)
+            fh.write(self._matrix[:len(self.ids)])  # the rows' own bytes, not a copy
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Raises EmbeddingError for a file that is not a whole, well-formed index."""
         index = cls()
         with open(path, "rb") as fh:
-            def read(n: int) -> bytes:
-                data = fh.read(n)
-                if len(data) != n:
-                    raise EmbeddingError(f"{path}: truncated vector index file")
-                return data
-
-            if fh.read(12) != _MAGIC:
+            head = fh.read(_HEADER.size)
+            if head[:12] != _MAGIC:
                 raise EmbeddingError(f"{path}: not a vector index file")
-            (version,) = struct.unpack("<I", read(4))
+            if len(head) < _HEADER.size:
+                raise EmbeddingError(f"{path}: truncated vector index file")
+            _, version, dim, count, id_bytes = _HEADER.unpack(head)
             if version != _VERSION:
                 raise EmbeddingError(f"{path}: unsupported version {version}")
-            dim, count = struct.unpack("<II", read(8))
-            if count * (4 + 8 * dim) > Path(path).stat().st_size - fh.tell():
+            size = Path(path).stat().st_size
+            expected = _HEADER.size + id_bytes + 8 * count * dim
+            if size != expected:
+                raise EmbeddingError(f"{path}: truncated vector index file" if size < expected
+                                     else f"{path}: trailing bytes after the vectors")
+            try:
+                ids = json.loads(fh.read(id_bytes).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise EmbeddingError(f"{path}: chunk id is not UTF-8: {exc}") from exc
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}: chunk ids are not a JSON array: {exc}") from exc
+            if not (isinstance(ids, list) and all(isinstance(cid, str) for cid in ids)
+                    and len(set(ids)) == len(ids) == count):
+                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings")
+            index._matrix = np.empty((count, dim), dtype="<f8")
+            if fh.readinto(index._matrix) != index._matrix.nbytes:  # shrank since the stat
                 raise EmbeddingError(f"{path}: truncated vector index file")
-            index._matrix = np.empty((count, dim))
-            for _ in range(count):
-                (id_len,) = struct.unpack("<I", read(4))
-                try:
-                    cid = read(id_len).decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise EmbeddingError(f"{path}: chunk id is not UTF-8: {exc}") from exc
-                row = np.frombuffer(read(8 * dim), dtype="<f8")
-                index.add(cid, EmbeddingVector(dim=dim, values=row))
+        index.ids = ids
+        index.dim = dim if count else None
+        index._by_id = {cid: row for row, cid in enumerate(ids)}
         return index

@@ -16,7 +16,7 @@ import pytest
 
 from tcmrag.cli import main
 from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK
-from tcmrag.dense import EmbeddingVector, StubEmbedProvider, VectorIndex, stub_embed
+from tcmrag.dense import StubEmbedProvider, VectorIndex, stub_embed
 from tcmrag.engine import build_retriever, make_tokenizer
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
                                 EvalDeps, RunConfig, echo_gold_provider, run_eval)
@@ -138,13 +138,13 @@ def test_criterion_4_dense_oracle():
         ids = [f"v{i:03d}" for i in range(m)]
         index = VectorIndex()
         for cid, row in zip(ids, mat):
-            index.add(cid, EmbeddingVector(dim=32, values=row))
+            index.add(cid, row)
         q = rng.standard_normal(32)
         q /= np.linalg.norm(q)
         n = pyrng.randint(1, 10)
         scores = mat @ q
         expected = sorted(zip(ids, scores), key=lambda x: (-x[1], x[0]))[:n]
-        got = index.search(EmbeddingVector(dim=32, values=q), n)
+        got = index.search(q, n)
         assert [cid for cid, _ in got] == [cid for cid, _ in expected], trial
         for (_, a), (_, b) in zip(got, expected):
             assert abs(a - b) <= 1e-9
@@ -165,7 +165,7 @@ def test_criterion_5_planted_retrieval(planted):
     for chunk in planted["chunks"]:
         cid, text = chunk["chunk_id"], chunk["text"]
         texts[cid] = text
-        dense_index.add(cid, EmbeddingVector(dim=dim, values=stub_embed(tokenize(text), dim).values))
+        dense_index.add(cid, stub_embed(tokenize(text), dim))
         kw_index.add(cid, tokenize(text))
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts=texts)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import requests
 
 from tcmrag.cli import AppConfig, CliConfigError, main
 from tcmrag.corpus import load_chunks, load_corpus
+from tcmrag.dense import VectorIndex
 from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_digest, split_cases
 from tcmrag.prompt import COT_STEP_HEADERS
 
@@ -376,6 +378,43 @@ def test_query_on_an_unreadable_index_is_config_error(workspace, tmp_path, case,
     err = capsys.readouterr().err
     assert f"index at {index} is unusable" in err
     assert "rebuild it with 'index'" in err
+
+
+def test_query_on_an_index_whose_meta_dim_disagrees_is_config_error(workspace, tmp_path,
+                                                                     capsys):
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+    (index / "meta.json").write_text(json.dumps(dict(meta, dim=128)), encoding="utf-8")
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"index at {index} is inconsistent" in err
+    assert "rebuild it with 'index'" in err
+
+
+def rewrite_as_version_1(path: Path) -> None:
+    """The same vectors in the version-1 layout: magic, version, dim and count, then per
+    row the id's byte length, the id and the row."""
+    index = VectorIndex.load(path)
+    rows = b"".join(struct.pack("<I", len(cid.encode("utf-8"))) + cid.encode("utf-8")
+                    + index._matrix[row].tobytes() for row, cid in enumerate(index.ids))
+    path.write_bytes(b"TCMRAGVIDX\x00\x00" + struct.pack("<III", 1, index.dim, len(index.ids))
+                     + rows)
+
+
+def test_query_and_eval_refuse_a_version_1_index(workspace, tmp_path, capsys):
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    rewrite_as_version_1(index / "vectors.bin")
+    assert main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)]) == 2
+    assert main(["--config", str(workspace["cfg"]), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "hybrid_jieba",
+                 "--index-hybrid", str(index), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unsupported version 1; rebuild it with 'index'") == 2
 
 
 def test_index_respects_lock(workspace, tmp_path, capsys):

@@ -8,12 +8,12 @@ import struct
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tcmrag import dense
-from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, EmbeddingVector, HttpEmbedProvider,
-                          ProviderError, StubEmbedProvider, VectorIndex, embed, fnv1a64,
-                          stub_embed, token_bucket)
+from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, HttpEmbedProvider, ProviderError,
+                          StubEmbedProvider, VectorIndex, embed, fnv1a64, stub_embed,
+                          token_bucket)
 
 # ---------------------------------------------------------------------------
 # FNV-1a hash (published reference values)
@@ -66,26 +66,26 @@ def distinct_bucket_tokens(count: int, dim: int) -> list[str]:
 
 def test_stub_embed_single_token_is_one_hot():
     vec = stub_embed({"中医"}, 256)
-    assert vec.dim == 256
+    assert vec.shape == (256,)
     bucket = token_bucket("中医", 256)
-    assert vec.values[bucket] == pytest.approx(1.0)
-    assert float(np.linalg.norm(vec.values)) == pytest.approx(1.0)
-    assert np.count_nonzero(vec.values) == 1
+    assert vec[bucket] == pytest.approx(1.0)
+    assert float(np.linalg.norm(vec)) == pytest.approx(1.0)
+    assert np.count_nonzero(vec) == 1
 
 
 def test_stub_embed_cosine_half_overlap():
     a, b, c = distinct_bucket_tokens(3, 256)
     va = stub_embed({a, b}, 256)
     vb = stub_embed({a, c}, 256)
-    assert float(va.values @ vb.values) == pytest.approx(0.5)
-    assert float(va.values @ va.values) == pytest.approx(1.0)
+    assert float(va @ vb) == pytest.approx(0.5)
+    assert float(va @ va) == pytest.approx(1.0)
 
 
 def test_stub_embed_disjoint_tokens_orthogonal():
     a, b, c, d = distinct_bucket_tokens(4, 256)
     va = stub_embed({a, b}, 256)
     vb = stub_embed({c, d}, 256)
-    assert float(va.values @ vb.values) == pytest.approx(0.0)
+    assert float(va @ vb) == pytest.approx(0.0)
 
 
 def test_stub_embed_bucket_collision_accumulates():
@@ -102,8 +102,8 @@ def test_stub_embed_bucket_collision_accumulates():
             tok_by_bucket[b] = tok
         i += 1
     vec = stub_embed(set(pair), 8)
-    assert np.count_nonzero(vec.values) == 1
-    assert float(np.max(vec.values)) == pytest.approx(1.0)
+    assert np.count_nonzero(vec) == 1
+    assert float(np.max(vec)) == pytest.approx(1.0)
 
 
 def test_stub_embed_rejects_bad_input():
@@ -117,15 +117,15 @@ def test_stub_embed_rejects_bad_input():
 def test_stub_embed_unit_norm_and_deterministic(tokens):
     v1 = stub_embed(tokens)
     v2 = stub_embed(tokens)
-    assert v1.dim == DEFAULT_STUB_DIM
-    assert float(np.linalg.norm(v1.values)) == pytest.approx(1.0)
-    assert np.array_equal(v1.values, v2.values)
+    assert v1.shape == (DEFAULT_STUB_DIM,)
+    assert float(np.linalg.norm(v1)) == pytest.approx(1.0)
+    assert np.array_equal(v1, v2)
 
 
 def test_stub_provider_and_embed_roundtrip():
     provider = StubEmbedProvider(tokenize=lambda text: set(text.split()), dim=64)
     vec = embed("a b", provider)
-    assert np.allclose(vec.values, stub_embed({"a", "b"}, 64).values)
+    assert np.allclose(vec, stub_embed({"a", "b"}, 64))
 
 
 @given(st.lists(st.sets(st.text(alphabet="abc中医汤", min_size=1, max_size=4), min_size=1,
@@ -135,7 +135,7 @@ def test_stub_provider_equals_stub_embed_bitwise_warm_and_cold(token_sets, dim):
     provider = StubEmbedProvider(tokenize=dict(zip(texts, token_sets)).__getitem__, dim=dim)
     for _ in range(2):  # the first pass fills the bucket memo, the second reads it
         for text, tokens in zip(texts, token_sets):
-            assert provider.embed_raw(text).tobytes() == stub_embed(tokens, dim).values.tobytes()
+            assert provider.embed_raw(text).tobytes() == stub_embed(tokens, dim).tobytes()
     assert provider._buckets == {tok: token_bucket(tok, dim) for ts in token_sets for tok in ts}
 
 
@@ -145,7 +145,7 @@ def test_stub_provider_bucket_memo_stays_within_its_bound(monkeypatch):
     for i in range(12):
         text = f"t{i} t{i + 1} t{i + 2}"
         got = provider.embed_raw(text)
-        assert got.tobytes() == stub_embed(set(text.split()), 16).values.tobytes()
+        assert got.tobytes() == stub_embed(set(text.split()), 16).tobytes()
         assert len(provider._buckets) <= 5
 
 
@@ -168,7 +168,7 @@ def test_embed_normalizes_provider_output():
             return [3.0, 4.0]
 
     vec = embed("x", Raw())
-    assert vec.values == pytest.approx([0.6, 0.8])
+    assert vec == pytest.approx([0.6, 0.8])
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,9 @@ def test_http_embed_wrong_typed_payload_is_retried_as_malformed(monkeypatch, emb
 # Vector index
 # ---------------------------------------------------------------------------
 
-def unit(values) -> EmbeddingVector:
+def unit(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    return EmbeddingVector(dim=arr.shape[0], values=arr / np.linalg.norm(arr))
+    return arr / np.linalg.norm(arr)
 
 
 def test_index_search_ranks_by_cosine():
@@ -315,16 +315,16 @@ def test_index_equals_a_stacked_matrix_bitwise(count):
     promise: its last bits may depend on where a row sits."""
     rng = np.random.default_rng(count)
     ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
-    rows = [unit(rng.normal(size=24)).values for _ in ids]
+    rows = [unit(rng.normal(size=24)) for _ in ids]
     planted = sorted({0, count // 2, count - 1})
     for pos in planted:
         rows[pos] = rows[0]
     index = VectorIndex()
     for cid, row in zip(ids, rows):
-        index.add(cid, EmbeddingVector(dim=24, values=row))
+        index.add(cid, row)
     for _ in range(3):
-        q = EmbeddingVector(dim=24, values=unit(rng.normal(size=24)).values)
-        per_row = np.einsum("ij,j->i", np.vstack(rows), q.values).tolist()
+        q = unit(rng.normal(size=24))
+        per_row = np.einsum("ij,j->i", np.vstack(rows), q).tolist()
         expected = sorted(zip(ids, per_row), key=lambda x: (-x[1], x[0]))
         for n in (1, count // 2 + 1, count):
             assert index.search(q, n) == expected[:n]
@@ -340,19 +340,19 @@ def test_index_search_keeps_ties_across_the_cut(seed):
     """Planted duplicate rows tie exactly; every n, past the row count too, returns the
     head of the full sort by (-score, id), compared with ==."""
     rng = np.random.default_rng(seed)
-    planted = [unit([1.0, 0.0, 0.0, 0.0]).values, unit([0.0, 1.0, 0.0, 0.0]).values,
-               unit([1.0, 1.0, 0.0, 0.0]).values]
+    planted = [unit([1.0, 0.0, 0.0, 0.0]), unit([0.0, 1.0, 0.0, 0.0]),
+               unit([1.0, 1.0, 0.0, 0.0])]
     count = int(rng.integers(1, 25))
     ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
     rows = [planted[int(rng.integers(0, 3))] if rng.random() < 0.7
-            else unit(rng.normal(size=4)).values for _ in ids]
+            else unit(rng.normal(size=4)) for _ in ids]
     index = VectorIndex()
     for cid, row in zip(ids, rows):
-        index.add(cid, EmbeddingVector(dim=4, values=row))
-    for q in (planted[0], planted[2], unit(rng.normal(size=4)).values):
+        index.add(cid, row)
+    for q in (planted[0], planted[2], unit(rng.normal(size=4))):
         expected = sorted(zip(ids, (np.vstack(rows) @ q).tolist()), key=lambda x: (-x[1], x[0]))
         for n in range(1, count + 3):
-            assert index.search(EmbeddingVector(dim=4, values=q), n) == expected[:n]
+            assert index.search(q, n) == expected[:n]
 
 
 def test_index_matches_brute_force_oracle():
@@ -364,11 +364,11 @@ def test_index_matches_brute_force_oracle():
         cid = f"c{i:02d}#0"
         vec = unit(raw)
         index.add(cid, vec)
-        rows[cid] = list(vec.values)
+        rows[cid] = list(vec)
     for trial in range(10):
         q = unit([rng.gauss(0, 1) for _ in range(16)])
         expected = sorted(
-            ((cid, sum(a * b for a, b in zip(row, q.values))) for cid, row in rows.items()),
+            ((cid, sum(a * b for a, b in zip(row, q))) for cid, row in rows.items()),
             key=lambda x: (-x[1], x[0]))[:5]
         got = index.search(q, 5)
         assert [cid for cid, _ in got] == [cid for cid, _ in expected]
@@ -376,7 +376,7 @@ def test_index_matches_brute_force_oracle():
             assert s1 == pytest.approx(s2)
 
 
-def test_index_score_and_vector_accessors():
+def test_index_score_and_dim():
     index = VectorIndex()
     index.add("a", unit([1.0, 1.0]))
     assert index.score(["a"], unit([1.0, 0.0])) == [pytest.approx(1.0 / math.sqrt(2))]
@@ -393,7 +393,7 @@ def test_index_persistence_roundtrip(tmp_path):
     loaded = VectorIndex.load(path)
     assert loaded.ids == index.ids
     assert loaded.dim == index.dim
-    basis = [EmbeddingVector(dim=12, values=row) for row in np.eye(12)]
+    basis = list(np.eye(12))
     for cid in index.ids:  # a one-hot query scores exactly one stored value
         assert [loaded.score([cid], e) for e in basis] == [index.score([cid], e) for e in basis]
     path2 = tmp_path / "again.bin"
@@ -402,17 +402,68 @@ def test_index_persistence_roundtrip(tmp_path):
         hashlib.sha256(path2.read_bytes()).hexdigest()
 
 
+def v2_file(ids_json: bytes, count: int, dim: int, floats: bytes) -> bytes:
+    return (b"TCMRAGVIDX\x00\x00" + struct.pack("<IIIQ", 2, dim, count, len(ids_json))
+            + ids_json + floats)
+
+
 def test_index_file_layout(tmp_path):
-    """Version 1: magic, version, dim, count, then per row the id's length, the id and
-    the vector, all little-endian."""
+    """Version 2: magic, version, dim, count and the id block's byte length, then the
+    ids as one UTF-8 JSON array and the rows as one block, all little-endian."""
     index = VectorIndex()
     index.add("病#0", unit([3.0, 4.0]))
     index.add("b#1", unit([0.0, 1.0]))
     index.save(tmp_path / "vectors.bin")
-    expected = (b"TCMRAGVIDX\x00\x00" + struct.pack("<III", 1, 2, 2)
-                + struct.pack("<I", 5) + "病#0".encode("utf-8") + struct.pack("<2d", 0.6, 0.8)
-                + struct.pack("<I", 3) + b"b#1" + struct.pack("<2d", 0.0, 1.0))
+    expected = v2_file('["病#0", "b#1"]'.encode("utf-8"), 2, 2,
+                       struct.pack("<4d", 0.6, 0.8, 0.0, 1.0))
     assert (tmp_path / "vectors.bin").read_bytes() == expected
+
+
+# the version-1 layout: per row the id's length, the id and the vector
+V1_FILE = (b"TCMRAGVIDX\x00\x00" + struct.pack("<III", 1, 2, 2)
+           + struct.pack("<I", 5) + "病#0".encode("utf-8") + struct.pack("<2d", 0.6, 0.8)
+           + struct.pack("<I", 3) + b"b#1" + struct.pack("<2d", 0.0, 1.0))
+
+
+@pytest.mark.parametrize("data, message", [
+    (V1_FILE, "unsupported version 1"),
+    (v2_file(b'["a"]', 1, 2, struct.pack("<2d", 1.0, 0.0)) + b"\x00", "trailing"),
+    (v2_file(b'["a", "a"]', 2, 2, struct.pack("<4d", 1.0, 0.0, 0.0, 1.0)), "distinct"),
+    (v2_file(b'["a", "b"]', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
+    (v2_file(b'["a"]', 2, 1, struct.pack("<2d", 1.0, 1.0)), "distinct"),
+    (v2_file(b'{"a": 0}', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
+    (v2_file(b'[1]', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
+    (v2_file(b'"a"', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
+    (v2_file(b'["a"', 1, 2, struct.pack("<2d", 1.0, 0.0)), "JSON"),
+], ids=["version 1", "trailing byte", "duplicate ids", "more ids than rows",
+        "fewer ids than rows", "object", "number id", "string", "cut array"])
+def test_index_load_refuses_version_1_and_malformed_version_2(tmp_path, data, message):
+    path = tmp_path / "vectors.bin"
+    path.write_bytes(data)
+    with pytest.raises(EmbeddingError, match=message):
+        VectorIndex.load(path)
+
+
+@given(st.lists(st.text(), unique=True, max_size=8), st.integers(1, 6), st.randoms())
+@example(["", "a\tb", "c\nd", 'e"f', "g\\h", "病\U00020000#0"], 3, random.Random(0))
+def test_index_save_load_roundtrip_any_ids(tmp_path_factory, ids, dim, rnd):
+    """Any Unicode id (tabs, line breaks, quotes, backslashes, non-BMP characters, the
+    empty string) and every row's bytes survive a save and a load; a re-save is
+    byte-identical, and the empty index loads with no dim."""
+    index = VectorIndex()
+    for cid in ids:
+        index.add(cid, unit([rnd.uniform(-1.0, 1.0) for _ in range(dim - 1)] + [1.0]))
+    path = tmp_path_factory.mktemp("v2") / "vectors.bin"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    assert loaded.ids == ids
+    assert loaded.dim == (dim if ids else None)
+    for cid in ids:
+        assert loaded._matrix[loaded._by_id[cid]].tobytes() == \
+            index._matrix[index._by_id[cid]].tobytes()
+    again = path.with_name("again.bin")
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_loaded_index_accepts_another_add(tmp_path):

@@ -150,7 +150,7 @@ def brute_force_fused(query: str, deps: RetrieverDeps, rows: dict[str, np.ndarra
                       docs: dict[str, set[str]], cfg: RetrievalConfig):
     """The fused top k from each row's exactly rounded dot product: identical rows tie
     wherever they sit, and each list keeps its first n by (-score, chunk_id)."""
-    q = embed(query, deps.embedder).values
+    q = embed(query, deps.embedder)
     q_tokens = deps.tokenize(query)
     dense = {cid: math.fsum(row * q) for cid, row in rows.items()}
     sparse = {cid: iou_score(q_tokens, toks) for cid, toks in docs.items()}

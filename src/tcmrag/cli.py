@@ -16,13 +16,14 @@ from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, dump_chunks, loa
                      load_corpus, normalize_text, save_corpus)
 from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
-from .llm import CannedChatProvider, ChatProviderError, CleaningError, GenerationParams, \
-    HttpChatProvider, extract_fields, split_cases
+from .llm import CannedChatProvider, CleaningError, GenerationParams, HttpChatProvider, \
+    extract_fields, split_cases
 from .prompt import DEFAULT_BUDGET, TemplateSet, serialize_answer
 from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrievalError,
                        RetrieverDeps, two_stage_retrieve)
 from .segment import load_hmm, load_lexicon
 from .sparse import KeywordIndex
+from .transport import ProviderError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -179,7 +180,7 @@ def cmd_ingest(cfg: AppConfig, args) -> int:
                 case.case_id = f"{path.stem}-{i}"
                 case.source = str(path)
                 cases.append(case)
-        except (CleaningError, ChatProviderError) as exc:
+        except (CleaningError, ProviderError) as exc:
             failures.append(str(path))
             print(f"ingest: cleaning failed for {path}: {exc}", file=sys.stderr)
     save_corpus(cases, args.out_corpus)
@@ -193,6 +194,14 @@ def cmd_ingest(cfg: AppConfig, args) -> int:
 
 
 def cmd_index(cfg: AppConfig, args) -> int:
+    # the settings this build uses, checked before any input is read
+    small, large = (("overlap", "window") if args.strategy == OVERLAP_WINDOW
+                    else ("overlap_tokens", "max_tokens"))
+    if not 0 <= getattr(cfg, small) < getattr(cfg, large):
+        raise CliConfigError(f"need 0 <= {small} < {large}, got {small} = "
+                             f"{getattr(cfg, small)} and {large} = {getattr(cfg, large)}")
+    if args.stub and cfg.stub_dim < 8:
+        raise CliConfigError(f"stub_dim must be >= 8, got {cfg.stub_dim}")
     cases = load_corpus(args.corpus or cfg.corpus)
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
@@ -237,14 +246,17 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
             raise ValueError(f"{META_FILE} is not a JSON object")
         dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
         kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
-        chunk_texts = {c.chunk_id: c.text for c in load_chunks(index_dir / CHUNKS_FILE)}
+        chunks = load_chunks(index_dir / CHUNKS_FILE)
     except ValueError as exc:
         raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
                              f"rebuild it with 'index'") from exc
+    chunk_texts = {c.chunk_id: c.text for c in chunks}
     if not (set(dense_index.ids) == set(kw_index.doc_tokens) == set(chunk_texts)
-            and len(chunk_texts) == meta.get("count") and meta.get("dim") == dense_index.dim):
+            and len(chunks) == len(chunk_texts) == meta.get("count")
+            and meta.get("dim") == dense_index.dim):
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
-                             f"the chunk ids, their count or the dim; rebuild it with 'index'")
+                             f"the chunk ids, their count or the dim, or repeat a chunk id; "
+                             f"rebuild it with 'index'")
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
     tokenize = make_tokenizer(lex, hmm)

@@ -3,22 +3,17 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .transport import RETRIES, PermanentError, TransientError, post_json, with_retries
+from .transport import post_json, with_retries
 
 
 class EmbeddingError(ValueError):
     """Bad embedding input or provider output (zero vector, dim mismatch)."""
-
-
-class ProviderError(RuntimeError):
-    """Embedding provider failed after retries."""
 
 
 DEFAULT_STUB_DIM = 256
@@ -102,17 +97,11 @@ class HttpEmbedProvider:
     model: str
     api_key_env: str = "EMBED_API_KEY"
     timeout: float = 30.0
-    sleep: Callable[[float], None] = time.sleep
 
     def embed_raw(self, text: str) -> list[float]:
         body = {"model": self.model, "input": [text]}
-        try:
-            return with_retries(lambda: post_json(self.url, body, self.api_key_env,
-                                                  self.timeout, _first_embedding), self.sleep)
-        except PermanentError as exc:
-            raise ProviderError(f"embedding provider rejected request: {exc}") from exc
-        except TransientError as exc:
-            raise ProviderError(f"embedding provider failed after {RETRIES} retries") from exc
+        return with_retries(lambda: post_json(self.url, body, self.api_key_env, self.timeout,
+                                              _first_embedding))
 
 
 def _first_embedding(reply) -> list[float]:

@@ -6,7 +6,7 @@ from typing import Callable
 from .corpus import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP, DEFAULT_OVERLAP_TOKENS,
                      DEFAULT_WINDOW, OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
                      case_document, chunk_by_tokens, chunk_overlap)
-from .dense import EmbedProvider, VectorIndex, embed
+from .dense import EmbeddingError, EmbedProvider, VectorIndex, embed
 from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
 from .sparse import KeywordIndex
@@ -52,7 +52,11 @@ def build_indexes(chunks: list[Chunk], tokenize: Callable[[str], set[str]],
     dense_index = VectorIndex()
     kw_index = KeywordIndex()
     for chunk in chunks:
-        dense_index.add(chunk.chunk_id, embed(chunk.text, embedder))
+        try:
+            vec = embed(chunk.text, embedder)
+        except EmbeddingError as exc:
+            raise EmbeddingError(f"chunk {chunk.chunk_id!r}: {exc}") from exc
+        dense_index.add(chunk.chunk_id, vec)
         kw_index.add(chunk.chunk_id, tokenize(chunk.text))
     return dense_index, kw_index
 

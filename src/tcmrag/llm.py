@@ -3,21 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
 from .corpus import ClinicalCase
 from .prompt import Answer, OptionItem, PromptBundle, _first_json, parse_answer
-from .transport import RETRIES, PermanentError, post_json, with_retries
-from .transport import TransientError as TransientChatError  # retryable transport/server failure
+from .transport import PermanentError, post_json, with_retries
 
 Message = tuple[str, str]  # (role, content)
-
-
-class ChatProviderError(RuntimeError):
-    """Provider failed permanently (auth/config error or retries exhausted)."""
 
 
 class CleaningError(ValueError):
@@ -43,7 +37,7 @@ class Metrics:
 
 class ChatProvider(Protocol):
     def send(self, messages: list[Message], params: GenerationParams) -> tuple[str, str]:
-        """Returns (text, finish_reason)."""
+        """(text, finish_reason), or a transport.ProviderError; a TransientError is retried."""
 
 
 def canonical_messages(messages: list[Message]) -> str:
@@ -68,7 +62,7 @@ class CannedChatProvider:
     def send(self, messages: list[Message], params: GenerationParams) -> tuple[str, str]:
         key = messages_digest(messages)
         if key not in self.responses:
-            raise ChatProviderError(f"no canned response for digest {key}")
+            raise PermanentError(f"no canned response for digest {key}")
         return self.responses[key], "stop"
 
 
@@ -95,10 +89,7 @@ class HttpChatProvider:
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
         }
-        try:
-            return post_json(self.url, body, self.api_key_env, self.timeout, _first_choice)
-        except PermanentError as exc:
-            raise ChatProviderError(f"chat provider rejected request: {exc}") from exc
+        return post_json(self.url, body, self.api_key_env, self.timeout, _first_choice)
 
 
 def _first_choice(reply) -> tuple[str, str]:
@@ -111,8 +102,7 @@ def _first_choice(reply) -> tuple[str, str]:
 
 def complete(provider: ChatProvider, messages: list[Message],
              params: GenerationParams = GenerationParams(),
-             metrics: Metrics | None = None,
-             sleep: Callable[[float], None] = time.sleep) -> str:
+             metrics: Metrics | None = None) -> str:
     """One completion with up to 3 retries (1s/2s/4s) on transient failures.
 
     Auth/config (4xx) errors never retry. A truncated finish reason becomes a
@@ -131,10 +121,7 @@ def complete(provider: ChatProvider, messages: list[Message],
     def count_retry() -> None:
         metrics.retries += 1
 
-    try:
-        text, finish_reason = with_retries(attempt, sleep, count_retry)
-    except TransientChatError as exc:
-        raise ChatProviderError(f"provider failed after {RETRIES} retries") from exc
+    text, finish_reason = with_retries(attempt, count_retry)
     if finish_reason not in ("stop", ""):
         metrics.warnings.append(f"completion flagged finish_reason={finish_reason!r}")
     return text
@@ -164,16 +151,15 @@ COVERAGE_THRESHOLD = 0.8
 
 def _complete_repaired(provider: ChatProvider, messages: list[Message],
                        read: Callable[[str], object], repair_note: Callable[[ValueError], str],
-                       params: GenerationParams, metrics: Metrics | None,
-                       sleep: Callable[[float], None]):
+                       params: GenerationParams, metrics: Metrics | None):
     """read() of the reply. When read raises ValueError, one repair turn sends the reply
     back with repair_note(error), and read() of the second reply is returned or raises."""
-    raw = complete(provider, messages, params, metrics, sleep)
+    raw = complete(provider, messages, params, metrics)
     try:
         return read(raw)
     except ValueError as exc:
         messages = messages + [("assistant", raw), ("user", repair_note(exc))]
-    return read(complete(provider, messages, params, metrics, sleep))
+    return read(complete(provider, messages, params, metrics))
 
 
 def _cleaning_json(raw: str, kind: type):
@@ -191,8 +177,7 @@ def _strip_ws(text: str) -> str:
 
 def split_cases(provider: ChatProvider, blob: str,
                 params: GenerationParams = GenerationParams(),
-                metrics: Metrics | None = None,
-                sleep: Callable[[float], None] = time.sleep) -> list[str]:
+                metrics: Metrics | None = None) -> list[str]:
     """Split a concatenated multi-case blob into individual case texts.
 
     The provider must return a JSON array; one repair retry re-states the format.
@@ -204,7 +189,7 @@ def split_cases(provider: ChatProvider, blob: str,
     messages: list[Message] = [("system", _SPLIT_SYSTEM),
                                ("user", blob + "\n\n" + _SPLIT_FORMAT)]
     items = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, list),
-                               lambda exc: _SPLIT_FORMAT, params, metrics, sleep)
+                               lambda exc: _SPLIT_FORMAT, params, metrics)
     if not items or any(not isinstance(x, str) or not x.strip() for x in items):
         raise CleaningError("cleaning output must be a non-empty array of non-empty strings")
 
@@ -219,15 +204,14 @@ def split_cases(provider: ChatProvider, blob: str,
 
 def extract_fields(provider: ChatProvider, raw_case: str,
                    params: GenerationParams = GenerationParams(),
-                   metrics: Metrics | None = None,
-                   sleep: Callable[[float], None] = time.sleep) -> ClinicalCase:
+                   metrics: Metrics | None = None) -> ClinicalCase:
     """Extract structured case fields from one raw case text (case_id left empty)."""
     if not raw_case:
         raise ValueError("raw_case must be non-empty")
     messages: list[Message] = [("system", _EXTRACT_SYSTEM),
                                ("user", raw_case + "\n\n" + _EXTRACT_FORMAT)]
     obj = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, dict),
-                             lambda exc: _EXTRACT_FORMAT, params, metrics, sleep)
+                             lambda exc: _EXTRACT_FORMAT, params, metrics)
 
     def text_field(key: str) -> str:
         value = obj.get(key) or ""
@@ -254,10 +238,9 @@ def extract_fields(provider: ChatProvider, raw_case: str,
 
 def generate_answer(provider: ChatProvider, bundle: PromptBundle, item: OptionItem,
                     params: GenerationParams = GenerationParams(),
-                    metrics: Metrics | None = None,
-                    sleep: Callable[[float], None] = time.sleep) -> tuple[Answer, list[str]]:
+                    metrics: Metrics | None = None) -> tuple[Answer, list[str]]:
     """One completion parsed into (answer, warnings); if the answer fails to parse, exactly
     one repair retry with the parse error appended, whose AnswerParseError propagates."""
     messages: list[Message] = [("system", bundle.system_text), ("user", bundle.user_text)]
     return _complete_repaired(provider, messages, lambda raw: parse_answer(raw, item),
-                              _ANSWER_REPAIR.format, params, metrics, sleep)
+                              _ANSWER_REPAIR.format, params, metrics)

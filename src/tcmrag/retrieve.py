@@ -8,7 +8,7 @@ from typing import Callable, Protocol
 from .corpus import ClinicalCase, render_demonstration
 from .dense import EmbedProvider, VectorIndex, embed
 from .sparse import KeywordIndex, iou_score
-from .transport import PermanentError, TransientError, post_json
+from .transport import ProviderError, post_json
 
 DENSE_ONLY = "dense_only"
 SPARSE_ONLY = "sparse_only"
@@ -18,10 +18,6 @@ RERANK_FALLBACK = "rerank provider failed, using fusion fallback"
 
 
 class RetrievalError(ValueError):
-    pass
-
-
-class RerankProviderError(RuntimeError):
     pass
 
 
@@ -72,7 +68,8 @@ class RetrievalResult:
 
 
 class RerankProvider(Protocol):
-    def rerank(self, query: str, documents: list[str]) -> list[float]: ...
+    def rerank(self, query: str, documents: list[str]) -> list[float]:
+        """One score per document, or transport.ProviderError."""
 
 
 @dataclass
@@ -85,11 +82,8 @@ class HttpRerankProvider:
 
     def rerank(self, query: str, documents: list[str]) -> list[float]:
         body = {"model": self.model, "query": query, "documents": documents}
-        try:
-            return post_json(self.url, body, self.api_key_env, self.timeout,
-                             lambda reply: _rerank_scores(reply, len(documents)))
-        except (PermanentError, TransientError) as exc:
-            raise RerankProviderError(f"rerank provider failed: {exc}") from exc
+        return post_json(self.url, body, self.api_key_env, self.timeout,
+                         lambda reply: _rerank_scores(reply, len(documents)))
 
 
 def _rerank_scores(reply, n: int) -> list[float]:
@@ -161,7 +155,7 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
         docs = [deps.chunk_texts[c.chunk_id] for c in candidates]
         try:
             scores = deps.rerank_provider.rerank(query_text, docs)
-        except RerankProviderError as exc:
+        except ProviderError as exc:
             warnings.append(f"{RERANK_FALLBACK}: {exc}")
     if scores is None:
         scores = [fusion_score(c, cfg.alpha) for c in candidates]

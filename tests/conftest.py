@@ -5,12 +5,21 @@ from pathlib import Path
 
 import pytest
 
+from tcmrag import transport
 from tcmrag.corpus import load_corpus
 from tcmrag.evalharness import load_tasks
 from tcmrag.prompt import TemplateSet
 from tcmrag.segment import load_hmm, load_lexicon
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def slept(monkeypatch) -> list[float]:
+    """The retry policy's waits, recorded instead of slept, so that no test waits."""
+    delays: list[float] = []
+    monkeypatch.setattr(transport, "sleep", delays.append)
+    return delays
 
 
 @pytest.fixture(scope="session")

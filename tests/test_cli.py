@@ -217,6 +217,22 @@ def test_ingest_clean_coverage_guard_fails_the_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == ""
 
 
+def test_ingest_clean_continues_past_a_file_whose_provider_call_failed(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    pieces = ["病案一:胃脘胀痛,嗳气吞酸。"]
+    (raw / "a.txt").write_text(pieces[0], encoding="utf-8")
+    (raw / "b.txt").write_text("病案二:头晕目眩,耳鸣。", encoding="utf-8")  # nothing canned
+    canned = write_canned_cleaning(tmp_path / "canned.json", pieces[0], pieces, CASE_FIELDS)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out),
+                 "--clean", "--chat", "canned", "--canned", str(canned)]) == 1
+    assert [c.case_id for c in load_corpus(out)] == ["a-0"]
+    err = capsys.readouterr().err
+    assert f"ingest: cleaning failed for {raw / 'b.txt'}: no canned response for digest" in err
+    assert f"ingest: failed: {raw / 'b.txt'}" in err
+
+
 # ---------------------------------------------------------------------------
 # index
 # ---------------------------------------------------------------------------
@@ -270,8 +286,20 @@ def test_index_text_files_match_recorded_digests(tmp_path):
             assert digest == INDEX_DIGESTS[strategy, name], (strategy, name)
 
 
+def corpus_with_a_tokenless_case(tmp_path: Path) -> Path:
+    """The first three sample cases, then one whose only text is punctuation."""
+    lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    lines.append(json.dumps({"case_id": "c99", "patient_background": "",
+                             "clinical_info": "？？……", "pathogenesis": "", "syndromes": [],
+                             "doctor_notes": ""}, ensure_ascii=False))
+    corpus = tmp_path / "tokenless.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return corpus
+
+
 def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
-    cfg = write_config(tmp_path, window=100, overlap=100)  # overlap must be < window
+    # the build fails after it took the lock: the punctuation-only case has no vector
+    cfg = write_config(tmp_path, corpus=corpus_with_a_tokenless_case(tmp_path))
     out = tmp_path / "idx"
     code = main(["--config", str(cfg), "--stub", "index",
                  "--strategy", "overlap_window", "--out", str(out)])
@@ -282,6 +310,47 @@ def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
 
 
 INDEX_FILES = ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
+
+
+def test_index_names_the_chunk_it_cannot_embed_and_keeps_the_previous_index(
+        workspace, tmp_path, capsys):
+    out = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], out)
+    before = {name: (out / name).read_bytes() for name in INDEX_FILES}
+    cfg = write_config(tmp_path, corpus=corpus_with_a_tokenless_case(tmp_path))
+    code = main(["--config", str(cfg), "--stub", "index", "--strategy", "token_chunk",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error: chunk 'c99#0': empty token set" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in INDEX_FILES} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(INDEX_FILES)
+
+
+@pytest.mark.parametrize("strategy, settings, message", [
+    ("overlap_window", {"overlap": 600}, "need 0 <= overlap < window"),
+    ("token_chunk", {"overlap_tokens": 300}, "need 0 <= overlap_tokens < max_tokens"),
+    ("overlap_window", {"stub_dim": 4}, "stub_dim must be >= 8"),
+], ids=["overlap", "overlap_tokens", "stub_dim"])
+def test_index_setting_out_of_range_is_config_error_before_the_corpus_is_read(
+        tmp_path, strategy, settings, message, capsys):
+    cfg = write_config(tmp_path, corpus=tmp_path / "missing.jsonl", **settings)
+    out = tmp_path / "idx"
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", strategy,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_index_accepts_an_out_of_range_setting_it_does_not_use(tmp_path, monkeypatch):
+    # window and overlap are overlap_window's settings, and stub_dim is --stub's
+    cfg = write_config(tmp_path, window=0, overlap=900)
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", "token_chunk",
+                 "--out", str(tmp_path / "stub")]) == 0
+    reply = SimpleNamespace(status_code=200, json=lambda: {"data": [{"embedding": [1.0, 2.0]}]})
+    monkeypatch.setattr(requests, "post", lambda *a, **k: reply)
+    cfg = write_config(tmp_path, stub_dim=4, embed_url="http://embed.test/v1/embeddings")
+    assert main(["--config", str(cfg), "index", "--strategy", "overlap_window",
+                 "--out", str(tmp_path / "http")]) == 0
 
 
 def test_failed_rebuild_keeps_the_previous_index(workspace, tmp_path, monkeypatch, capsys):
@@ -386,6 +455,23 @@ def test_query_on_an_index_whose_meta_dim_disagrees_is_config_error(workspace, t
     shutil.copytree(workspace["hybrid"], index)
     meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
     (index / "meta.json").write_text(json.dumps(dict(meta, dim=128)), encoding="utf-8")
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"index at {index} is inconsistent" in err
+    assert "rebuild it with 'index'" in err
+
+
+def test_query_on_an_index_whose_chunks_repeat_an_id_is_config_error(workspace, tmp_path,
+                                                                      capsys):
+    # the repeat's text would silently replace the first in what prompts and reranking see
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    first = json.loads((index / "chunks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert first["chunk_id"] == "c01#0"
+    with open(index / "chunks.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(first, text="另一段文字。"), ensure_ascii=False) + "\n")
     code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
                  "--index", str(index)])
     assert code == 2

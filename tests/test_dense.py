@@ -11,9 +11,10 @@ import requests
 from hypothesis import example, given, strategies as st
 
 from tcmrag import dense
-from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, HttpEmbedProvider, ProviderError,
+from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, HttpEmbedProvider,
                           StubEmbedProvider, VectorIndex, embed, fnv1a64, stub_embed,
                           token_bucket)
+from tcmrag.transport import PermanentError, TransientError
 
 # ---------------------------------------------------------------------------
 # FNV-1a hash (published reference values)
@@ -188,7 +189,7 @@ class FakeResponse:
         return self._payload
 
 
-def test_http_embed_retries_then_succeeds(monkeypatch):
+def test_http_embed_retries_then_succeeds(monkeypatch, slept):
     calls = []
     responses = [FakeResponse(500), FakeResponse(503),
                  FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}]})]
@@ -198,14 +199,13 @@ def test_http_embed_retries_then_succeeds(monkeypatch):
         return responses[len(calls) - 1]
 
     monkeypatch.setattr(requests, "post", post)
-    slept = []
-    provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
+    provider = HttpEmbedProvider(url="http://x", model="m")
     assert provider.embed_raw("hi") == [1.0, 0.0]
     assert len(calls) == 3
     assert slept == [1.0, 2.0]
 
 
-def test_http_embed_client_error_no_retry(monkeypatch):
+def test_http_embed_client_error_no_retry(monkeypatch, slept):
     calls = []
 
     def post(*args, **kwargs):
@@ -213,15 +213,14 @@ def test_http_embed_client_error_no_retry(monkeypatch):
         return FakeResponse(401)
 
     monkeypatch.setattr(requests, "post", post)
-    slept = []
-    provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
-    with pytest.raises(ProviderError):
+    provider = HttpEmbedProvider(url="http://x", model="m")
+    with pytest.raises(PermanentError, match="http://x: HTTP 401"):
         provider.embed_raw("hi")
     assert len(calls) == 1
     assert slept == []
 
 
-def test_http_embed_exhausts_retries(monkeypatch):
+def test_http_embed_exhausts_retries(monkeypatch, slept):
     calls = []
 
     def post(*args, **kwargs):
@@ -229,9 +228,8 @@ def test_http_embed_exhausts_retries(monkeypatch):
         raise ConnectionError("down")
 
     monkeypatch.setattr(requests, "post", post)
-    slept = []
-    provider = HttpEmbedProvider(url="http://x", model="m", sleep=slept.append)
-    with pytest.raises(ProviderError, match="after 3 retries"):
+    provider = HttpEmbedProvider(url="http://x", model="m")
+    with pytest.raises(TransientError, match="after 3 retries"):
         provider.embed_raw("hi")
     assert len(calls) == 4
     assert slept == [1.0, 2.0, 4.0]
@@ -247,8 +245,8 @@ def test_http_embed_wrong_typed_payload_is_retried_as_malformed(monkeypatch, emb
         return FakeResponse(200, {"data": [{"embedding": embedding}]})
 
     monkeypatch.setattr(requests, "post", post)
-    provider = HttpEmbedProvider(url="http://x", model="m", sleep=lambda s: None)
-    with pytest.raises(ProviderError, match="after 3 retries") as exc:
+    provider = HttpEmbedProvider(url="http://x", model="m")
+    with pytest.raises(TransientError, match="after 3 retries") as exc:
         provider.embed_raw("hi")
     assert "malformed" in str(exc.value.__cause__)
     assert len(calls) == 4

@@ -15,7 +15,7 @@ from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RU
                                 retrieval_sensitive_provider, run_eval, score_item)
 from tcmrag.llm import FnChatProvider
 from tcmrag.prompt import COT_STEP_HEADERS, Answer
-from tcmrag.retrieve import RerankProviderError
+from tcmrag.transport import ProviderError
 
 # ---------------------------------------------------------------------------
 # Task loading and validation
@@ -281,7 +281,7 @@ def test_run_eval_answers_a_no_token_item_without_context(eval_setup, task_items
 
 class FailingReranker:
     def rerank(self, query, documents):
-        raise RerankProviderError("service unavailable")
+        raise ProviderError("service unavailable")
 
 
 def test_provider_fallbacks_count_only_rerank_failures(eval_setup, task_items, templates):

@@ -6,13 +6,11 @@ from dataclasses import dataclass, field
 import pytest
 import requests
 
-from tcmrag.llm import (CannedChatProvider, ChatProviderError, CleaningError, FnChatProvider,
-                        GenerationParams, HttpChatProvider, Metrics, TransientChatError,
-                        canonical_messages, complete, extract_fields, generate_answer,
-                        messages_digest, split_cases)
+from tcmrag.llm import (CannedChatProvider, CleaningError, FnChatProvider, GenerationParams,
+                        HttpChatProvider, Metrics, canonical_messages, complete, extract_fields,
+                        generate_answer, messages_digest, split_cases)
 from tcmrag.prompt import AnswerParseError, PromptBundle, parse_answer
-
-NO_SLEEP = lambda s: None
+from tcmrag.transport import PermanentError, TransientError
 
 
 @dataclass
@@ -50,7 +48,7 @@ def test_canned_provider_roundtrip(tmp_path):
     path.write_text(json.dumps(canned), encoding="utf-8")
     provider = CannedChatProvider.from_file(path)
     assert provider.send(msgs, GenerationParams()) == ("scripted reply", "stop")
-    with pytest.raises(ChatProviderError, match="no canned response"):
+    with pytest.raises(PermanentError, match="no canned response"):
         provider.send([("user", "other")], GenerationParams())
 
 
@@ -70,51 +68,49 @@ MSGS = [("system", "s"), ("user", "u")]
 def test_complete_returns_text_and_counts_one_request():
     metrics = Metrics()
     provider = ScriptedProvider([("hi", "stop")])
-    assert complete(provider, MSGS, metrics=metrics, sleep=NO_SLEEP) == "hi"
+    assert complete(provider, MSGS, metrics=metrics) == "hi"
     assert metrics.requests == 1 and metrics.retries == 0 and metrics.warnings == []
 
 
-def test_complete_retries_transient_then_succeeds():
+def test_complete_retries_transient_then_succeeds(slept):
     metrics = Metrics()
-    slept = []
-    provider = ScriptedProvider([TransientChatError("503"), TransientChatError("down"),
+    provider = ScriptedProvider([TransientError("503"), TransientError("down"),
                                  ("ok", "stop")])
-    assert complete(provider, MSGS, metrics=metrics, sleep=slept.append) == "ok"
+    assert complete(provider, MSGS, metrics=metrics) == "ok"
     assert metrics.requests == 3 and metrics.retries == 2
     assert slept == [1.0, 2.0]
 
 
-def test_complete_exhausts_retries():
+def test_complete_exhausts_retries(slept):
     metrics = Metrics()
-    slept = []
-    provider = ScriptedProvider([TransientChatError("x")] * 4)
-    with pytest.raises(ChatProviderError, match="after 3 retries"):
-        complete(provider, MSGS, metrics=metrics, sleep=slept.append)
+    provider = ScriptedProvider([TransientError("x")] * 4)
+    with pytest.raises(TransientError, match="after 3 retries"):
+        complete(provider, MSGS, metrics=metrics)
     assert metrics.requests == 4 and metrics.retries == 3
     assert slept == [1.0, 2.0, 4.0]
 
 
-def test_complete_permanent_error_never_retries():
+def test_complete_permanent_error_never_retries(slept):
     metrics = Metrics()
-    provider = ScriptedProvider([ChatProviderError("HTTP 401")])
-    with pytest.raises(ChatProviderError, match="401"):
-        complete(provider, MSGS, metrics=metrics, sleep=NO_SLEEP)
-    assert metrics.requests == 1 and metrics.retries == 0
+    provider = ScriptedProvider([PermanentError("HTTP 401")])
+    with pytest.raises(PermanentError, match="401"):
+        complete(provider, MSGS, metrics=metrics)
+    assert metrics.requests == 1 and metrics.retries == 0 and slept == []
 
 
 def test_complete_flags_truncated_finish_reason():
     metrics = Metrics()
     provider = ScriptedProvider([("partial", "length")])
-    assert complete(provider, MSGS, metrics=metrics, sleep=NO_SLEEP) == "partial"
+    assert complete(provider, MSGS, metrics=metrics) == "partial"
     assert any("length" in w for w in metrics.warnings)
 
 
 def test_complete_rejects_bad_message_lists():
     provider = ScriptedProvider([("x", "stop")])
     with pytest.raises(ValueError):
-        complete(provider, [], sleep=NO_SLEEP)
+        complete(provider, [])
     with pytest.raises(ValueError):
-        complete(provider, [("assistant", "x")], sleep=NO_SLEEP)
+        complete(provider, [("assistant", "x")])
 
 
 def test_http_provider_error_mapping(monkeypatch):
@@ -131,18 +127,18 @@ def test_http_provider_error_mapping(monkeypatch):
     provider = HttpChatProvider(url="http://x", model="m")
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(429))
-    with pytest.raises(ChatProviderError):
+    with pytest.raises(PermanentError, match="http://x: HTTP 429"):
         provider.send(MSGS, GenerationParams())
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(500))
-    with pytest.raises(TransientChatError):
+    with pytest.raises(TransientError, match="http://x: server failure: HTTP 500"):
         provider.send(MSGS, GenerationParams())
 
     malformed = [{"unexpected": 1}] + [{"choices": [{"message": {"content": content}}]}
                                        for content in (None, 7, ["x"])]
     for payload in malformed:
         monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, payload))
-        with pytest.raises(TransientChatError, match="malformed"):
+        with pytest.raises(TransientError, match="malformed"):
             provider.send(MSGS, GenerationParams())
 
     payload = {"choices": [{"message": {"content": "回答"}, "finish_reason": "stop"}]}
@@ -160,7 +156,7 @@ BLOB = "某男，胃痛三年。处以柴胡疏肝散。又某女，头晕一月
 def test_split_cases_happy_path():
     pieces = ["某男，胃痛三年。处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。"]
     provider = ScriptedProvider([(json.dumps(pieces, ensure_ascii=False), "stop")])
-    assert split_cases(provider, BLOB, sleep=NO_SLEEP) == pieces
+    assert split_cases(provider, BLOB) == pieces
 
 
 def test_split_cases_repairs_malformed_output_once():
@@ -168,7 +164,7 @@ def test_split_cases_repairs_malformed_output_once():
     provider = ScriptedProvider([("抱歉，这里没有数组。", "stop"),
                                  (json.dumps(pieces, ensure_ascii=False), "stop")])
     metrics = Metrics()
-    assert split_cases(provider, BLOB, metrics=metrics, sleep=NO_SLEEP) == pieces
+    assert split_cases(provider, BLOB, metrics=metrics) == pieces
     assert metrics.requests == 2
     # the repair turn carries the previous bad output back to the model
     assert provider.calls[1][2] == ("assistant", "抱歉，这里没有数组。")
@@ -177,7 +173,7 @@ def test_split_cases_repairs_malformed_output_once():
 def test_split_cases_second_malformed_output_fails():
     provider = ScriptedProvider([("没有", "stop"), ("还是没有", "stop")])
     with pytest.raises(CleaningError, match="no JSON array"):
-        split_cases(provider, BLOB, sleep=NO_SLEEP)
+        split_cases(provider, BLOB)
 
 
 def test_split_cases_coverage_guard_rejects_rewrites():
@@ -185,20 +181,20 @@ def test_split_cases_coverage_guard_rejects_rewrites():
     rewritten = ["男性患者胃部不适。", "女性患者眩晕。"]
     provider = ScriptedProvider([(json.dumps(rewritten, ensure_ascii=False), "stop")])
     with pytest.raises(CleaningError, match="coverage guard"):
-        split_cases(provider, BLOB, sleep=NO_SLEEP)
+        split_cases(provider, BLOB)
 
 
 def test_split_cases_coverage_ignores_whitespace():
     pieces = ["某男，胃痛三年。 处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。\n"]
     provider = ScriptedProvider([(json.dumps(pieces, ensure_ascii=False), "stop")])
-    got = split_cases(provider, BLOB, sleep=NO_SLEEP)
+    got = split_cases(provider, BLOB)
     assert got[1] == "又某女，头晕一月。处以天麻钩藤饮。"
 
 
 def test_split_cases_rejects_empty_strings():
     provider = ScriptedProvider([(json.dumps(["ok", " "]), "stop")])
     with pytest.raises(CleaningError, match="non-empty"):
-        split_cases(provider, BLOB, sleep=NO_SLEEP)
+        split_cases(provider, BLOB)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,7 @@ def extraction(**overrides):
 
 def test_extract_fields_happy_path():
     provider = ScriptedProvider([(extraction(), "stop")])
-    case = extract_fields(provider, RAW_CASE, sleep=NO_SLEEP)
+    case = extract_fields(provider, RAW_CASE)
     assert case.case_id == ""
     assert case.raw_text == RAW_CASE
     assert case.clinical_info == "症见胃脘胀痛，嗳气吞酸。"
@@ -232,7 +228,7 @@ def test_extract_fields_happy_path():
 def test_extract_fields_optional_fields_default_empty():
     provider = ScriptedProvider([(extraction(patient_background=None, pathogenesis=None,
                                              syndromes=None, doctor_notes=None), "stop")])
-    case = extract_fields(provider, RAW_CASE, sleep=NO_SLEEP)
+    case = extract_fields(provider, RAW_CASE)
     assert case.patient_background == ""
     assert case.pathogenesis == ""
     assert case.syndromes == []
@@ -241,12 +237,12 @@ def test_extract_fields_optional_fields_default_empty():
 def test_extract_fields_requires_clinical_info():
     provider = ScriptedProvider([(extraction(clinical_info="  "), "stop")])
     with pytest.raises(CleaningError, match="clinical_info"):
-        extract_fields(provider, RAW_CASE, sleep=NO_SLEEP)
+        extract_fields(provider, RAW_CASE)
 
 
 def test_extract_fields_repairs_once():
     provider = ScriptedProvider([("无结构输出", "stop"), (extraction(), "stop")])
-    case = extract_fields(provider, RAW_CASE, sleep=NO_SLEEP)
+    case = extract_fields(provider, RAW_CASE)
     assert case.clinical_info
     assert len(provider.calls) == 2
 
@@ -254,7 +250,7 @@ def test_extract_fields_repairs_once():
 def test_extract_fields_bad_syndromes_type():
     provider = ScriptedProvider([(extraction(syndromes="肝胃不和"), "stop")])
     with pytest.raises(CleaningError, match="syndromes"):
-        extract_fields(provider, RAW_CASE, sleep=NO_SLEEP)
+        extract_fields(provider, RAW_CASE)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +274,14 @@ GOOD = json.dumps({"clinical_features": [], "pathogenesis": ["肝气犯胃"],
 
 def test_generate_answer_no_repair_when_parse_succeeds():
     provider = ScriptedProvider([(GOOD, "stop")])
-    answer, warnings = generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
+    answer, warnings = generate_answer(provider, bundle(), Item())
     assert answer == parse_answer(GOOD, Item())[0] and warnings == []
     assert len(provider.calls) == 1
 
 
 def test_generate_answer_repairs_once_and_appends_error():
     provider = ScriptedProvider([("不是JSON", "stop"), (GOOD, "stop")])
-    answer, _ = generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
+    answer, _ = generate_answer(provider, bundle(), Item())
     assert answer.syndromes == ["肝胃不和证"]
     assert len(provider.calls) == 2
     repair_msgs = provider.calls[1]
@@ -296,7 +292,7 @@ def test_generate_answer_repairs_once_and_appends_error():
 def test_generate_answer_raises_second_parse_error():
     provider = ScriptedProvider([("坏1", "stop"), ("坏2", "stop")])
     with pytest.raises(AnswerParseError, match="no JSON object"):
-        generate_answer(provider, bundle(), Item(), sleep=NO_SLEEP)
+        generate_answer(provider, bundle(), Item())
     assert len(provider.calls) == 2
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from tcmrag import engine
 from tcmrag.corpus import TOKEN_CHUNK, ClinicalCase, render_demonstration
 from tcmrag.dense import StubEmbedProvider, VectorIndex, embed, token_bucket
-from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, SPARSE_ONLY, HttpRerankProvider,
-                             RerankProviderError, RetrievalCandidate, RetrievalConfig,
-                             RetrievalError, RetrieverDeps, first_stage, fusion_score,
-                             parent_case_id, prompt_context, rerank, two_stage_retrieve)
+from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_ONLY,
+                             HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
+                             RetrieverDeps, first_stage, fusion_score, parent_case_id,
+                             prompt_context, rerank, two_stage_retrieve)
 from tcmrag.segment import token_set
 from tcmrag.sparse import KeywordIndex, iou_score
+from tcmrag.transport import ProviderError
 
 DIM = 256
 
@@ -310,7 +311,7 @@ class FixedRerank:
 
 class BrokenRerank:
     def rerank(self, query, documents):
-        raise RerankProviderError("provider offline")
+        raise ProviderError("provider offline")
 
 
 def test_rerank_provider_scores_win():
@@ -480,7 +481,7 @@ def test_http_rerank_rejected_request_falls_back_to_fusion(monkeypatch):
     deps = make_deps(rerank_provider=HttpRerankProvider(url="http://x", model="m"))
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig())
     ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig())
-    assert len(warnings) == 1 and "HTTP 401" in warnings[0]
+    assert warnings == [f"{RERANK_FALLBACK}: http://x: HTTP 401"]
 
 
 def test_http_rerank_valid_reply_ranks_by_provider_scores(monkeypatch):

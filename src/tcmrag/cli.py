@@ -136,7 +136,10 @@ def _chat_provider(cfg: AppConfig, args, items=None):
     if kind == "canned":
         if not args.canned:
             raise CliConfigError("--chat canned requires --canned <file>")
-        return CannedChatProvider.from_file(args.canned)
+        try:
+            return CannedChatProvider.from_file(args.canned)
+        except (OSError, ValueError) as exc:
+            raise CliConfigError(f"unusable --canned file: {exc}") from exc
     if kind == "echo_gold":
         return ev.echo_gold_provider(items or [])
     if kind == "empty":
@@ -251,7 +254,7 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
         raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
                              f"rebuild it with 'index'") from exc
     chunk_texts = {c.chunk_id: c.text for c in chunks}
-    if not (set(dense_index.ids) == set(kw_index.doc_tokens) == set(chunk_texts)
+    if not (dense_index.ids == kw_index.ids == sorted(chunk_texts)
             and len(chunks) == len(chunk_texts) == meta.get("count")
             and meta.get("dim") == dense_index.dim):
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
@@ -279,6 +282,15 @@ def cmd_query(cfg: AppConfig, args) -> int:
     rcfg = RetrievalConfig(n_dense=cfg.n_dense, n_sparse=cfg.n_sparse,
                            top_k=cfg.top_k if args.k is None else args.k,
                            alpha=cfg.alpha, mode=args.mode)
+    answer_deps = None
+    if args.answer:  # its settings and files are checked before anything is retrieved
+        if not cfg.templates:
+            raise CliConfigError("--answer requires a templates directory in the config")
+        # the demonstration is the top chunk's parent case, so it needs the case corpus
+        corpus_map = {c.case_id: c for c in load_corpus(cfg.corpus)} if cfg.corpus else {}
+        answer_deps = ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
+                                  chat=_chat_provider(cfg, args), corpus=corpus_map,
+                                  budget=cfg.budget)
     result = two_stage_retrieve(args.question, deps, rcfg)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -288,18 +300,11 @@ def cmd_query(cfg: AppConfig, args) -> int:
     if not result.candidates:
         print("(no results)")
 
-    if args.answer:
-        if not cfg.templates:
-            raise CliConfigError("--answer requires a templates directory in the config")
+    if answer_deps is not None:
         item = ev.TaskItem(item_id="query", case_text=args.question,
                            pathogenesis_options=args.pathogenesis_option or ["未知病机"],
                            syndrome_options=args.syndrome_option or ["未知证型"],
                            gold_pathogenesis=[], gold_syndromes=[])
-        # the demonstration is the top chunk's parent case, so it needs the case corpus
-        corpus_map = {c.case_id: c for c in load_corpus(cfg.corpus)} if cfg.corpus else {}
-        answer_deps = ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
-                                  chat=_chat_provider(cfg, args), corpus=corpus_map,
-                                  budget=cfg.budget)
         answer, warnings = ev.answer_item(item, True, answer_deps, result, deps.chunk_texts)
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)

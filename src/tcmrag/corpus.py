@@ -67,34 +67,37 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
 
 def _read_records(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...],
                   error: type[Exception]):
-    """Yield (`path:lineno`, record) for each non-blank line; raise `error` unless the line
-    is a JSON object with every `required` key and no key outside `required + optional`."""
+    """Yield (lineno, record) for each non-blank line; raise `error`, naming `path:lineno`,
+    unless the line is a JSON object with every `required` key and no key outside
+    `required + optional`."""
+    needed, allowed = set(required), set(required + optional)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise error(f"{where}: malformed JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise error(f"{where}: record is not an object")
-            missing = [k for k in required if k not in rec]
-            if missing:
-                raise error(f"{where}: missing keys {missing}")
-            unknown = [k for k in rec if k not in required and k not in optional]
-            if unknown:
-                raise error(f"{where}: unknown keys {unknown}")
-            yield where, rec
+                raise error(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not (isinstance(rec, dict) and needed <= rec.keys() <= allowed):
+                where = f"{path}:{lineno}"
+                if not isinstance(rec, dict):
+                    raise error(f"{where}: record is not an object")
+                missing = [k for k in required if k not in rec]
+                if missing:
+                    raise error(f"{where}: missing keys {missing}")
+                raise error(f"{where}: unknown keys {[k for k in rec if k not in allowed]}")
+            yield lineno, rec
 
 
 def load_corpus(path: str | Path) -> list[ClinicalCase]:
     """Read a line-delimited JSON corpus file into validated cases (order kept)."""
     cases: list[ClinicalCase] = []
     seen: set[str] = set()
-    for where, rec in _read_records(path, REQUIRED_CASE_KEYS, OPTIONAL_CASE_KEYS, CorpusError):
+    for lineno, rec in _read_records(path, REQUIRED_CASE_KEYS, OPTIONAL_CASE_KEYS,
+                                     CorpusError):
+        where = f"{path}:{lineno}"
         syndromes = rec["syndromes"]
         if not isinstance(syndromes, list) or any(not isinstance(s, str) for s in syndromes):
             raise CorpusError(f"{where}: syndromes must be an array of strings")

@@ -25,8 +25,10 @@ _MASK64 = (1 << 64) - 1
 _MAGIC = b"TCMRAGVIDX\x00\x00"
 _VERSION = 2
 # magic, version, dim, row count, byte length of the ids' JSON array; then that array
-# (UTF-8) and the rows as one count x dim block of little-endian float64
+# (UTF-8) and the rows as one count x dim block of little-endian float64, both in chunk_id
+# order (files written before that order was kept still load, sorted on loading)
 _HEADER = struct.Struct("<12sIIIQ")
+_SAVE_BLOCK_BYTES = 1 << 20  # rows `save` gathers into chunk_id order per write
 
 
 def fnv1a64(data: bytes) -> int:
@@ -173,11 +175,15 @@ class VectorIndex:
         return [(cid, s) for s, cid in ranked[:n]]
 
     def save(self, path: str | Path) -> None:
-        ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
+        """Rows in chunk_id order, whatever order they were added in."""
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        ids = json.dumps([self.ids[r] for r in order], ensure_ascii=False).encode("utf-8")
+        step = max(1, _SAVE_BLOCK_BYTES // (8 * (self.dim or 1)))
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.dim or 0, len(self.ids), len(ids)))
             fh.write(ids)
-            fh.write(self._matrix[:len(self.ids)])  # the rows' own bytes, not a copy
+            for start in range(0, len(order), step):  # a bounded copy at a time
+                fh.write(self._matrix[order[start:start + step]])
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
@@ -209,6 +215,10 @@ class VectorIndex:
             index._matrix = np.empty((count, dim), dtype="<f8")
             if fh.readinto(index._matrix) != index._matrix.nbytes:  # shrank since the stat
                 raise EmbeddingError(f"{path}: truncated vector index file")
+        order = sorted(range(count), key=ids.__getitem__)
+        if order != list(range(count)):  # rows in the order they were added: sort them once
+            ids = [ids[r] for r in order]
+            index._matrix = index._matrix[order]
         index.ids = ids
         index.dim = dim if count else None
         index._by_id = {cid: row for row, cid in enumerate(ids)}

@@ -114,11 +114,11 @@ class ScoreReport:
 def load_tasks(path: str | Path) -> list[TaskItem]:
     items: list[TaskItem] = []
     seen: set[str] = set()
-    for where, rec in _read_records(path, TASK_KEYS, (), TaskError):
+    for lineno, rec in _read_records(path, TASK_KEYS, (), TaskError):
         item = TaskItem(**rec)
         _validate_item(item)
         if item.item_id in seen:
-            raise TaskError(f"{where}: duplicate item_id {item.item_id!r}")
+            raise TaskError(f"{path}:{lineno}: duplicate item_id {item.item_id!r}")
         seen.add(item.item_id)
         items.append(item)
     return items

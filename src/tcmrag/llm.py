@@ -56,8 +56,16 @@ class CannedChatProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CannedChatProvider":
+        """Raises ValueError, naming the file, unless it holds one JSON object of strings."""
         with open(path, encoding="utf-8") as fh:
-            return cls(responses=json.load(fh))
+            try:
+                responses = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{path}: not JSON: {exc}") from exc
+        if not (isinstance(responses, dict)
+                and all(isinstance(text, str) for text in responses.values())):
+            raise ValueError(f"{path}: not a JSON object of canned responses (digest -> text)")
+        return cls(responses=responses)
 
     def send(self, messages: list[Message], params: GenerationParams) -> tuple[str, str]:
         key = messages_digest(messages)

@@ -7,7 +7,7 @@ from typing import Callable, Protocol
 
 from .corpus import ClinicalCase, render_demonstration
 from .dense import EmbedProvider, VectorIndex, embed
-from .sparse import KeywordIndex, iou_score
+from .sparse import KeywordIndex
 from .transport import ProviderError, post_json
 
 DENSE_ONLY = "dense_only"
@@ -113,7 +113,8 @@ def first_stage(query_text: str, deps: RetrieverDeps,
 
     Each score comes from the search list that found the candidate. A score its list
     lacks is computed as that search scores: `VectorIndex.score` for the dense score of
-    a sparse-only candidate, `iou_score` for the sparse score of a dense-only one."""
+    a sparse-only candidate, the keyword index's IoU column for the sparse score of a
+    dense-only one."""
     query_tokens = deps.tokenize(query_text)
     if not query_tokens:
         return []
@@ -127,12 +128,12 @@ def first_stage(query_text: str, deps: RetrieverDeps,
     missing = [cid for cid in pooled if cid not in dense]
     dense_scores = (dense | dict(zip(missing, deps.dense_index.score(missing, query_vec)))
                     if missing else dense)
-    doc_tokens = deps.kw_index.doc_tokens
-    return [RetrievalCandidate(
-                chunk_id=cid, dense_score=dense_scores[cid],
-                sparse_score=(sparse[cid] if cid in sparse
-                              else iou_score(query_tokens, doc_tokens[cid])),
-                from_dense=cid in dense, from_sparse=cid in sparse)
+    missing = [cid for cid in pooled if cid not in sparse]
+    sparse_scores = (sparse | dict(zip(missing, deps.kw_index._score(missing, query_tokens)))
+                     if missing else sparse)
+    return [RetrievalCandidate(chunk_id=cid, dense_score=dense_scores[cid],
+                               sparse_score=sparse_scores[cid],
+                               from_dense=cid in dense, from_sparse=cid in sparse)
             for cid in pooled]
 
 

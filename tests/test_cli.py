@@ -15,10 +15,11 @@ import pytest
 import requests
 
 from tcmrag.cli import AppConfig, CliConfigError, main
-from tcmrag.corpus import load_chunks, load_corpus
+from tcmrag.corpus import load_chunks, load_corpus, save_corpus
 from tcmrag.dense import VectorIndex
 from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_digest, split_cases
 from tcmrag.prompt import COT_STEP_HEADERS
+from tcmrag.sparse import KeywordIndex
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -449,6 +450,108 @@ def test_query_on_an_unreadable_index_is_config_error(workspace, tmp_path, case,
     assert "rebuild it with 'index'" in err
 
 
+def swap_first_two_lines(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([lines[1], lines[0], *lines[2:]]), encoding="utf-8")
+
+
+def repeat_first_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([lines[0], *lines]), encoding="utf-8")
+
+
+def break_second_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([lines[0], "{not json\n", *lines[2:]]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("keywords.tsv", swap_first_two_lines, "is repeated or out of chunk_id order"),
+    ("keywords.tsv", repeat_first_line, "is repeated or out of chunk_id order"),
+    ("chunks.jsonl", break_second_line, "malformed JSON"),
+], ids=["keywords.tsv out of order", "keywords.tsv repeats an id", "chunks.jsonl bad line"])
+def test_query_on_an_index_with_a_bad_line_names_the_line(workspace, tmp_path, name, damage,
+                                                         message, capsys):
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    damage(index / name)
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"index at {index} is unusable: {index / name}:2: " in err
+    assert message in err
+    assert "rebuild it with 'index'" in err
+
+
+@pytest.mark.parametrize("name", ["naive", "hybrid"])
+def test_a_loaded_index_saves_the_bytes_it_was_loaded_from(workspace, tmp_path, name):
+    for file, cls in (("vectors.bin", VectorIndex), ("keywords.tsv", KeywordIndex)):
+        cls.load(workspace[name] / file).save(tmp_path / file)
+        cls.load(tmp_path / file).save(tmp_path / ("again-" + file))
+        original = (workspace[name] / file).read_bytes()
+        assert (tmp_path / file).read_bytes() == original
+        assert (tmp_path / ("again-" + file)).read_bytes() == original
+
+
+def rewrite_in_build_order(index_dir: Path) -> None:
+    """vectors.bin as it was written before its rows were kept in chunk_id order: the
+    rows in the order they were built, the order chunks.jsonl keeps."""
+    index = VectorIndex.load(index_dir / "vectors.bin")
+    order = [c.chunk_id for c in load_chunks(index_dir / "chunks.jsonl")]
+    ids = json.dumps(order, ensure_ascii=False).encode("utf-8")
+    rows = b"".join(index._matrix[index._by_id[cid]].tobytes() for cid in order)
+    (index_dir / "vectors.bin").write_bytes(
+        b"TCMRAGVIDX\x00\x00" + struct.pack("<IIIQ", 2, index.dim, len(order), len(ids))
+        + ids + rows)
+
+
+def pool_digest(pool) -> list[tuple]:
+    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex(), c.rerank_score.hex(),
+             c.from_dense, c.from_sparse) for c in pool]
+
+
+@pytest.mark.parametrize("strategy", ["overlap_window", "token_chunk"])
+def test_an_index_with_vectors_in_build_order_answers_as_in_memory(tmp_path, monkeypatch,
+                                                                   strategy):
+    from tcmrag import cli
+    from tcmrag.retrieve import MODES, RetrievalConfig, RetrieverDeps, first_stage, \
+        two_stage_retrieve
+    cases = load_corpus(DATA / "sample_corpus.jsonl")[::-1]  # built out of chunk_id order
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(cases, corpus)
+    cfg = write_config(tmp_path, corpus=str(corpus))
+    built, build_indexes = [], cli.build_indexes
+
+    def keep(chunks, tokenize, embedder):
+        dense_index, kw_index = build_indexes(chunks, tokenize, embedder)
+        built.append(RetrieverDeps(tokenize=tokenize, embedder=embedder,
+                                   dense_index=dense_index, kw_index=kw_index,
+                                   chunk_texts={c.chunk_id: c.text for c in chunks}))
+        return dense_index, kw_index
+
+    monkeypatch.setattr(cli, "build_indexes", keep)
+    index = tmp_path / "idx"
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", strategy,
+                 "--out", str(index)]) == 0
+    live = built[0]
+    assert live.dense_index.ids != sorted(live.dense_index.ids)
+    sorted_rows = (index / "vectors.bin").read_bytes()
+    rewrite_in_build_order(index)
+    assert (index / "vectors.bin").read_bytes() != sorted_rows
+    _, reopened = cli._retriever_from_dir(AppConfig.load(cfg), index, stub=True)
+    assert reopened.dense_index.ids == sorted(live.dense_index.ids)
+    queries = [json.loads(line)["case_text"]
+               for line in (DATA / "tasks.jsonl").read_text(encoding="utf-8").splitlines()]
+    for mode in MODES:
+        rcfg = RetrievalConfig(n_dense=5, n_sparse=5, top_k=3, mode=mode)
+        for q in queries:
+            assert pool_digest(first_stage(q, reopened, rcfg)) == \
+                pool_digest(first_stage(q, live, rcfg))
+            assert pool_digest(two_stage_retrieve(q, reopened, rcfg).candidates) == \
+                pool_digest(two_stage_retrieve(q, live, rcfg).candidates)
+
+
 def test_query_on_an_index_whose_meta_dim_disagrees_is_config_error(workspace, tmp_path,
                                                                      capsys):
     index = tmp_path / "idx"
@@ -742,6 +845,21 @@ def test_query_answer_unparseable_prints_warnings_and_exits_1(workspace, monkeyp
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("content, message", [
+    ("", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "not a JSON object of canned responses (digest -> text)"),
+], ids=["empty", "array"])
+def test_query_answer_with_an_unusable_canned_file_is_config_error_before_retrieval(
+        workspace, tmp_path, capsys, content, message):
+    canned = tmp_path / "canned.json"
+    canned.write_text(content, encoding="utf-8")
+    argv = query_answer_argv(workspace["cfg"], workspace["hybrid"], first_task())
+    assert main(argv + ["--chat", "canned", "--canned", str(canned)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unusable --canned file: {canned}: {message}\n"
+
 
 def test_eval_three_modes_writes_reports_and_comparison(workspace, tmp_path, capsys):
     out = tmp_path / "reports"

@@ -407,13 +407,14 @@ def v2_file(ids_json: bytes, count: int, dim: int, floats: bytes) -> bytes:
 
 def test_index_file_layout(tmp_path):
     """Version 2: magic, version, dim, count and the id block's byte length, then the
-    ids as one UTF-8 JSON array and the rows as one block, all little-endian."""
+    ids as one UTF-8 JSON array and the rows as one block, all little-endian; ids and
+    rows in chunk_id order, not in the order they were added."""
     index = VectorIndex()
     index.add("病#0", unit([3.0, 4.0]))
     index.add("b#1", unit([0.0, 1.0]))
     index.save(tmp_path / "vectors.bin")
-    expected = v2_file('["病#0", "b#1"]'.encode("utf-8"), 2, 2,
-                       struct.pack("<4d", 0.6, 0.8, 0.0, 1.0))
+    expected = v2_file('["b#1", "病#0"]'.encode("utf-8"), 2, 2,
+                       struct.pack("<4d", 0.0, 1.0, 0.6, 0.8))
     assert (tmp_path / "vectors.bin").read_bytes() == expected
 
 
@@ -446,15 +447,15 @@ def test_index_load_refuses_version_1_and_malformed_version_2(tmp_path, data, me
 @example(["", "a\tb", "c\nd", 'e"f', "g\\h", "病\U00020000#0"], 3, random.Random(0))
 def test_index_save_load_roundtrip_any_ids(tmp_path_factory, ids, dim, rnd):
     """Any Unicode id (tabs, line breaks, quotes, backslashes, non-BMP characters, the
-    empty string) and every row's bytes survive a save and a load; a re-save is
-    byte-identical, and the empty index loads with no dim."""
+    empty string) and every row's bytes survive a save and a load, the ids in chunk_id
+    order; a re-save is byte-identical, and the empty index loads with no dim."""
     index = VectorIndex()
     for cid in ids:
         index.add(cid, unit([rnd.uniform(-1.0, 1.0) for _ in range(dim - 1)] + [1.0]))
     path = tmp_path_factory.mktemp("v2") / "vectors.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
-    assert loaded.ids == ids
+    assert loaded.ids == sorted(ids)
     assert loaded.dim == (dim if ids else None)
     for cid in ids:
         assert loaded._matrix[loaded._by_id[cid]].tobytes() == \

@@ -232,6 +232,40 @@ def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tok
             assert c.sparse_score == sparse[c.chunk_id]
 
 
+def pool_digest(pool) -> list[tuple]:
+    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex(), c.from_dense,
+             c.from_sparse) for c in pool]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(small_vectors, st.sets(st.sampled_from("abcde"), max_size=4)),
+                min_size=1, max_size=30),
+       small_vectors, st.sets(st.sampled_from("abcdef"), min_size=1),
+       st.integers(1, 8), st.integers(1, 8))
+def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, chunks,
+                                                              query_vector, query_tokens,
+                                                              n_dense, n_sparse):
+    """Rows added out of chunk_id order, saved and loaded: in every mode the pool has
+    the same ids, flags and scores to the last bit (an empty token set included)."""
+    ids = [f"c{i:02d}#0" for i in range(len(chunks))][::-1]
+    rows = {cid: np.array(v, dtype=np.float64) for cid, (v, _) in zip(ids, chunks)}
+    docs = {cid: toks for cid, (_, toks) in zip(ids, chunks)}
+    live = vector_deps(rows, docs, np.array(query_vector, dtype=np.float64))
+    d = tmp_path_factory.mktemp("idx")
+    live.dense_index.save(d / "vectors.bin")
+    live.kw_index.save(d / "keywords.tsv")
+    loaded = RetrieverDeps(tokenize=live.tokenize, embedder=live.embedder,
+                           dense_index=VectorIndex.load(d / "vectors.bin"),
+                           kw_index=KeywordIndex.load(d / "keywords.tsv"),
+                           chunk_texts=live.chunk_texts)
+    assert loaded.kw_index.doc_tokens == {}
+    query = " ".join(sorted(query_tokens))
+    for mode in MODES:
+        cfg = RetrievalConfig(n_dense=n_dense, n_sparse=n_sparse, top_k=1, mode=mode)
+        assert pool_digest(first_stage(query, loaded, cfg)) == \
+            pool_digest(first_stage(query, live, cfg))
+
+
 # ---------------------------------------------------------------------------
 # Fusion and rerank
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "keywords.tsv"
     index.save(path)
     loaded = KeywordIndex.load(path)
-    assert loaded.doc_tokens == index.doc_tokens
+    assert loaded.ids == index.ids
+    assert loaded.doc_tokens == {}  # a loaded index holds only the columns
     for tok in set().union(*index.doc_tokens.values()):
         assert loaded.search({tok}, 10) == index.search({tok}, 10)
     path2 = tmp_path / "again.tsv"
@@ -203,10 +204,53 @@ def test_load_accepts_only_prefixes_cut_at_a_line_end(tmp_path):
         path.write_bytes(data[:cut])
         whole = data[:cut].count(b"\n")
         if data[:cut] == b"".join(lines[:whole]):
-            assert KeywordIndex.load(path).doc_tokens == {
-                cid: index.doc_tokens[cid] for cid in sorted(index.doc_tokens)[:whole]}
+            KeywordIndex.load(path).save(tmp_path / "again.tsv")
+            assert (tmp_path / "again.tsv").read_bytes() == data[:cut]
             loaded += 1
         else:
             with pytest.raises(KeywordIndexError):
                 KeywordIndex.load(path)
     assert loaded == len(lines)
+
+
+def test_load_counts_a_token_repeated_in_a_line_once(tmp_path):
+    path = tmp_path / "kw.tsv"
+    path.write_text("a#0\tx x y\nb#0\tx\n", encoding="utf-8")
+    loaded = KeywordIndex.load(path)
+    query = {"x", "z"}
+    assert loaded.search(query, 5) == [("b#0", iou_score(query, {"x"})),
+                                       ("a#0", iou_score(query, {"x", "y"}))]
+    assert loaded._score(["a#0"], query) == [iou_score(query, {"x", "y"})]
+    loaded.save(tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == "a#0\tx y\nb#0\tx\n"
+
+
+@pytest.mark.parametrize("text", ["b#0\tx\na#0\ty\n", "a#0\tx\na#0\ty\n"],
+                         ids=["out of order", "repeated"])
+def test_load_refuses_a_chunk_id_that_does_not_sort_after_the_last(tmp_path, text):
+    path = tmp_path / "kw.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(KeywordIndexError, match=":2: chunk id 'a#0' is repeated or out of"):
+        KeywordIndex.load(path)
+
+
+def test_score_is_the_iou_of_any_chunk_and_0_without_a_shared_token():
+    index = small_index()
+    query = {"胀痛", "头晕"}
+    assert index._score(["c3#0", "c1#0", "c2#0"], query) == [
+        0.0, iou_score(query, {"胃脘", "胀痛", "嗳气"}), iou_score(query, {"头晕", "目眩", "胀痛"})]
+    assert index._score(["c1#0"], {"发热"}) == [0.0]
+    with pytest.raises(KeyError):
+        index._score(["c9#0"], query)
+
+
+def test_loaded_index_accepts_another_add(tmp_path):
+    index = small_index()
+    index.save(tmp_path / "kw.tsv")
+    loaded = KeywordIndex.load(tmp_path / "kw.tsv")
+    loaded.add("c0#0", {"胀痛"})
+    index.add("c0#0", {"胀痛"})
+    assert loaded.ids == index.ids == ["c0#0", "c1#0", "c2#0", "c3#0"]
+    assert loaded.search({"胀痛"}, 10) == index.search({"胀痛"}, 10)
+    with pytest.raises(KeywordIndexError, match="duplicate"):
+        loaded.add("c1#0", {"x"})

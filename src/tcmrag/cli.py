@@ -352,7 +352,8 @@ def cmd_eval(cfg: AppConfig, args) -> int:
             path = out_dir / f"report_{report.label}.json"
             path.write_text(report.to_json(), encoding="utf-8")
             print(f"eval: {report.label}: aggregate={report.aggregate:.2f} "
-                  f"parse_failures={report.parse_failures} -> {path}")
+                  f"parse_failures={report.parse_failures} "
+                  f"provider_failures={report.provider_failures} -> {path}")
         if len(reports) >= 2:
             table, rows = ev.compare_runs(reports)
             (out_dir / "comparison.txt").write_text(table, encoding="utf-8")
@@ -360,7 +361,8 @@ def cmd_eval(cfg: AppConfig, args) -> int:
                 json.dumps(rows, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                 encoding="utf-8")
             print(table, end="")
-        return EXIT_OK
+        # every report is written first, so one failed chat call costs its item only
+        return EXIT_RUNTIME if any(r.provider_failures for r in reports) else EXIT_OK
     finally:
         lock.unlink(missing_ok=True)
 

@@ -28,7 +28,6 @@ _VERSION = 2
 # (UTF-8) and the rows as one count x dim block of little-endian float64, both in chunk_id
 # order (files written before that order was kept still load, sorted on loading)
 _HEADER = struct.Struct("<12sIIIQ")
-_SAVE_BLOCK_BYTES = 1 << 20  # rows `save` gathers into chunk_id order per write
 
 
 def fnv1a64(data: bytes) -> int:
@@ -125,28 +124,26 @@ def embed(text: str, provider: EmbedProvider) -> np.ndarray:
         raise EmbeddingError(f"provider returned an unusable vector: {exc}") from exc
 
 
+def _id_order(ids: list[str]) -> list[int]:
+    """The rows of `ids` in chunk_id order: row r of the sorted index is row order[r]
+    here. Raises EmbeddingError naming a repeated chunk id."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if ids[a] == ids[b]:
+            raise EmbeddingError(f"duplicate chunk_id {ids[a]!r}")
+    return order
+
+
 class VectorIndex:
-    """Exact flat index over unit vectors; cosine equals dot product."""
+    """Exact flat index over unit vectors; cosine equals dot product. Row r of `matrix`
+    (count x dim float64) holds ids[r], and the ids are in chunk_id order, in memory as
+    in the file."""
 
-    def __init__(self) -> None:
-        self.ids: list[str] = []
-        self.dim: int | None = None
-        self._by_id: dict[str, int] = {}
-        self._matrix = np.empty((0, 0), dtype="<f8")  # row i holds ids[i]; later rows are spare
-
-    def add(self, chunk_id: str, vec: np.ndarray) -> None:
-        if chunk_id in self._by_id:
-            raise EmbeddingError(f"duplicate chunk_id {chunk_id!r}")
-        if self.dim is None:
-            self.dim = len(vec)
-        elif len(vec) != self.dim:
-            raise EmbeddingError(f"dim mismatch: index {self.dim}, vector {len(vec)}")
-        row = len(self.ids)
-        if row == len(self._matrix):
-            self._matrix = np.resize(self._matrix, (max(1, 2 * row), self.dim))
-        self._matrix[row] = vec
-        self._by_id[chunk_id] = row
-        self.ids.append(chunk_id)
+    def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
+        self.ids = ids
+        self.dim: int | None = matrix.shape[1] if ids else None
+        self._matrix = matrix
+        self._by_id = {cid: row for row, cid in enumerate(ids)}
 
     def _row_scores(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the query, one row at a time: unlike a BLAS
@@ -167,7 +164,7 @@ class VectorIndex:
             raise EmbeddingError(f"n must be >= 1, got {n}")
         if not self.ids:
             return []
-        scores = self._row_scores(self._matrix[:len(self.ids)], query)
+        scores = self._row_scores(self._matrix, query)
         floor = np.partition(scores, -n)[-n] if n < len(scores) else -np.inf
         rows = np.flatnonzero(scores >= floor)  # every row tied with the n-th best stays in
         ranked = sorted(zip(scores[rows].tolist(), [self.ids[r] for r in rows.tolist()]),
@@ -175,20 +172,15 @@ class VectorIndex:
         return [(cid, s) for s, cid in ranked[:n]]
 
     def save(self, path: str | Path) -> None:
-        """Rows in chunk_id order, whatever order they were added in."""
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        ids = json.dumps([self.ids[r] for r in order], ensure_ascii=False).encode("utf-8")
-        step = max(1, _SAVE_BLOCK_BYTES // (8 * (self.dim or 1)))
+        ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.dim or 0, len(self.ids), len(ids)))
             fh.write(ids)
-            for start in range(0, len(order), step):  # a bounded copy at a time
-                fh.write(self._matrix[order[start:start + step]])
+            fh.write(self._matrix)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Raises EmbeddingError for a file that is not a whole, well-formed index."""
-        index = cls()
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             if head[:12] != _MAGIC:
@@ -210,16 +202,16 @@ class VectorIndex:
             except ValueError as exc:
                 raise EmbeddingError(f"{path}: chunk ids are not a JSON array: {exc}") from exc
             if not (isinstance(ids, list) and all(isinstance(cid, str) for cid in ids)
-                    and len(set(ids)) == len(ids) == count):
+                    and len(ids) == count):
                 raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings")
-            index._matrix = np.empty((count, dim), dtype="<f8")
-            if fh.readinto(index._matrix) != index._matrix.nbytes:  # shrank since the stat
+            try:
+                order = _id_order(ids)
+            except EmbeddingError as exc:
+                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings: "
+                                     f"{exc}") from exc
+            matrix = np.empty((count, dim), dtype="<f8")
+            if fh.readinto(matrix) != matrix.nbytes:  # shrank since the stat
                 raise EmbeddingError(f"{path}: truncated vector index file")
-        order = sorted(range(count), key=ids.__getitem__)
-        if order != list(range(count)):  # rows in the order they were added: sort them once
-            ids = [ids[r] for r in order]
-            index._matrix = index._matrix[order]
-        index.ids = ids
-        index.dim = dim if count else None
-        index._by_id = {cid: row for row, cid in enumerate(ids)}
-        return index
+        if order != list(range(count)):  # rows in the order they were built: sort them once
+            ids, matrix = [ids[r] for r in order], matrix[order]
+        return cls(ids, matrix)

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .corpus import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP, DEFAULT_OVERLAP_TOKENS,
                      DEFAULT_WINDOW, OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
                      case_document, chunk_by_tokens, chunk_overlap)
-from .dense import EmbeddingError, EmbedProvider, VectorIndex, embed
+from .dense import EmbeddingError, EmbedProvider, VectorIndex, _id_order, embed
 from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
 from .sparse import KeywordIndex
@@ -49,16 +51,30 @@ def chunk_corpus(cases: list[ClinicalCase], strategy: str, lex: Lexicon,
 
 def build_indexes(chunks: list[Chunk], tokenize: Callable[[str], set[str]],
                   embedder: EmbedProvider) -> tuple[VectorIndex, KeywordIndex]:
-    dense_index = VectorIndex()
-    kw_index = KeywordIndex()
-    for chunk in chunks:
-        try:
-            vec = embed(chunk.text, embedder)
-        except EmbeddingError as exc:
-            raise EmbeddingError(f"chunk {chunk.chunk_id!r}: {exc}") from exc
-        dense_index.add(chunk.chunk_id, vec)
-        kw_index.add(chunk.chunk_id, tokenize(chunk.text))
-    return dense_index, kw_index
+    """Both indexes over the chunks, their rows in chunk_id order whatever order the chunks
+    come in. Each chunk is embedded into one preallocated matrix and its token set streamed
+    into the keyword columns, so no set per chunk is kept. Raises EmbeddingError naming a
+    repeated chunk id, or a chunk that cannot be embedded or whose dim differs."""
+    chunks = [chunks[r] for r in _id_order([c.chunk_id for c in chunks])]
+    matrix = np.empty((0, 0), dtype="<f8")
+
+    def rows():
+        nonlocal matrix
+        for row, chunk in enumerate(chunks):
+            try:
+                vec = embed(chunk.text, embedder)
+                if row == 0:
+                    matrix = np.empty((len(chunks), len(vec)), dtype="<f8")
+                elif len(vec) != matrix.shape[1]:
+                    raise EmbeddingError(f"dim mismatch: index {matrix.shape[1]}, "
+                                         f"vector {len(vec)}")
+            except EmbeddingError as exc:
+                raise EmbeddingError(f"chunk {chunk.chunk_id!r}: {exc}") from exc
+            matrix[row] = vec
+            yield chunk.chunk_id, tokenize(chunk.text)
+
+    kw_index = KeywordIndex(rows())
+    return VectorIndex(kw_index.ids, matrix), kw_index
 
 
 def build_retriever(cases: list[ClinicalCase], strategy: str, lex: Lexicon,

@@ -13,6 +13,7 @@ from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, Templ
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
                        RetrieverDeps, parent_case_id, prompt_context, two_stage_retrieve)
 from .sparse import iou_score
+from .transport import ProviderError
 
 MODE_NONE = "none"
 MODE_NAIVE_RAG = "naive_rag"
@@ -23,6 +24,7 @@ RUN_MODES = (MODE_NONE, MODE_NAIVE_RAG, MODE_HYBRID_JIEBA)
 _STAGE1_MODE = {MODE_NAIVE_RAG: DENSE_ONLY, MODE_HYBRID_JIEBA: HYBRID}
 
 METRIC_NOTE = "artifact metric: 100 x mean of (Jaccard(pathogenesis)/2 + Jaccard(syndromes)/2)"
+_CHAT_FAILED = "chat provider failed"
 
 
 class TaskError(ValueError):
@@ -89,6 +91,7 @@ class ScoreReport:
     aggregate: float
     items: list[ItemResult]
     parse_failures: int
+    provider_failures: int
     provider_fallbacks: int
     warning_count: int
     config: dict
@@ -99,6 +102,7 @@ class ScoreReport:
             "metric": METRIC_NOTE,
             "aggregate": self.aggregate,
             "parse_failures": self.parse_failures,
+            "provider_failures": self.provider_failures,
             "provider_fallbacks": self.provider_fallbacks,
             "warning_count": self.warning_count,
             "config": self.config,
@@ -160,7 +164,8 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
                 metrics: Metrics | None = None) -> tuple[Answer | None, list[str]]:
     """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one parsed
     answer, or None with an "unparseable answer" warning when even the repaired reply does
-    not parse; warns when a retrieval ran (`retrieved` not None) but found nothing."""
+    not parse, or a "chat provider failed" one naming the provider error; warns when a
+    retrieval ran (`retrieved` not None) but found nothing."""
     blocks, demo_text, warnings = [], None, []
     if retrieved is not None:
         blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
@@ -174,17 +179,21 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
     except AnswerParseError as exc:
         warnings.append(f"unparseable answer: {exc}")
         return None, warnings
+    except ProviderError as exc:
+        warnings.append(f"{_CHAT_FAILED}: {exc}")
+        return None, warnings
     return answer, warnings + parse_warnings
 
 
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
-    """Retrieve (per mode), prompt, generate, parse, and score every item."""
+    """Retrieve (per mode), prompt, generate, parse, and score every item. An item whose
+    answer does not parse, or whose chat call fails, scores 0 and is counted."""
     if config.retrieval_mode != MODE_NONE and config.retrieval_mode not in deps.retrievers:
         raise ConfigurationError(
             f"retrieval_mode {config.retrieval_mode!r} requested but no index is loaded")
 
     results: list[ItemResult] = []
-    parse_failures = 0
+    parse_failures = provider_failures = 0
     fallbacks = 0
     warning_count = 0
     metrics = Metrics()
@@ -199,7 +208,10 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         answer, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts, metrics)
         warnings = (retrieved.warnings if retrieved is not None else []) + warnings
         if answer is None:
-            parse_failures += 1
+            if warnings[-1].startswith(_CHAT_FAILED):
+                provider_failures += 1
+            else:
+                parse_failures += 1
             score, answer_json = 0.0, ""
         else:
             score, answer_json = score_item(answer, item), serialize_answer(answer)
@@ -213,6 +225,7 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         aggregate=aggregate,
         items=results,
         parse_failures=parse_failures,
+        provider_failures=provider_failures,
         provider_fallbacks=fallbacks,
         warning_count=warning_count + len(metrics.warnings),
         config={"retrieval_mode": config.retrieval_mode, "cot": config.cot,

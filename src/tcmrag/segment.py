@@ -98,15 +98,19 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def load_hmm(path: str | Path) -> HmmModel:
-    """Load BMES start/transition/emission log-probabilities from a JSON model file."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    for key in ("start", "trans", "emit", "unseen"):
-        if key not in raw:
-            raise HmmModelError(f"{path}: missing key {key!r}")
-    start = {s: float(p) for s, p in raw["start"].items()}
-    trans = {s: {t: float(p) for t, p in row.items()} for s, row in raw["trans"].items()}
-    emit = {s: {c: float(p) for c, p in row.items()} for s, row in raw["emit"].items()}
+    """Load BMES start/transition/emission log-probabilities from a JSON model file.
+    Raises HmmModelError naming the file for a model that is not of that shape."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        start = {s: float(p) for s, p in raw["start"].items()}
+        trans = {s: {t: float(p) for t, p in row.items()} for s, row in raw["trans"].items()}
+        emit = {s: {c: float(p) for c, p in row.items()} for s, row in raw["emit"].items()}
+        unseen = float(raw["unseen"])
+    except KeyError as exc:
+        raise HmmModelError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # not JSON, an object or a number
+        raise HmmModelError(f"{path}: malformed HMM model: {exc}") from exc
     for s in start:
         if s not in _START_STATES:
             raise HmmModelError(f"{path}: start probability for disallowed state {s!r}")
@@ -115,7 +119,7 @@ def load_hmm(path: str | Path) -> HmmModel:
             if s not in _PREV.get(t, ""):
                 raise HmmModelError(f"{path}: disallowed transition {s}->{t}")
     return HmmModel(start_logp=start, trans_logp=trans, emit_logp=emit,
-                    unseen_emit_logp=float(raw["unseen"]))
+                    unseen_emit_logp=unseen)
 
 
 # Route scores this close are ties: the same words in another order sum to scores that

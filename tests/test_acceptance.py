@@ -106,13 +106,9 @@ def test_criterion_3_sparse_oracle():
     rng = random.Random(303)
     universe = [f"tok{i}" for i in range(30)]
     for trial in range(1000):
-        index = KeywordIndex()
-        docs: dict[str, set[str]] = {}
-        for i in range(rng.randint(1, 50)):
-            cid = f"d{i:02d}"
-            toks = set(rng.sample(universe, rng.randint(1, 6)))
-            docs[cid] = toks
-            index.add(cid, toks)
+        docs = {f"d{i:02d}": set(rng.sample(universe, rng.randint(1, 6)))
+                for i in range(rng.randint(1, 50))}
+        index = KeywordIndex(docs.items())  # d00, d01, ...: in chunk_id order
         query = set(rng.sample(universe, rng.randint(1, 4)))
         n = rng.randint(1, 10)
         expected = sorted(((cid, iou_score(query, toks)) for cid, toks in docs.items()
@@ -136,9 +132,7 @@ def test_criterion_4_dense_oracle():
         mat = rng.standard_normal((m, 32))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
         ids = [f"v{i:03d}" for i in range(m)]
-        index = VectorIndex()
-        for cid, row in zip(ids, mat):
-            index.add(cid, row)
+        index = VectorIndex(ids, mat)
         q = rng.standard_normal(32)
         q /= np.linalg.norm(q)
         n = pyrng.randint(1, 10)
@@ -159,14 +153,11 @@ def test_criterion_5_planted_retrieval(planted):
     dim = planted["dim"]
     tokenize = lambda text: set(text.split())
     embedder = StubEmbedProvider(tokenize=tokenize, dim=dim)
-    dense_index = VectorIndex()
-    kw_index = KeywordIndex()
-    texts = {}
-    for chunk in planted["chunks"]:
-        cid, text = chunk["chunk_id"], chunk["text"]
-        texts[cid] = text
-        dense_index.add(cid, stub_embed(tokenize(text), dim))
-        kw_index.add(cid, tokenize(text))
+    texts = {chunk["chunk_id"]: chunk["text"] for chunk in planted["chunks"]}
+    ids = sorted(texts)
+    dense_index = VectorIndex(ids, np.array([stub_embed(tokenize(texts[cid]), dim)
+                                             for cid in ids]))
+    kw_index = KeywordIndex((cid, tokenize(texts[cid])) for cid in ids)
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts=texts)
 
@@ -204,8 +195,8 @@ def test_criterion_6_fusion_algebra():
     rng = random.Random(606)
     tokenize = lambda text: set(text.split())
     embedder = StubEmbedProvider(tokenize=tokenize, dim=64)
-    deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=VectorIndex(),
-                         kw_index=KeywordIndex(), chunk_texts={})
+    deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=VectorIndex([], np.empty((0, 0))),
+                         kw_index=KeywordIndex([]), chunk_texts={})
     for trial in range(200):
         pool = [RetrievalCandidate(chunk_id=f"c{i:02d}", dense_score=rng.random(),
                                    sparse_score=rng.random())

@@ -19,6 +19,7 @@ from tcmrag.corpus import load_chunks, load_corpus, save_corpus
 from tcmrag.dense import VectorIndex
 from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_digest, split_cases
 from tcmrag.prompt import COT_STEP_HEADERS
+from tcmrag.segment import HmmModelError, load_hmm
 from tcmrag.sparse import KeywordIndex
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -376,6 +377,25 @@ def test_failed_rebuild_keeps_the_previous_index(workspace, tmp_path, monkeypatc
     assert "1\t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content, message", [
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"start": {"B": "x"}, "trans": {}, "emit": {}, "unseen": -1.0}',
+     "could not convert string to float: 'x'"),
+    ('{"start": {"B": 0.0}, "trans": {"B": [0.0]}, "emit": {}, "unseen": -1.0}',
+     "'list' object has no attribute 'items'"),
+], ids=["not JSON", "non-numeric value", "row not an object"])
+def test_index_with_a_malformed_hmm_model_names_the_file_and_exits_1(tmp_path, capsys,
+                                                                     content, message):
+    hmm = tmp_path / "hmm.json"
+    hmm.write_text(content, encoding="utf-8")
+    with pytest.raises(HmmModelError, match=re.escape(f"{hmm}: malformed HMM model: {message}")):
+        load_hmm(hmm)
+    cfg = write_config(tmp_path, hmm=str(hmm))
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", "token_chunk",
+                 "--out", str(tmp_path / "idx")]) == 1
+    assert capsys.readouterr().err == f"error: {hmm}: malformed HMM model: {message}\n"
+
+
 def test_index_refuses_a_case_id_with_a_tab_or_line_break(workspace, tmp_path, capsys):
     # such an id would split its keywords.tsv line, and no later query could open the index
     lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()[:3]
@@ -500,7 +520,8 @@ def rewrite_in_build_order(index_dir: Path) -> None:
     index = VectorIndex.load(index_dir / "vectors.bin")
     order = [c.chunk_id for c in load_chunks(index_dir / "chunks.jsonl")]
     ids = json.dumps(order, ensure_ascii=False).encode("utf-8")
-    rows = b"".join(index._matrix[index._by_id[cid]].tobytes() for cid in order)
+    by_id = dict(zip(index.ids, index._matrix))
+    rows = b"".join(by_id[cid].tobytes() for cid in order)
     (index_dir / "vectors.bin").write_bytes(
         b"TCMRAGVIDX\x00\x00" + struct.pack("<IIIQ", 2, index.dim, len(order), len(ids))
         + ids + rows)
@@ -535,7 +556,7 @@ def test_an_index_with_vectors_in_build_order_answers_as_in_memory(tmp_path, mon
     assert main(["--config", str(cfg), "--stub", "index", "--strategy", strategy,
                  "--out", str(index)]) == 0
     live = built[0]
-    assert live.dense_index.ids != sorted(live.dense_index.ids)
+    assert live.dense_index.ids == live.kw_index.ids == sorted(live.chunk_texts)
     sorted_rows = (index / "vectors.bin").read_bytes()
     rewrite_in_build_order(index)
     assert (index / "vectors.bin").read_bytes() != sorted_rows
@@ -859,6 +880,41 @@ def test_query_answer_with_an_unusable_canned_file_is_config_error_before_retrie
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: unusable --canned file: {canned}: {message}\n"
+
+
+def test_a_failed_chat_call_fails_its_item_and_eval_still_writes_every_report(
+        workspace, tmp_path, capsys):
+    canned = tmp_path / "canned.json"
+    canned.write_text("{}", encoding="utf-8")  # no reply for any prompt
+    out = tmp_path / "reports"
+    code = main(["--config", str(workspace["cfg"]), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "none",
+                 "--mode", "hybrid_jieba", "--index-hybrid", str(workspace["hybrid"]),
+                 "--chat", "canned", "--canned", str(canned), "--out", str(out)])
+    assert code == 1
+    for label in ("none", "hybrid_jieba"):
+        report = json.loads((out / f"report_{label}.json").read_text(encoding="utf-8"))
+        assert (report["provider_failures"], report["parse_failures"]) == (20, 0)
+        assert report["aggregate"] == 0.0
+        for item in report["items"]:
+            assert item["score"] == 0.0 and not item["parsed"]
+            assert item["warnings"][-1].startswith(
+                "chat provider failed: no canned response for digest ")
+    assert (out / "comparison.txt").exists() and (out / "comparison.json").exists()
+    assert "provider_failures=20" in capsys.readouterr().out
+    assert not (out / ".lock").exists()
+
+
+def test_query_answer_with_a_failed_chat_call_prints_the_warning_and_exits_1(
+        workspace, tmp_path, capsys):
+    canned = tmp_path / "canned.json"
+    canned.write_text("{}", encoding="utf-8")
+    argv = query_answer_argv(workspace["cfg"], workspace["hybrid"], first_task())
+    assert main(argv + ["--chat", "canned", "--canned", str(canned)]) == 1
+    out, err = capsys.readouterr()
+    assert "warning: chat provider failed: no canned response for digest " in err
+    assert "error:" not in err
+    assert not out.splitlines()[-1].startswith("{")
 
 
 def test_eval_three_modes_writes_reports_and_comparison(workspace, tmp_path, capsys):

@@ -261,11 +261,16 @@ def unit(values) -> np.ndarray:
     return arr / np.linalg.norm(arr)
 
 
+def vector_index(pairs) -> VectorIndex:
+    """The index over (chunk_id, vector) pairs given in any order."""
+    pairs = sorted(pairs, key=lambda p: p[0])
+    return VectorIndex([cid for cid, _ in pairs],
+                       np.array([v for _, v in pairs], dtype="<f8", ndmin=2))
+
+
 def test_index_search_ranks_by_cosine():
-    index = VectorIndex()
-    index.add("a", unit([1.0, 0.0]))
-    index.add("b", unit([1.0, 1.0]))
-    index.add("c", unit([0.0, 1.0]))
+    index = vector_index([("a", unit([1.0, 0.0])), ("b", unit([1.0, 1.0])),
+                          ("c", unit([0.0, 1.0]))])
     got = index.search(unit([1.0, 0.0]), 3)
     assert [cid for cid, _ in got] == ["a", "b", "c"]
     assert got[0][1] == pytest.approx(1.0)
@@ -274,40 +279,25 @@ def test_index_search_ranks_by_cosine():
 
 
 def test_index_tie_breaks_by_chunk_id():
-    index = VectorIndex()
-    index.add("z", unit([1.0, 0.0]))
-    index.add("a", unit([1.0, 0.0]))
-    index.add("m", unit([1.0, 0.0]))
+    index = vector_index([("z", unit([1.0, 0.0])), ("a", unit([1.0, 0.0])),
+                          ("m", unit([1.0, 0.0]))])
     got = index.search(unit([1.0, 0.0]), 3)
     assert [cid for cid, _ in got] == ["a", "m", "z"]
 
 
 def test_index_errors_and_empty_search():
-    index = VectorIndex()
-    assert index.search(unit([1.0]), 5) == []
-    index.add("a", unit([1.0, 0.0]))
-    with pytest.raises(EmbeddingError, match="duplicate"):
-        index.add("a", unit([0.0, 1.0]))
-    with pytest.raises(EmbeddingError, match="dim mismatch"):
-        index.add("b", unit([1.0, 0.0, 0.0]))
+    assert vector_index([]).search(unit([1.0]), 5) == []
+    index = vector_index([("a", unit([1.0, 0.0]))])
     with pytest.raises(EmbeddingError, match="dim mismatch"):
         index.search(unit([1.0, 0.0, 0.0]), 1)
     with pytest.raises(EmbeddingError):
         index.search(unit([1.0, 0.0]), 0)
 
 
-def test_index_row_added_after_a_search_is_found_by_the_next():
-    index = VectorIndex()
-    index.add("a", unit([1.0, 0.0]))
-    assert index.search(unit([0.0, 1.0]), 2) == [("a", 0.0)]
-    index.add("b", unit([0.0, 1.0]))
-    assert index.search(unit([0.0, 1.0]), 2) == [("b", 1.0), ("a", 0.0)]
-
-
 @pytest.mark.parametrize("count", [1, 16, 17, 33])
 def test_index_equals_a_stacked_matrix_bitwise(count):
-    """Sizes on both sides of a capacity doubling; scores compared with ==, not approx.
-    The grown index scores each row as the stacked rows' per-row dot product does,
+    """Sizes of one, a few and many rows; scores compared with ==, not approx.
+    The index scores each row as the stacked rows' per-row dot product does,
     `score` gives an id the float `search` gave it, and one vector planted at the head,
     middle and tail rows ties exactly, which a BLAS matrix-vector product does not
     promise: its last bits may depend on where a row sits."""
@@ -317,9 +307,7 @@ def test_index_equals_a_stacked_matrix_bitwise(count):
     planted = sorted({0, count // 2, count - 1})
     for pos in planted:
         rows[pos] = rows[0]
-    index = VectorIndex()
-    for cid, row in zip(ids, rows):
-        index.add(cid, row)
+    index = vector_index(zip(ids, rows))
     for _ in range(3):
         q = unit(rng.normal(size=24))
         per_row = np.einsum("ij,j->i", np.vstack(rows), q).tolist()
@@ -344,9 +332,7 @@ def test_index_search_keeps_ties_across_the_cut(seed):
     ids = [f"c{i:02d}#0" for i in rng.permutation(count)]
     rows = [planted[int(rng.integers(0, 3))] if rng.random() < 0.7
             else unit(rng.normal(size=4)) for _ in ids]
-    index = VectorIndex()
-    for cid, row in zip(ids, rows):
-        index.add(cid, row)
+    index = vector_index(zip(ids, rows))
     for q in (planted[0], planted[2], unit(rng.normal(size=4))):
         expected = sorted(zip(ids, (np.vstack(rows) @ q).tolist()), key=lambda x: (-x[1], x[0]))
         for n in range(1, count + 3):
@@ -355,14 +341,8 @@ def test_index_search_keeps_ties_across_the_cut(seed):
 
 def test_index_matches_brute_force_oracle():
     rng = random.Random(3)
-    index = VectorIndex()
-    rows: dict[str, list[float]] = {}
-    for i in range(40):
-        raw = [rng.gauss(0, 1) for _ in range(16)]
-        cid = f"c{i:02d}#0"
-        vec = unit(raw)
-        index.add(cid, vec)
-        rows[cid] = list(vec)
+    rows = {f"c{i:02d}#0": unit([rng.gauss(0, 1) for _ in range(16)]) for i in range(40)}
+    index = vector_index(rows.items())
     for trial in range(10):
         q = unit([rng.gauss(0, 1) for _ in range(16)])
         expected = sorted(
@@ -375,17 +355,15 @@ def test_index_matches_brute_force_oracle():
 
 
 def test_index_score_and_dim():
-    index = VectorIndex()
-    index.add("a", unit([1.0, 1.0]))
+    index = vector_index([("a", unit([1.0, 1.0]))])
     assert index.score(["a"], unit([1.0, 0.0])) == [pytest.approx(1.0 / math.sqrt(2))]
     assert index.dim == 2
 
 
 def test_index_persistence_roundtrip(tmp_path):
-    index = VectorIndex()
     rng = random.Random(5)
-    for i in range(7):
-        index.add(f"案例{i}#0", unit([rng.gauss(0, 1) for _ in range(12)]))
+    index = vector_index((f"案例{i}#0", unit([rng.gauss(0, 1) for _ in range(12)]))
+                         for i in range(7))
     path = tmp_path / "vectors.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
@@ -408,10 +386,8 @@ def v2_file(ids_json: bytes, count: int, dim: int, floats: bytes) -> bytes:
 def test_index_file_layout(tmp_path):
     """Version 2: magic, version, dim, count and the id block's byte length, then the
     ids as one UTF-8 JSON array and the rows as one block, all little-endian; ids and
-    rows in chunk_id order, not in the order they were added."""
-    index = VectorIndex()
-    index.add("病#0", unit([3.0, 4.0]))
-    index.add("b#1", unit([0.0, 1.0]))
+    rows in chunk_id order."""
+    index = vector_index([("病#0", unit([3.0, 4.0])), ("b#1", unit([0.0, 1.0]))])
     index.save(tmp_path / "vectors.bin")
     expected = v2_file('["b#1", "病#0"]'.encode("utf-8"), 2, 2,
                        struct.pack("<4d", 0.0, 1.0, 0.6, 0.8))
@@ -449,34 +425,17 @@ def test_index_save_load_roundtrip_any_ids(tmp_path_factory, ids, dim, rnd):
     """Any Unicode id (tabs, line breaks, quotes, backslashes, non-BMP characters, the
     empty string) and every row's bytes survive a save and a load, the ids in chunk_id
     order; a re-save is byte-identical, and the empty index loads with no dim."""
-    index = VectorIndex()
-    for cid in ids:
-        index.add(cid, unit([rnd.uniform(-1.0, 1.0) for _ in range(dim - 1)] + [1.0]))
+    index = vector_index((cid, unit([rnd.uniform(-1.0, 1.0) for _ in range(dim - 1)] + [1.0]))
+                         for cid in ids)
     path = tmp_path_factory.mktemp("v2") / "vectors.bin"
     index.save(path)
     loaded = VectorIndex.load(path)
     assert loaded.ids == sorted(ids)
     assert loaded.dim == (dim if ids else None)
-    for cid in ids:
-        assert loaded._matrix[loaded._by_id[cid]].tobytes() == \
-            index._matrix[index._by_id[cid]].tobytes()
+    assert loaded._matrix.tobytes() == index._matrix.tobytes()
     again = path.with_name("again.bin")
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
-
-
-def test_loaded_index_accepts_another_add(tmp_path):
-    index = VectorIndex()
-    for i in range(3):
-        index.add(f"c{i}#0", unit([1.0, float(i), 0.0]))
-    index.save(tmp_path / "vectors.bin")
-    loaded = VectorIndex.load(tmp_path / "vectors.bin")
-    loaded.add("d#0", unit([0.0, 0.0, 1.0]))
-    assert loaded.ids == ["c0#0", "c1#0", "c2#0", "d#0"]
-    assert loaded.search(unit([0.0, 0.0, 1.0]), 1) == [("d#0", 1.0)]
-    q = unit([1.0, 2.0, 3.0])
-    assert [loaded.score([cid], q) for cid in index.ids] == [index.score([cid], q)
-                                                            for cid in index.ids]
 
 
 def test_index_load_rejects_foreign_file(tmp_path):
@@ -487,9 +446,8 @@ def test_index_load_rejects_foreign_file(tmp_path):
 
 
 def test_index_load_rejects_every_truncation(tmp_path):
-    index = VectorIndex()
-    for i, values in enumerate(([1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 1.0, 1.0])):
-        index.add(f"病案{i}#0", unit(values))
+    index = vector_index((f"病案{i}#0", unit(values)) for i, values in
+                         enumerate(([1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 1.0, 1.0])))
     path = tmp_path / "vectors.bin"
     index.save(path)
     data = path.read_bytes()
@@ -506,8 +464,7 @@ def test_index_load_rejects_every_truncation(tmp_path):
 
 
 def test_index_load_rejects_undecodable_id(tmp_path):
-    index = VectorIndex()
-    index.add("病#0", unit([1.0, 2.0]))
+    index = vector_index([("病#0", unit([1.0, 2.0]))])
     path = tmp_path / "vectors.bin"
     index.save(path)
     path.write_bytes(path.read_bytes().replace("病".encode("utf-8"), b"\xff\xfe\xfd"))

@@ -15,7 +15,7 @@ from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RU
                                 retrieval_sensitive_provider, run_eval, score_item)
 from tcmrag.llm import FnChatProvider
 from tcmrag.prompt import COT_STEP_HEADERS, Answer
-from tcmrag.transport import ProviderError
+from tcmrag.transport import PermanentError, ProviderError
 
 # ---------------------------------------------------------------------------
 # Task loading and validation
@@ -236,6 +236,30 @@ def test_parse_failures_score_zero_and_are_counted(eval_setup, task_items, templ
     assert all(r.warnings for r in report.items)
 
 
+def test_a_failed_chat_call_scores_its_item_0_and_is_counted_apart(eval_setup, task_items,
+                                                                     templates):
+    corpus, retrievers = eval_setup
+    items = task_items[:3]
+    gold = echo_gold_provider(items)
+
+    def fn(messages):
+        if items[1].case_text in messages[-1][1]:
+            raise PermanentError("HTTP 400")
+        return gold.fn(messages)
+
+    deps = make_deps(templates, corpus, retrievers, FnChatProvider(fn=fn))
+    report = run_eval(items, RunConfig(retrieval_mode=MODE_NONE), deps)
+    assert (report.provider_failures, report.parse_failures) == (1, 0)
+    assert report.aggregate == pytest.approx(200.0 / 3)
+    by_id = {r.item_id: r for r in report.items}
+    failed = by_id[items[1].item_id]
+    assert (failed.parsed, failed.score, failed.answer_json) == (False, 0.0, "")
+    assert failed.warnings == ["chat provider failed: HTTP 400"]
+    assert all(by_id[it.item_id].score == 1.0 for it in (items[0], items[2]))
+    doc = json.loads(report.to_json())
+    assert (doc["provider_failures"], doc["parse_failures"]) == (1, 0)
+
+
 def test_run_eval_parses_each_reply_once(eval_setup, task_items, templates, monkeypatch):
     from tcmrag import cli, evalharness, llm, prompt
 
@@ -361,7 +385,7 @@ def report_with(label, aggregate, ids=("a", "b")):
     items = [ItemResult(item_id=i, score=aggregate / 100.0, parsed=True, answer_json="{}")
              for i in ids]
     return ScoreReport(label=label, aggregate=aggregate, items=items, parse_failures=0,
-                       provider_fallbacks=0, warning_count=0, config={})
+                       provider_failures=0, provider_fallbacks=0, warning_count=0, config={})
 
 
 def test_compare_runs_orders_and_deltas():

@@ -8,8 +8,8 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from tcmrag import engine
-from tcmrag.corpus import TOKEN_CHUNK, ClinicalCase, render_demonstration
-from tcmrag.dense import StubEmbedProvider, VectorIndex, embed, token_bucket
+from tcmrag.corpus import TOKEN_CHUNK, Chunk, ClinicalCase, render_demonstration
+from tcmrag.dense import EmbeddingError, StubEmbedProvider, VectorIndex, embed, token_bucket
 from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_ONLY,
                              HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
                              RetrieverDeps, first_stage, fusion_score, parent_case_id,
@@ -46,11 +46,9 @@ def make_deps(rerank_provider=None) -> RetrieverDeps:
         "c2#0": f"{A} {C}",
         "c3#0": f"{D} {E}",
     }
-    dense_index = VectorIndex()
-    kw_index = KeywordIndex()
-    for cid, text in texts.items():
-        dense_index.add(cid, embed(text, embedder))
-        kw_index.add(cid, tokenize(text))
+    ids = sorted(texts)
+    dense_index = VectorIndex(ids, np.array([embed(texts[cid], embedder) for cid in ids]))
+    kw_index = KeywordIndex((cid, tokenize(texts[cid])) for cid in ids)
     return RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts=texts,
                          rerank_provider=rerank_provider)
@@ -138,10 +136,10 @@ class FixedEmbedder:
 
 
 def vector_deps(rows: dict[str, np.ndarray], docs: dict[str, set[str]], query_values):
-    dense_index, kw_index = VectorIndex(), KeywordIndex()
-    for cid, row in rows.items():
-        dense_index.add(cid, embed(cid, FixedEmbedder(row)))
-        kw_index.add(cid, docs[cid])
+    ids = sorted(rows)
+    dense_index = VectorIndex(ids, np.array([embed(cid, FixedEmbedder(rows[cid]))
+                                             for cid in ids]))
+    kw_index = KeywordIndex((cid, docs[cid]) for cid in ids)
     return RetrieverDeps(tokenize=lambda text: set(text.split()),
                          embedder=FixedEmbedder(query_values), dense_index=dense_index,
                          kw_index=kw_index, chunk_texts={cid: cid for cid in rows})
@@ -245,7 +243,7 @@ def pool_digest(pool) -> list[tuple]:
 def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, chunks,
                                                               query_vector, query_tokens,
                                                               n_dense, n_sparse):
-    """Rows added out of chunk_id order, saved and loaded: in every mode the pool has
+    """Rows given out of chunk_id order, saved and loaded: in every mode the pool has
     the same ids, flags and scores to the last bit (an empty token set included)."""
     ids = [f"c{i:02d}#0" for i in range(len(chunks))][::-1]
     rows = {cid: np.array(v, dtype=np.float64) for cid, (v, _) in zip(ids, chunks)}
@@ -258,7 +256,6 @@ def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, c
                            dense_index=VectorIndex.load(d / "vectors.bin"),
                            kw_index=KeywordIndex.load(d / "keywords.tsv"),
                            chunk_texts=live.chunk_texts)
-    assert loaded.kw_index.doc_tokens == {}
     query = " ".join(sorted(query_tokens))
     for mode in MODES:
         cfg = RetrievalConfig(n_dense=n_dense, n_sparse=n_sparse, top_k=1, mode=mode)
@@ -546,7 +543,8 @@ def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sampl
     dense_index, kw_index = engine.build_indexes(chunks, tokenize, embedder)
     assert cut_texts == [c.text for c in chunks]
     for c in chunks:
-        assert kw_index.doc_tokens[c.chunk_id] == token_set(real_cut(c.text, lexicon, hmm))
+        # an IoU of 1 with the expected token set: the row holds exactly that set
+        assert kw_index._score([c.chunk_id], token_set(real_cut(c.text, lexicon, hmm))) == [1.0]
         assert dense_index.score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
 
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
@@ -556,3 +554,66 @@ def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sampl
         first_stage(query, deps, RetrievalConfig())
         two_stage_retrieve(query, deps, RetrievalConfig())
         assert cut_texts == [query]
+
+
+# ---------------------------------------------------------------------------
+# Building both indexes
+# ---------------------------------------------------------------------------
+
+def text_chunks(texts: list[tuple[str, str]]) -> list[Chunk]:
+    return [Chunk(chunk_id=cid, case_id=parent_case_id(cid), text=text,
+                  char_span=(0, len(text)), strategy=TOKEN_CHUNK) for cid, text in texts]
+
+
+def split_words(text: str) -> set[str]:
+    return set(text.split())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text("ab#01中", min_size=1, max_size=4),
+                          st.lists(st.sampled_from("abcde"), min_size=1, max_size=5)),
+                unique_by=lambda doc: doc[0], max_size=20),
+       st.randoms())
+def test_build_indexes_keeps_one_row_order_whatever_the_chunk_order(tmp_path_factory, docs,
+                                                                     rnd):
+    """Any permutation of the chunk list builds both indexes with the sorted chunk ids as
+    their rows, the same matrix bytes and byte-identical saved files."""
+    chunks = text_chunks([(cid, " ".join(words)) for cid, words in docs])
+    shuffled = rnd.sample(chunks, len(chunks))
+    embedder = StubEmbedProvider(tokenize=split_words, dim=16)
+    built = []
+    for order in (chunks, shuffled):
+        dense_index, kw_index = engine.build_indexes(order, split_words, embedder)
+        assert dense_index.ids == kw_index.ids == sorted(cid for cid, _ in docs)
+        assert dense_index.dim == (16 if docs else None)
+        d = tmp_path_factory.mktemp("idx")
+        dense_index.save(d / "vectors.bin")
+        kw_index.save(d / "keywords.tsv")
+        built.append((dense_index._matrix.tobytes(), (d / "vectors.bin").read_bytes(),
+                      (d / "keywords.tsv").read_bytes()))
+    assert built[0] == built[1]
+
+
+class GrowingEmbedder:
+    """Each text's vector is one longer than the last one's."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def embed_raw(self, text):
+        self.calls += 1
+        return [1.0] * (self.calls + 1)
+
+
+def test_build_indexes_names_a_chunk_whose_dim_differs():
+    chunks = text_chunks([("c2#0", "b"), ("c1#0", "a")])  # c1#0 is embedded first
+    with pytest.raises(EmbeddingError, match=r"^chunk 'c2#0': dim mismatch: index 2, vector 3$"):
+        engine.build_indexes(chunks, split_words, GrowingEmbedder())
+
+
+def test_build_indexes_names_a_repeated_chunk_id_before_embedding():
+    embedder = GrowingEmbedder()
+    chunks = text_chunks([("c1#0", "a"), ("c2#0", "b"), ("c1#0", "c")])
+    with pytest.raises(EmbeddingError, match="duplicate chunk_id 'c1#0'"):
+        engine.build_indexes(chunks, split_words, embedder)
+    assert embedder.calls == 0

@@ -53,12 +53,17 @@ def test_iou_equals_the_set_quotient_exactly(q, d):
 # Keyword index
 # ---------------------------------------------------------------------------
 
+def keyword_index(docs: dict[str, set[str]]) -> KeywordIndex:
+    """The index over chunk_id -> token set, the chunks given in any order."""
+    return KeywordIndex(sorted(docs.items()))
+
+
+SMALL_DOCS = {"c1#0": {"胃脘", "胀痛", "嗳气"}, "c2#0": {"头晕", "目眩", "胀痛"},
+              "c3#0": {"咳嗽", "咽痒"}}
+
+
 def small_index() -> KeywordIndex:
-    index = KeywordIndex()
-    index.add("c1#0", {"胃脘", "胀痛", "嗳气"})
-    index.add("c2#0", {"头晕", "目眩", "胀痛"})
-    index.add("c3#0", {"咳嗽", "咽痒"})
-    return index
+    return keyword_index(SMALL_DOCS)
 
 
 def test_search_candidates_via_postings_union():
@@ -76,9 +81,7 @@ def test_search_no_overlap_returns_empty():
 
 
 def test_search_tie_breaks_by_chunk_id():
-    index = KeywordIndex()
-    index.add("b", {"x", "y"})
-    index.add("a", {"x", "z"})
+    index = keyword_index({"b": {"x", "y"}, "a": {"x", "z"}})
     got = index.search({"x"}, 5)
     assert [cid for cid, _ in got] == ["a", "b"]
     assert got[0][1] == got[1][1] == pytest.approx(0.5)
@@ -89,19 +92,20 @@ def test_search_truncates_to_n():
     assert len(index.search({"胀痛"}, 1)) == 1
 
 
-def test_add_duplicate_and_bad_n():
-    index = small_index()
-    with pytest.raises(KeywordIndexError, match="duplicate"):
-        index.add("c1#0", {"x"})
+def test_add_duplicate_and_bad_n(tmp_path):
+    path = tmp_path / "kw.tsv"
+    path.write_text("c1#0\tx\nc1#0\ty\n", encoding="utf-8")
+    with pytest.raises(KeywordIndexError, match="repeated"):
+        KeywordIndex.load(path)
     with pytest.raises(KeywordIndexError):
-        index.search({"x"}, 0)
+        small_index().search({"x"}, 0)
 
 
 def test_search_matches_exhaustive_oracle():
     index = small_index()
     query = {"胀痛", "咽痒", "不存在"}
     expected = sorted(
-        ((cid, iou_score(query, toks)) for cid, toks in index.doc_tokens.items()
+        ((cid, iou_score(query, toks)) for cid, toks in SMALL_DOCS.items()
          if query & toks),
         key=lambda x: (-x[1], x[0]))
     assert index.search(query, 10) == [(cid, pytest.approx(s)) for cid, s in expected]
@@ -122,16 +126,11 @@ chunk_docs = st.dictionaries(st.text("ab#01中", min_size=1, max_size=4),
 @given(chunk_docs, chunk_docs, st.sets(st.sampled_from("abcdefg"), max_size=5),
        st.integers(1, 40))
 def test_search_equals_the_exhaustive_sort_exactly(first, later, query, n):
-    """Few tokens give many tied IoUs; n may exceed the candidates; an add after a
-    search must show in the next one; a reloaded index answers the same."""
-    index = KeywordIndex()
-    for cid, toks in first.items():
-        index.add(cid, toks)
-    assert index.search(query, n) == exhaustive(first, query, n)
+    """Few tokens give many tied IoUs; n may exceed the candidates; an index over more
+    chunks answers as the sort over them does; a reloaded index answers the same."""
+    assert keyword_index(first).search(query, n) == exhaustive(first, query, n)
     docs = {**later, **first}
-    for cid, toks in later.items():
-        if cid not in first:
-            index.add(cid, toks)
+    index = keyword_index(docs)
     assert index.search(query, n) == exhaustive(docs, query, n)
     with tempfile.TemporaryDirectory() as d:
         index.save(Path(d) / "kw.tsv")
@@ -146,9 +145,7 @@ def test_search_keeps_iou_ties_straddling_every_n():
     query = {"a", "b", "c"}
     shapes = [{"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "x"}, {"x"}, {"b", "c", "x", "y"}]
     docs = {f"d{i:02d}": shapes[(7 * i) % len(shapes)] for i in range(30)}
-    index = KeywordIndex()
-    for cid, toks in docs.items():
-        index.add(cid, toks)
+    index = keyword_index(docs)
     hits = len(exhaustive(docs, query, len(docs)))
     ranked = exhaustive(docs, query, hits)
     assert sum(ranked[n - 1][1] == ranked[n][1] for n in range(1, hits)) > hits // 2
@@ -166,8 +163,7 @@ def test_save_load_roundtrip(tmp_path):
     index.save(path)
     loaded = KeywordIndex.load(path)
     assert loaded.ids == index.ids
-    assert loaded.doc_tokens == {}  # a loaded index holds only the columns
-    for tok in set().union(*index.doc_tokens.values()):
+    for tok in set().union(*SMALL_DOCS.values()):
         assert loaded.search({tok}, 10) == index.search({tok}, 10)
     path2 = tmp_path / "again.tsv"
     loaded.save(path2)
@@ -175,9 +171,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_save_format_is_sorted_tsv(tmp_path):
-    index = KeywordIndex()
-    index.add("b#0", {"y", "x"})
-    index.add("a#0", {"z"})
+    index = keyword_index({"b#0": {"y", "x"}, "a#0": {"z"}})
     path = tmp_path / "kw.tsv"
     index.save(path)
     assert path.read_text(encoding="utf-8") == "a#0\tz\nb#0\tx y\n"
@@ -191,10 +185,8 @@ def test_load_rejects_malformed_line(tmp_path):
 
 
 def test_load_accepts_only_prefixes_cut_at_a_line_end(tmp_path):
-    index = KeywordIndex()
-    index.add("c1#0", {"胃脘", "胀痛", "嗳气"})
-    index.add("c2#0", {"头晕", "目眩"})
-    index.add("c3#0", {"肝气", "犯胃", "吞酸"})
+    index = keyword_index({"c1#0": {"胃脘", "胀痛", "嗳气"}, "c2#0": {"头晕", "目眩"},
+                           "c3#0": {"肝气", "犯胃", "吞酸"}})
     path = tmp_path / "kw.tsv"
     index.save(path)
     data = path.read_bytes()
@@ -242,15 +234,3 @@ def test_score_is_the_iou_of_any_chunk_and_0_without_a_shared_token():
     assert index._score(["c1#0"], {"发热"}) == [0.0]
     with pytest.raises(KeyError):
         index._score(["c9#0"], query)
-
-
-def test_loaded_index_accepts_another_add(tmp_path):
-    index = small_index()
-    index.save(tmp_path / "kw.tsv")
-    loaded = KeywordIndex.load(tmp_path / "kw.tsv")
-    loaded.add("c0#0", {"胀痛"})
-    index.add("c0#0", {"胀痛"})
-    assert loaded.ids == index.ids == ["c0#0", "c1#0", "c2#0", "c3#0"]
-    assert loaded.search({"胀痛"}, 10) == index.search({"胀痛"}, 10)
-    with pytest.raises(KeywordIndexError, match="duplicate"):
-        loaded.add("c1#0", {"x"})

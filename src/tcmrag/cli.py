@@ -176,16 +176,20 @@ def cmd_ingest(cfg: AppConfig, args) -> int:
                 case_id=path.stem, patient_background="", clinical_info=text,
                 pathogenesis="", syndromes=[], source=str(path), raw_text=text))
             continue
+        warnings: list[str] = []
         try:
-            pieces = split_cases(provider, text)
+            pieces = split_cases(provider, text, warnings)
             for i, piece in enumerate(pieces):
-                case = extract_fields(provider, piece)
+                case = extract_fields(provider, piece, warnings)
                 case.case_id = f"{path.stem}-{i}"
                 case.source = str(path)
                 cases.append(case)
         except (CleaningError, ProviderError) as exc:
             failures.append(str(path))
             print(f"ingest: cleaning failed for {path}: {exc}", file=sys.stderr)
+        finally:
+            for warning in warnings:
+                print(f"ingest: warning: {path}: {warning}", file=sys.stderr)
     save_corpus(cases, args.out_corpus)
     print(f"ingest: wrote {len(cases)} cases to {args.out_corpus}; "
           f"{len(failures)} guard/IO failures")
@@ -316,7 +320,7 @@ def cmd_query(cfg: AppConfig, args) -> int:
 
 def cmd_eval(cfg: AppConfig, args) -> int:
     items = ev.load_tasks(args.tasks)
-    modes = args.mode or [ev.MODE_NONE]
+    modes = list(dict.fromkeys(args.mode or [ev.MODE_NONE]))  # each mode runs once
     templates = TemplateSet.load(cfg.templates)
     cases = load_corpus(cfg.corpus)
     corpus_map = {c.case_id: c for c in cases}

@@ -154,7 +154,7 @@ class VectorIndex:
             raise EmbeddingError(f"dim mismatch: index {self.dim}, query {len(query)}")
         return np.einsum("ij,j->i", rows, query)
 
-    def score(self, chunk_ids: list[str], query: np.ndarray) -> list[float]:
+    def _score(self, chunk_ids: list[str], query: np.ndarray) -> list[float]:
         """The given chunks' scores, bit for bit the ones `search` ranks them by."""
         return self._row_scores(self._matrix[[self._by_id[cid] for cid in chunk_ids]],
                                 query).tolist()

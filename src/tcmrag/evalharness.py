@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ClinicalCase, _read_records
-from .llm import ChatProvider, FnChatProvider, GenerationParams, Metrics, generate_answer
+from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
 from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, TemplateSet,
                      build_prompt, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
@@ -160,12 +160,12 @@ def score_item(pred: Answer, item: TaskItem) -> float:
 
 def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
                 retrieved: RetrievalResult | None = None,
-                chunk_texts: dict[str, str] | None = None,
-                metrics: Metrics | None = None) -> tuple[Answer | None, list[str]]:
+                chunk_texts: dict[str, str] | None = None) -> tuple[Answer | None, list[str]]:
     """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one parsed
     answer, or None with an "unparseable answer" warning when even the repaired reply does
-    not parse, or a "chat provider failed" one naming the provider error; warns when a
-    retrieval ran (`retrieved` not None) but found nothing."""
+    not parse, or a "chat provider failed" one naming the provider error; either comes
+    last. Warns when a retrieval ran (`retrieved` not None) but found nothing, and for each
+    reply with a finish reason other than stop."""
     blocks, demo_text, warnings = [], None, []
     if retrieved is not None:
         blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
@@ -175,14 +175,14 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
     bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
                           demonstration=demo_text, budget=deps.budget)
     try:
-        answer, parse_warnings = generate_answer(deps.chat, bundle, item, deps.params, metrics)
+        answer = generate_answer(deps.chat, bundle, item, warnings, deps.params)
     except AnswerParseError as exc:
         warnings.append(f"unparseable answer: {exc}")
         return None, warnings
     except ProviderError as exc:
         warnings.append(f"{_CHAT_FAILED}: {exc}")
         return None, warnings
-    return answer, warnings + parse_warnings
+    return answer, warnings
 
 
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
@@ -195,8 +195,6 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
     results: list[ItemResult] = []
     parse_failures = provider_failures = 0
     fallbacks = 0
-    warning_count = 0
-    metrics = Metrics()
     for item in sorted(items, key=lambda it: it.item_id):
         retrieved, chunk_texts = None, None
         if config.retrieval_mode != MODE_NONE:
@@ -205,7 +203,7 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
             retrieved = two_stage_retrieve(item.case_text, rdeps, rcfg)
             chunk_texts = rdeps.chunk_texts
             fallbacks += any(w.startswith(RERANK_FALLBACK) for w in retrieved.warnings)
-        answer, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts, metrics)
+        answer, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts)
         warnings = (retrieved.warnings if retrieved is not None else []) + warnings
         if answer is None:
             if warnings[-1].startswith(_CHAT_FAILED):
@@ -215,7 +213,6 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
             score, answer_json = 0.0, ""
         else:
             score, answer_json = score_item(answer, item), serialize_answer(answer)
-        warning_count += len(warnings)
         results.append(ItemResult(item_id=item.item_id, score=score, parsed=answer is not None,
                                   answer_json=answer_json, warnings=warnings))
 
@@ -227,7 +224,7 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         parse_failures=parse_failures,
         provider_failures=provider_failures,
         provider_fallbacks=fallbacks,
-        warning_count=warning_count + len(metrics.warnings),
+        warning_count=sum(len(r.warnings) for r in results),
         config={"retrieval_mode": config.retrieval_mode, "cot": config.cot,
                 "provider": config.provider_name,
                 "top_k": config.retrieval.top_k, "alpha": config.retrieval.alpha},

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -26,13 +26,6 @@ class GenerationParams:
     def __post_init__(self) -> None:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-
-
-@dataclass
-class Metrics:
-    requests: int = 0
-    retries: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 class ChatProvider(Protocol):
@@ -108,30 +101,20 @@ def _first_choice(reply) -> tuple[str, str]:
     return content, choice.get("finish_reason", "stop")
 
 
-def complete(provider: ChatProvider, messages: list[Message],
-             params: GenerationParams = GenerationParams(),
-             metrics: Metrics | None = None) -> str:
+def complete(provider: ChatProvider, messages: list[Message], warnings: list[str],
+             params: GenerationParams = GenerationParams()) -> str:
     """One completion with up to 3 retries (1s/2s/4s) on transient failures.
 
-    Auth/config (4xx) errors never retry. A truncated finish reason becomes a
-    warning on the metrics, never a silent cut.
+    Auth/config (4xx) errors never retry. A finish reason other than stop (a truncated
+    reply, say) is appended to `warnings`, never a silent cut.
     """
     if not messages:
         raise ValueError("messages must be non-empty")
     if messages[0][0] not in ("system", "user"):
         raise ValueError("first message role must be system or user")
-    metrics = metrics if metrics is not None else Metrics()
-
-    def attempt() -> tuple[str, str]:
-        metrics.requests += 1
-        return provider.send(messages, params)
-
-    def count_retry() -> None:
-        metrics.retries += 1
-
-    text, finish_reason = with_retries(attempt, count_retry)
+    text, finish_reason = with_retries(lambda: provider.send(messages, params))
     if finish_reason not in ("stop", ""):
-        metrics.warnings.append(f"completion flagged finish_reason={finish_reason!r}")
+        warnings.append(f"completion flagged finish_reason={finish_reason!r}")
     return text
 
 
@@ -159,15 +142,16 @@ COVERAGE_THRESHOLD = 0.8
 
 def _complete_repaired(provider: ChatProvider, messages: list[Message],
                        read: Callable[[str], object], repair_note: Callable[[ValueError], str],
-                       params: GenerationParams, metrics: Metrics | None):
+                       warnings: list[str], params: GenerationParams = GenerationParams()):
     """read() of the reply. When read raises ValueError, one repair turn sends the reply
-    back with repair_note(error), and read() of the second reply is returned or raises."""
-    raw = complete(provider, messages, params, metrics)
+    back with repair_note(error), and read() of the second reply is returned or raises.
+    Each reply's finish-reason warning is in `warnings` before read() sees the reply."""
+    raw = complete(provider, messages, warnings, params)
     try:
         return read(raw)
     except ValueError as exc:
         messages = messages + [("assistant", raw), ("user", repair_note(exc))]
-    return read(complete(provider, messages, params, metrics))
+    return read(complete(provider, messages, warnings, params))
 
 
 def _cleaning_json(raw: str, kind: type):
@@ -183,9 +167,7 @@ def _strip_ws(text: str) -> str:
     return "".join(text.split())
 
 
-def split_cases(provider: ChatProvider, blob: str,
-                params: GenerationParams = GenerationParams(),
-                metrics: Metrics | None = None) -> list[str]:
+def split_cases(provider: ChatProvider, blob: str, warnings: list[str]) -> list[str]:
     """Split a concatenated multi-case blob into individual case texts.
 
     The provider must return a JSON array; one repair retry re-states the format.
@@ -197,7 +179,7 @@ def split_cases(provider: ChatProvider, blob: str,
     messages: list[Message] = [("system", _SPLIT_SYSTEM),
                                ("user", blob + "\n\n" + _SPLIT_FORMAT)]
     items = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, list),
-                               lambda exc: _SPLIT_FORMAT, params, metrics)
+                               lambda exc: _SPLIT_FORMAT, warnings)
     if not items or any(not isinstance(x, str) or not x.strip() for x in items):
         raise CleaningError("cleaning output must be a non-empty array of non-empty strings")
 
@@ -211,15 +193,14 @@ def split_cases(provider: ChatProvider, blob: str,
 
 
 def extract_fields(provider: ChatProvider, raw_case: str,
-                   params: GenerationParams = GenerationParams(),
-                   metrics: Metrics | None = None) -> ClinicalCase:
+                   warnings: list[str]) -> ClinicalCase:
     """Extract structured case fields from one raw case text (case_id left empty)."""
     if not raw_case:
         raise ValueError("raw_case must be non-empty")
     messages: list[Message] = [("system", _EXTRACT_SYSTEM),
                                ("user", raw_case + "\n\n" + _EXTRACT_FORMAT)]
     obj = _complete_repaired(provider, messages, lambda raw: _cleaning_json(raw, dict),
-                             lambda exc: _EXTRACT_FORMAT, params, metrics)
+                             lambda exc: _EXTRACT_FORMAT, warnings)
 
     def text_field(key: str) -> str:
         value = obj.get(key) or ""
@@ -245,10 +226,13 @@ def extract_fields(provider: ChatProvider, raw_case: str,
 
 
 def generate_answer(provider: ChatProvider, bundle: PromptBundle, item: OptionItem,
-                    params: GenerationParams = GenerationParams(),
-                    metrics: Metrics | None = None) -> tuple[Answer, list[str]]:
-    """One completion parsed into (answer, warnings); if the answer fails to parse, exactly
-    one repair retry with the parse error appended, whose AnswerParseError propagates."""
+                    warnings: list[str], params: GenerationParams = GenerationParams()) -> Answer:
+    """One completion parsed into an answer, its parse warnings appended to `warnings`; if
+    the answer fails to parse, exactly one repair retry with the parse error appended,
+    whose AnswerParseError propagates."""
     messages: list[Message] = [("system", bundle.system_text), ("user", bundle.user_text)]
-    return _complete_repaired(provider, messages, lambda raw: parse_answer(raw, item),
-                              _ANSWER_REPAIR.format, params, metrics)
+    answer, parse_warnings = _complete_repaired(provider, messages,
+                                                lambda raw: parse_answer(raw, item),
+                                                _ANSWER_REPAIR.format, warnings, params)
+    warnings.extend(parse_warnings)
+    return answer

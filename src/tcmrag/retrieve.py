@@ -111,30 +111,24 @@ def first_stage(query_text: str, deps: RetrieverDeps,
                 cfg: RetrievalConfig) -> list[RetrievalCandidate]:
     """Pool dense and sparse top lists (per mode); fill both scores for every candidate.
 
-    Each score comes from the search list that found the candidate. A score its list
-    lacks is computed as that search scores: `VectorIndex.score` for the dense score of
-    a sparse-only candidate, the keyword index's IoU column for the sparse score of a
-    dense-only one."""
+    The search lists give membership only. Both scores of every pooled candidate come
+    from one gather per index, bit for bit the scores its searches rank by."""
     query_tokens = deps.tokenize(query_text)
     if not query_tokens:
         return []
     query_vec = embed(query_text, deps.embedder)
 
-    dense = (dict(deps.dense_index.search(query_vec, cfg.n_dense))
-             if cfg.mode in (DENSE_ONLY, HYBRID) else {})
-    sparse = (dict(deps.kw_index.search(query_tokens, cfg.n_sparse))
-              if cfg.mode in (SPARSE_ONLY, HYBRID) else {})
-    pooled = sorted(dense.keys() | sparse.keys())
-    missing = [cid for cid in pooled if cid not in dense]
-    dense_scores = (dense | dict(zip(missing, deps.dense_index.score(missing, query_vec)))
-                    if missing else dense)
-    missing = [cid for cid in pooled if cid not in sparse]
-    sparse_scores = (sparse | dict(zip(missing, deps.kw_index._score(missing, query_tokens)))
-                     if missing else sparse)
-    return [RetrievalCandidate(chunk_id=cid, dense_score=dense_scores[cid],
-                               sparse_score=sparse_scores[cid],
+    dense = ({cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)}
+             if cfg.mode in (DENSE_ONLY, HYBRID) else set())
+    sparse = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
+              if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
+    pooled = sorted(dense | sparse)
+    if not pooled:  # a zero-chunk index has no dim to score against
+        return []
+    return [RetrievalCandidate(chunk_id=cid, dense_score=d, sparse_score=s,
                                from_dense=cid in dense, from_sparse=cid in sparse)
-            for cid in pooled]
+            for cid, d, s in zip(pooled, deps.dense_index._score(pooled, query_vec),
+                                 deps.kw_index._score(pooled, query_tokens))]
 
 
 def fusion_score(cand: RetrievalCandidate, alpha: float) -> float:

@@ -44,14 +44,13 @@ def post_json(url: str, body: dict, api_key_env: str, timeout: float,
         raise TransientError(f"{url}: malformed response body: {exc!r}") from exc
 
 
-def with_retries(call: Callable[[], Any], on_retry: Callable[[], None] = lambda: None) -> Any:
+def with_retries(call: Callable[[], Any]) -> Any:
     """call(), retried after 1, 2 and 4 s on TransientError; the last failure propagates
     as a TransientError that says so."""
     for delay in BACKOFF_SECONDS:
         try:
             return call()
         except TransientError:
-            on_retry()
             sleep(delay)
     try:
         return call()

@@ -173,8 +173,8 @@ def write_canned_cleaning(path: Path, blob: str, pieces: list[str], fields: dict
 
     recorder = FnChatProvider(fn=reply)
     try:
-        for piece in split_cases(recorder, blob):
-            extract_fields(recorder, piece)
+        for piece in split_cases(recorder, blob, []):
+            extract_fields(recorder, piece, [])
     except CleaningError:
         pass  # the split was refused, so no extraction follows
     path.write_text(json.dumps(replies, ensure_ascii=False), encoding="utf-8")
@@ -233,6 +233,37 @@ def test_ingest_clean_continues_past_a_file_whose_provider_call_failed(tmp_path,
     err = capsys.readouterr().err
     assert f"ingest: cleaning failed for {raw / 'b.txt'}: no canned response for digest" in err
     assert f"ingest: failed: {raw / 'b.txt'}" in err
+
+
+CHAT_URL = "http://chat.test/v1/chat/completions"
+FLAGGED = "completion flagged finish_reason='length'"
+
+
+def truncated_chat(monkeypatch, reply) -> None:
+    """Answers every chat request with reply(messages), flagged finish_reason "length"."""
+    def post(url, json, headers, timeout):
+        assert url == CHAT_URL
+        content = reply(json["messages"])
+        return SimpleNamespace(status_code=200, json=lambda: {
+            "choices": [{"message": {"content": content}, "finish_reason": "length"}]})
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+def test_ingest_clean_prints_each_flagged_reply_and_exits_0(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    pieces = ["病案一:胃脘胀痛,嗳气吞酸。", "病案二:头晕目眩,耳鸣。"]
+    blob = " ".join(pieces)
+    (raw / "book.txt").write_text(blob, encoding="utf-8")
+    truncated_chat(monkeypatch, lambda messages: json.dumps(
+        pieces if messages[-1]["content"].startswith(blob) else CASE_FIELDS, ensure_ascii=False))
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path, chat_url=CHAT_URL)), "ingest",
+                 str(raw), str(out), "--clean"]) == 0
+    assert [c.case_id for c in load_corpus(out)] == ["book-0", "book-1"]
+    warning = f"ingest: warning: {raw / 'book.txt'}: {FLAGGED}\n"
+    assert capsys.readouterr().err == warning * 3  # one split, two extractions
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +946,48 @@ def test_query_answer_with_a_failed_chat_call_prints_the_warning_and_exits_1(
     assert "warning: chat provider failed: no canned response for digest " in err
     assert "error:" not in err
     assert not out.splitlines()[-1].startswith("{")
+
+
+@pytest.mark.parametrize("reply, listed", [
+    (EMPTY_ANSWER, [FLAGGED]),
+    ('{"clinical_features": [', [FLAGGED, FLAGGED,
+                                 "unparseable answer: no JSON object found in model output"]),
+], ids=["parseable", "unparseable"])
+def test_eval_lists_each_flagged_reply_in_its_item(workspace, tmp_path, monkeypatch, reply,
+                                                   listed):
+    truncated_chat(monkeypatch, lambda messages: reply)
+    tasks = tmp_path / "one.jsonl"
+    tasks.write_text(json.dumps(first_task(), ensure_ascii=False) + "\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["--config", str(write_config(tmp_path, chat_url=CHAT_URL)), "eval",
+                 "--tasks", str(tasks), "--out", str(out)]) == 0
+    report = json.loads((out / "report_none.json").read_text(encoding="utf-8"))
+    assert report["items"][0]["warnings"] == listed
+    assert report["warning_count"] == len(listed)
+    assert report["parse_failures"] == (len(listed) == 3)
+
+
+def test_query_answer_prints_a_flagged_reply(workspace, tmp_path, monkeypatch, capsys):
+    truncated_chat(monkeypatch, lambda messages: EMPTY_ANSWER)
+    cfg = write_config(tmp_path, chat_url=CHAT_URL)
+    assert main(query_answer_argv(cfg, workspace["hybrid"], first_task())) == 0
+    out, err = capsys.readouterr()
+    assert f"warning: {FLAGGED}\n" in err
+    assert json.loads(out.splitlines()[-1])["pathogenesis"] == []
+
+
+def test_eval_runs_a_repeated_mode_once(workspace, tmp_path, sent, capsys):
+    out = tmp_path / "r"
+    assert main(["--config", str(workspace["cfg"]), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "none",
+                 "--mode", "hybrid_jieba", "--mode", "none",
+                 "--index-hybrid", str(workspace["hybrid"]), "--out", str(out)]) == 0
+    assert len(sent) == 2 * 20
+    labels = [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("eval: ")]
+    assert labels == ["none", "hybrid_jieba"]
+    rows = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+    assert sorted(r["label"] for r in rows) == ["hybrid_jieba", "none"]
 
 
 def test_eval_three_modes_writes_reports_and_comparison(workspace, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from tcmrag.llm import (CannedChatProvider, CleaningError, FnChatProvider, GenerationParams,
-                        HttpChatProvider, Metrics, canonical_messages, complete, extract_fields,
+                        HttpChatProvider, canonical_messages, complete, extract_fields,
                         generate_answer, messages_digest, split_cases)
 from tcmrag.prompt import AnswerParseError, PromptBundle, parse_answer
 from tcmrag.transport import PermanentError, TransientError
@@ -65,52 +65,52 @@ def test_generation_params_validation():
 MSGS = [("system", "s"), ("user", "u")]
 
 
-def test_complete_returns_text_and_counts_one_request():
-    metrics = Metrics()
+def test_complete_returns_text_and_counts_one_request(slept):
+    warnings: list[str] = []
     provider = ScriptedProvider([("hi", "stop")])
-    assert complete(provider, MSGS, metrics=metrics) == "hi"
-    assert metrics.requests == 1 and metrics.retries == 0 and metrics.warnings == []
+    assert complete(provider, MSGS, warnings) == "hi"
+    assert len(provider.calls) == 1 and slept == [] and warnings == []
 
 
 def test_complete_retries_transient_then_succeeds(slept):
-    metrics = Metrics()
     provider = ScriptedProvider([TransientError("503"), TransientError("down"),
                                  ("ok", "stop")])
-    assert complete(provider, MSGS, metrics=metrics) == "ok"
-    assert metrics.requests == 3 and metrics.retries == 2
+    assert complete(provider, MSGS, []) == "ok"
+    assert len(provider.calls) == 3
     assert slept == [1.0, 2.0]
 
 
 def test_complete_exhausts_retries(slept):
-    metrics = Metrics()
     provider = ScriptedProvider([TransientError("x")] * 4)
     with pytest.raises(TransientError, match="after 3 retries"):
-        complete(provider, MSGS, metrics=metrics)
-    assert metrics.requests == 4 and metrics.retries == 3
+        complete(provider, MSGS, [])
+    assert len(provider.calls) == 4
     assert slept == [1.0, 2.0, 4.0]
 
 
 def test_complete_permanent_error_never_retries(slept):
-    metrics = Metrics()
     provider = ScriptedProvider([PermanentError("HTTP 401")])
     with pytest.raises(PermanentError, match="401"):
-        complete(provider, MSGS, metrics=metrics)
-    assert metrics.requests == 1 and metrics.retries == 0 and slept == []
+        complete(provider, MSGS, [])
+    assert len(provider.calls) == 1 and slept == []
 
 
 def test_complete_flags_truncated_finish_reason():
-    metrics = Metrics()
-    provider = ScriptedProvider([("partial", "length")])
-    assert complete(provider, MSGS, metrics=metrics) == "partial"
-    assert any("length" in w for w in metrics.warnings)
+    warnings = ["earlier"]
+    provider = ScriptedProvider([("partial", "length"), ("whole", ""), ("whole", "stop")])
+    assert complete(provider, MSGS, warnings) == "partial"
+    assert warnings == ["earlier", "completion flagged finish_reason='length'"]
+    for _ in range(2):  # finish reasons "" and "stop" are not flagged
+        assert complete(provider, MSGS, warnings) == "whole"
+    assert len(warnings) == 2
 
 
 def test_complete_rejects_bad_message_lists():
     provider = ScriptedProvider([("x", "stop")])
     with pytest.raises(ValueError):
-        complete(provider, [])
+        complete(provider, [], [])
     with pytest.raises(ValueError):
-        complete(provider, [("assistant", "x")])
+        complete(provider, [("assistant", "x")], [])
 
 
 def test_http_provider_error_mapping(monkeypatch):
@@ -156,16 +156,15 @@ BLOB = "某男，胃痛三年。处以柴胡疏肝散。又某女，头晕一月
 def test_split_cases_happy_path():
     pieces = ["某男，胃痛三年。处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。"]
     provider = ScriptedProvider([(json.dumps(pieces, ensure_ascii=False), "stop")])
-    assert split_cases(provider, BLOB) == pieces
+    assert split_cases(provider, BLOB, []) == pieces
 
 
 def test_split_cases_repairs_malformed_output_once():
     pieces = ["某男，胃痛三年。处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。"]
     provider = ScriptedProvider([("抱歉，这里没有数组。", "stop"),
                                  (json.dumps(pieces, ensure_ascii=False), "stop")])
-    metrics = Metrics()
-    assert split_cases(provider, BLOB, metrics=metrics) == pieces
-    assert metrics.requests == 2
+    assert split_cases(provider, BLOB, []) == pieces
+    assert len(provider.calls) == 2
     # the repair turn carries the previous bad output back to the model
     assert provider.calls[1][2] == ("assistant", "抱歉，这里没有数组。")
 
@@ -173,7 +172,7 @@ def test_split_cases_repairs_malformed_output_once():
 def test_split_cases_second_malformed_output_fails():
     provider = ScriptedProvider([("没有", "stop"), ("还是没有", "stop")])
     with pytest.raises(CleaningError, match="no JSON array"):
-        split_cases(provider, BLOB)
+        split_cases(provider, BLOB, [])
 
 
 def test_split_cases_coverage_guard_rejects_rewrites():
@@ -181,20 +180,20 @@ def test_split_cases_coverage_guard_rejects_rewrites():
     rewritten = ["男性患者胃部不适。", "女性患者眩晕。"]
     provider = ScriptedProvider([(json.dumps(rewritten, ensure_ascii=False), "stop")])
     with pytest.raises(CleaningError, match="coverage guard"):
-        split_cases(provider, BLOB)
+        split_cases(provider, BLOB, [])
 
 
 def test_split_cases_coverage_ignores_whitespace():
     pieces = ["某男，胃痛三年。 处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。\n"]
     provider = ScriptedProvider([(json.dumps(pieces, ensure_ascii=False), "stop")])
-    got = split_cases(provider, BLOB)
+    got = split_cases(provider, BLOB, [])
     assert got[1] == "又某女，头晕一月。处以天麻钩藤饮。"
 
 
 def test_split_cases_rejects_empty_strings():
     provider = ScriptedProvider([(json.dumps(["ok", " "]), "stop")])
     with pytest.raises(CleaningError, match="non-empty"):
-        split_cases(provider, BLOB)
+        split_cases(provider, BLOB, [])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def extraction(**overrides):
 
 def test_extract_fields_happy_path():
     provider = ScriptedProvider([(extraction(), "stop")])
-    case = extract_fields(provider, RAW_CASE)
+    case = extract_fields(provider, RAW_CASE, [])
     assert case.case_id == ""
     assert case.raw_text == RAW_CASE
     assert case.clinical_info == "症见胃脘胀痛，嗳气吞酸。"
@@ -228,7 +227,7 @@ def test_extract_fields_happy_path():
 def test_extract_fields_optional_fields_default_empty():
     provider = ScriptedProvider([(extraction(patient_background=None, pathogenesis=None,
                                              syndromes=None, doctor_notes=None), "stop")])
-    case = extract_fields(provider, RAW_CASE)
+    case = extract_fields(provider, RAW_CASE, [])
     assert case.patient_background == ""
     assert case.pathogenesis == ""
     assert case.syndromes == []
@@ -237,12 +236,12 @@ def test_extract_fields_optional_fields_default_empty():
 def test_extract_fields_requires_clinical_info():
     provider = ScriptedProvider([(extraction(clinical_info="  "), "stop")])
     with pytest.raises(CleaningError, match="clinical_info"):
-        extract_fields(provider, RAW_CASE)
+        extract_fields(provider, RAW_CASE, [])
 
 
 def test_extract_fields_repairs_once():
     provider = ScriptedProvider([("无结构输出", "stop"), (extraction(), "stop")])
-    case = extract_fields(provider, RAW_CASE)
+    case = extract_fields(provider, RAW_CASE, [])
     assert case.clinical_info
     assert len(provider.calls) == 2
 
@@ -250,7 +249,7 @@ def test_extract_fields_repairs_once():
 def test_extract_fields_bad_syndromes_type():
     provider = ScriptedProvider([(extraction(syndromes="肝胃不和"), "stop")])
     with pytest.raises(CleaningError, match="syndromes"):
-        extract_fields(provider, RAW_CASE)
+        extract_fields(provider, RAW_CASE, [])
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +273,15 @@ GOOD = json.dumps({"clinical_features": [], "pathogenesis": ["肝气犯胃"],
 
 def test_generate_answer_no_repair_when_parse_succeeds():
     provider = ScriptedProvider([(GOOD, "stop")])
-    answer, warnings = generate_answer(provider, bundle(), Item())
+    warnings: list[str] = []
+    answer = generate_answer(provider, bundle(), Item(), warnings)
     assert answer == parse_answer(GOOD, Item())[0] and warnings == []
     assert len(provider.calls) == 1
 
 
 def test_generate_answer_repairs_once_and_appends_error():
     provider = ScriptedProvider([("不是JSON", "stop"), (GOOD, "stop")])
-    answer, _ = generate_answer(provider, bundle(), Item())
+    answer = generate_answer(provider, bundle(), Item(), [])
     assert answer.syndromes == ["肝胃不和证"]
     assert len(provider.calls) == 2
     repair_msgs = provider.calls[1]
@@ -292,8 +292,40 @@ def test_generate_answer_repairs_once_and_appends_error():
 def test_generate_answer_raises_second_parse_error():
     provider = ScriptedProvider([("坏1", "stop"), ("坏2", "stop")])
     with pytest.raises(AnswerParseError, match="no JSON object"):
-        generate_answer(provider, bundle(), Item())
+        generate_answer(provider, bundle(), Item(), [])
     assert len(provider.calls) == 2
+
+
+FLAGGED = "completion flagged finish_reason='length'"
+
+
+def test_a_truncated_reply_is_flagged_before_its_parse_warnings():
+    # an option the item does not offer is dropped with a parse warning
+    reply = GOOD.replace("肝胃不和证", "未列证型")
+    warnings: list[str] = []
+    answer = generate_answer(ScriptedProvider([(reply, "length")]), bundle(), Item(), warnings)
+    assert answer.syndromes == []
+    assert warnings[0] == FLAGGED and len(warnings) == 2
+
+
+@pytest.mark.parametrize("second", [("坏2", "length"), PermanentError("HTTP 401")],
+                         ids=["unparseable", "provider error"])
+def test_a_truncated_reply_is_flagged_before_a_later_error_is_raised(second):
+    warnings: list[str] = []
+    provider = ScriptedProvider([("坏1", "length"), second])
+    with pytest.raises((AnswerParseError, PermanentError)):
+        generate_answer(provider, bundle(), Item(), warnings)
+    assert warnings == [FLAGGED] * (1 + isinstance(second, tuple))
+
+
+def test_cleaning_steps_flag_truncated_replies():
+    pieces = ["某男，胃痛三年。处以柴胡疏肝散。", "又某女，头晕一月。处以天麻钩藤饮。"]
+    provider = ScriptedProvider([(json.dumps(pieces, ensure_ascii=False), "length"),
+                                 ("无结构输出", "length"), (extraction(), "stop")])
+    warnings: list[str] = []
+    assert split_cases(provider, BLOB, warnings) == pieces
+    assert extract_fields(provider, pieces[0], warnings).clinical_info
+    assert warnings == [FLAGGED, FLAGGED]
 
 
 def test_fn_provider_is_deterministic():

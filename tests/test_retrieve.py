@@ -120,6 +120,17 @@ def test_first_stage_respects_pool_sizes():
     assert [c.chunk_id for c in pool] == ["c1#0"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_first_stage_over_a_zero_chunk_index_is_empty(mode):
+    tokenize = lambda text: set(text.split())
+    embedder = StubEmbedProvider(tokenize=tokenize, dim=DIM)
+    dense_index, kw_index = engine.build_indexes([], tokenize, embedder)
+    assert dense_index.dim is None  # nothing to score a query against
+    deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
+                         kw_index=kw_index, chunk_texts={})
+    assert first_stage(f"{A} {B}", deps, RetrievalConfig(mode=mode)) == []
+
+
 def unit(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     return values / np.linalg.norm(values)
@@ -207,8 +218,8 @@ small_vectors = st.lists(st.integers(0, 2), min_size=6, max_size=6).filter(any)
 def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tokens, mode,
                                                  n_dense, n_sparse):
     """Small integer vectors and few tokens give many ties. Each pooled candidate
-    carries, compared with ==, the score its search list gave it; a score missing from
-    the lists is `score([id])` or `iou_score`, which equal what a search would give."""
+    carries, compared with ==, the score its search list gave it, and each of its scores
+    is `_score([id])` or `iou_score`, which equal what a search would give."""
     ids = [f"c{i:02d}#0" for i in range(len(chunks))][::-1]  # rows out of chunk_id order
     rows = {cid: np.array(v, dtype=np.float64) for cid, (v, _) in zip(ids, chunks)}
     docs = {cid: toks for cid, (_, toks) in zip(ids, chunks)}
@@ -222,7 +233,7 @@ def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tok
     assert [c.chunk_id for c in pool] == sorted(dense.keys() | sparse.keys())
     for c in pool:
         assert (c.from_dense, c.from_sparse) == (c.chunk_id in dense, c.chunk_id in sparse)
-        assert [c.dense_score] == deps.dense_index.score([c.chunk_id], q)
+        assert [c.dense_score] == deps.dense_index._score([c.chunk_id], q)
         assert c.sparse_score == iou_score(query_tokens, docs[c.chunk_id])
         if c.from_dense:
             assert c.dense_score == dense[c.chunk_id]
@@ -545,7 +556,7 @@ def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sampl
     for c in chunks:
         # an IoU of 1 with the expected token set: the row holds exactly that set
         assert kw_index._score([c.chunk_id], token_set(real_cut(c.text, lexicon, hmm))) == [1.0]
-        assert dense_index.score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
+        assert dense_index._score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
 
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts={c.chunk_id: c.text for c in chunks})

@@ -7,7 +7,7 @@ import requests
 
 from tcmrag import transport
 from tcmrag.dense import HttpEmbedProvider
-from tcmrag.llm import CannedChatProvider, HttpChatProvider, Metrics, complete, messages_digest
+from tcmrag.llm import CannedChatProvider, HttpChatProvider, complete, messages_digest
 from tcmrag.retrieve import HttpRerankProvider
 
 EMBED_URL = "http://embed.test/v1/embeddings"
@@ -16,20 +16,20 @@ CHAT_URL = "http://chat.test/v1/chat/completions"
 MSGS = [("system", "s"), ("user", "u")]
 
 
-def embed_call(metrics):
+def embed_call():
     return HttpEmbedProvider(url=EMBED_URL, model="m").embed_raw("文本")
 
 
-def rerank_call(metrics):
+def rerank_call():
     return HttpRerankProvider(url=RERANK_URL, model="m").rerank("问", ["甲", "乙"])
 
 
-def chat_call(metrics):
-    return complete(HttpChatProvider(url=CHAT_URL, model="m"), MSGS, metrics=metrics)
+def chat_call():
+    return complete(HttpChatProvider(url=CHAT_URL, model="m"), MSGS, [])
 
 
-def canned_call(metrics):
-    return complete(CannedChatProvider(responses={}), MSGS, metrics=metrics)
+def canned_call():
+    return complete(CannedChatProvider(responses={}), MSGS, [])
 
 
 # Each failure: the call, the reply every request gets (or the exception it raises), the
@@ -66,13 +66,10 @@ def test_every_provider_failure_is_one_provider_error(case, monkeypatch, slept):
         return SimpleNamespace(status_code=reply[0], json=lambda: reply[1])
 
     monkeypatch.setattr(requests, "post", post)
-    metrics = Metrics()
     with pytest.raises(transport.ProviderError) as exc:
-        call(metrics)
+        call()
     assert type(exc.value) is kind
     assert named in str(exc.value)
     assert ("after 3 retries" in str(exc.value)) == (requests_sent == 4)
-    assert len(posted) == requests_sent
-    assert slept == delays
-    if call is chat_call:  # complete counts each request and each retry
-        assert (metrics.requests, metrics.retries) == (requests_sent, len(delays))
+    assert len(posted) == requests_sent  # each request
+    assert slept == delays  # each retry

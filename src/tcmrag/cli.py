@@ -177,16 +177,17 @@ def cmd_ingest(cfg: AppConfig, args) -> int:
                 pathogenesis="", syndromes=[], source=str(path), raw_text=text))
             continue
         warnings: list[str] = []
-        try:
+        try:  # a file adds its cases only when every one of them cleans
             pieces = split_cases(provider, text, warnings)
-            for i, piece in enumerate(pieces):
-                case = extract_fields(provider, piece, warnings)
-                case.case_id = f"{path.stem}-{i}"
-                case.source = str(path)
-                cases.append(case)
+            file_cases = [extract_fields(provider, piece, warnings) for piece in pieces]
         except (CleaningError, ProviderError) as exc:
             failures.append(str(path))
             print(f"ingest: cleaning failed for {path}: {exc}", file=sys.stderr)
+        else:
+            for i, case in enumerate(file_cases):
+                case.case_id = f"{path.stem}-{i}"
+                case.source = str(path)
+            cases += file_cases
         finally:
             for warning in warnings:
                 print(f"ingest: warning: {path}: {warning}", file=sys.stderr)

@@ -16,16 +16,17 @@ from .sparse import KeywordIndex
 
 def make_tokenizer(lex: Lexicon, hmm: HmmModel | None = None) -> Callable[[str], set[str]]:
     """text -> token set. It remembers its last text, so the keyword index and a stub
-    embedder sharing it cut each text once; callers must not mutate the returned set.
-    Across texts, `cut` cuts each distinct CJK run once per `lex` object and `hmm` (the
-    run memo on `lex`), so a tokenizer and `chunk_corpus` given the same `lex` share it."""
+    embedder sharing it tokenize each text once; callers must not mutate the returned set.
+    Across texts, `token_set` and `cut` cut each distinct CJK run once per `lex` object and
+    `hmm` (the run memo on `lex`), so a tokenizer and `chunk_corpus` given the same `lex`
+    share it."""
     last_text: str | None = None
     last_tokens: set[str] = set()
 
     def tokenize(text: str) -> set[str]:
         nonlocal last_text, last_tokens
         if text != last_text:
-            last_tokens, last_text = token_set(cut(text, lex, hmm)), text
+            last_tokens, last_text = token_set(text, lex, hmm), text
         return last_tokens
     return tokenize
 

@@ -29,14 +29,19 @@ DEFAULT_UNSEEN_EMIT_LOGP = -16.0
 # Most distinct CJK runs a Lexicon's run memo holds; it is emptied when full.
 _RUN_MEMO_LIMIT = 4096
 
+# One memo entry: a CJK run's tokens, spans relative to the run, and their texts. The
+# texts are a tuple, not a frozenset: as fast to add to a set, and a quarter the memory.
+_MemoEntry = tuple[tuple[tuple[str, tuple[int, int]], ...], tuple[str, ...]]
+
 
 @dataclass
 class Lexicon:
     entries: dict[str, int]   # word -> frequency; prefixes of real words present with 0
     total: int
     log_total: float
-    # (CJK run, HMM or None) -> the run's tokens, spans relative to the run; see cut
-    _runs: dict[tuple[str, HmmModel | None], tuple[tuple[str, tuple[int, int]], ...]] = field(
+    # (CJK run, HMM or None) -> the run's tokens with spans relative to the run, and their
+    # texts; see cut and token_set
+    _runs: dict[tuple[str, HmmModel | None], _MemoEntry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -201,6 +206,8 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
 # A CJK run (group 1: U+3400-U+4DBF and U+4E00-U+9FFF), an ASCII letter/digit run,
 # or any other single character.
 _PIECE = re.compile(r"([\u3400-\u4dbf\u4e00-\u9fff]+)|[0-9A-Za-z]+|.", re.S)
+# _PIECE's runs alone: what is left of a text without them is its one-character tokens.
+_RUN = re.compile(r"[\u3400-\u4dbf\u4e00-\u9fff]+|[0-9A-Za-z]+")
 
 
 def _cut_cjk(block: str, lex: Lexicon,
@@ -227,28 +234,34 @@ def _cut_cjk(block: str, lex: Lexicon,
     return tokens
 
 
+def _memo_run(block: str, lex: Lexicon, hmm: HmmModel | None) -> _MemoEntry:
+    """Cut one CJK run and keep it in the run memo on `lex`, emptied when full."""
+    runs = lex._runs
+    if len(runs) >= _RUN_MEMO_LIMIT:
+        runs.clear()
+    tokens = tuple(_cut_cjk(block, lex, hmm))
+    entry = runs[block, hmm] = (tokens, tuple(text for text, _ in tokens))
+    return entry
+
+
 def cut(sentence: str, lex: Lexicon, hmm: HmmModel | None = None) -> SegmentationResult:
     """Segment a sentence: dictionary DP over CJK runs, HMM over unknown runs. Outside
     CJK runs an ASCII letter/digit run is one token and any other character is its own.
 
     Each distinct CJK run is cut once per lexicon object and HMM: its tokens, with spans
     relative to the run, are kept in a memo on `lex` (at most _RUN_MEMO_LIMIT runs,
-    emptied when full) and shifted by the run's start. This is exact because `_PIECE`
-    ends a run at every non-CJK character, so a run's tokens never depend on its
-    neighbours. Do not change `lex` or `hmm` in place after cutting with them."""
+    emptied when full, shared with token_set) and shifted by the run's start. This is
+    exact because `_PIECE` ends a run at every non-CJK character, so a run's tokens never
+    depend on its neighbours. Do not change `lex` or `hmm` in place after cutting with
+    them."""
     runs = lex._runs
     tokens: list[tuple[str, tuple[int, int]]] = []
     for m in _PIECE.finditer(sentence):
         block = m.group(1)
         if block:
-            key = (block, hmm)
-            run = runs.get(key)
-            if run is None:
-                if len(runs) >= _RUN_MEMO_LIMIT:
-                    runs.clear()
-                run = runs[key] = tuple(_cut_cjk(block, lex, hmm))
+            run = runs.get((block, hmm)) or _memo_run(block, lex, hmm)
             base = m.start()
-            tokens += [(text, (base + s, base + e)) for text, (s, e) in run]
+            tokens += [(text, (base + s, base + e)) for text, (s, e) in run[0]]
         else:
             tokens.append((m.group(), m.span()))
     return SegmentationResult(tokens=tokens)
@@ -258,7 +271,21 @@ def _is_ignorable(token: str) -> bool:
     return all(ch.isspace() or unicodedata.category(ch)[0] in "PS" for ch in token)
 
 
-def token_set(result: SegmentationResult) -> set[str]:
-    """Distinct token texts, dropping pure punctuation/whitespace tokens. Each distinct
-    text is checked once, however often it occurs."""
-    return {text for text in {text for text, _ in result.tokens} if not _is_ignorable(text)}
+def token_set(text: str, lex: Lexicon, hmm: HmmModel | None = None) -> set[str]:
+    """The distinct token texts of `cut(text, lex, hmm)`, less those that are only
+    punctuation or whitespace, read from the text without making spans.
+
+    An ASCII letter/digit run is a token as it stands, and a CJK run adds the texts of
+    its entry in the run memo `cut` shares. Neither is ever dropped: an ASCII run is
+    letters and digits, and every token of a CJK run, dictionary or HMM, is made of
+    CJK-range characters, which are letters or unassigned, never punctuation, symbols or
+    whitespace. Every other character is a token of its own, so only those are checked,
+    each distinct one once."""
+    runs = lex._runs
+    tokens = {ch for ch in set(_RUN.sub("", text)) if not _is_ignorable(ch)}
+    for block in _RUN.findall(text):
+        if block.isascii():
+            tokens.add(block)
+        else:
+            tokens.update((runs.get((block, hmm)) or _memo_run(block, lex, hmm))[1])
+    return tokens

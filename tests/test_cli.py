@@ -235,6 +235,30 @@ def test_ingest_clean_continues_past_a_file_whose_provider_call_failed(tmp_path,
     assert f"ingest: failed: {raw / 'b.txt'}" in err
 
 
+def test_ingest_clean_adds_no_case_of_a_file_that_fails_part_way(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    pieces = ["病案一:胃脘胀痛,嗳气吞酸。", "病案二:头晕目眩,耳鸣。"]
+    (raw / "book.txt").write_text(" ".join(pieces), encoding="utf-8")
+    both = write_canned_cleaning(tmp_path / "both.json", " ".join(pieces), pieces, CASE_FIELDS)
+    # the second piece's own cleaning holds its extraction, which the canned file lacks
+    second = write_canned_cleaning(tmp_path / "second.json", pieces[1], pieces[1:],
+                                   CASE_FIELDS)
+    replies = json.loads(both.read_text(encoding="utf-8"))
+    for digest in json.loads(second.read_text(encoding="utf-8")):
+        replies.pop(digest, None)
+    assert len(replies) == 2  # the split and the first piece's extraction
+    canned = tmp_path / "canned.json"
+    canned.write_text(json.dumps(replies, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out),
+                 "--clean", "--chat", "canned", "--canned", str(canned)]) == 1
+    assert load_corpus(out) == []
+    captured = capsys.readouterr()
+    assert "wrote 0 cases" in captured.out
+    assert f"ingest: failed: {raw / 'book.txt'}" in captured.err
+
+
 CHAT_URL = "http://chat.test/v1/chat/completions"
 FLAGGED = "completion flagged finish_reason='length'"
 

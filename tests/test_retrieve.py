@@ -14,7 +14,7 @@ from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_
                              HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
                              RetrieverDeps, first_stage, fusion_score, parent_case_id,
                              prompt_context, rerank, two_stage_retrieve)
-from tcmrag.segment import token_set
+from tcmrag.segment import _is_ignorable, cut
 from tcmrag.sparse import KeywordIndex, iou_score
 from tcmrag.transport import ProviderError
 
@@ -536,35 +536,36 @@ def test_http_rerank_valid_reply_ranks_by_provider_scores(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One cut per text
+# One tokenization per text
 # ---------------------------------------------------------------------------
 
 def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sample_cases):
-    real_cut = engine.cut
-    cut_texts: list[str] = []
+    real_token_set = engine.token_set
+    tokenized: list[str] = []
 
-    def counting_cut(text, lex, hmm=None):
-        cut_texts.append(text)
-        return real_cut(text, lex, hmm)
+    def counting_token_set(text, lex, hmm=None):
+        tokenized.append(text)
+        return real_token_set(text, lex, hmm)
 
     chunks = engine.chunk_corpus(sample_cases, TOKEN_CHUNK, lexicon, hmm)
-    monkeypatch.setattr(engine, "cut", counting_cut)
+    monkeypatch.setattr(engine, "token_set", counting_token_set)
     tokenize = engine.make_tokenizer(lexicon, hmm)
     embedder = StubEmbedProvider(tokenize=tokenize)
     dense_index, kw_index = engine.build_indexes(chunks, tokenize, embedder)
-    assert cut_texts == [c.text for c in chunks]
+    assert tokenized == [c.text for c in chunks]
     for c in chunks:
-        # an IoU of 1 with the expected token set: the row holds exactly that set
-        assert kw_index._score([c.chunk_id], token_set(real_cut(c.text, lexicon, hmm))) == [1.0]
+        # an IoU of 1 with the set cut gives: the row holds exactly that set
+        expected = {t for t, _ in cut(c.text, lexicon, hmm).tokens if not _is_ignorable(t)}
+        assert kw_index._score([c.chunk_id], expected) == [1.0]
         assert dense_index._score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
 
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts={c.chunk_id: c.text for c in chunks})
     for query in ("胃脘胀痛，嗳气吞酸", "？？"):
-        cut_texts.clear()
+        tokenized.clear()
         first_stage(query, deps, RetrievalConfig())
         two_stage_retrieve(query, deps, RetrievalConfig())
-        assert cut_texts == [query]
+        assert tokenized == [query]
 
 
 # ---------------------------------------------------------------------------

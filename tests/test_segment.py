@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from tcmrag import segment
 from tcmrag.segment import (TIE_TOLERANCE, HmmModel, HmmModelError, Lexicon, LexiconError,
-                            SegmentationResult, build_lexicon, cut, load_hmm, load_lexicon,
-                            max_prob_route, token_set, viterbi)
+                            build_lexicon, cut, load_hmm, load_lexicon, max_prob_route,
+                            token_set, viterbi)
 
 # ---------------------------------------------------------------------------
 # Oracles: brute-force enumeration, independent of the DP/Viterbi code paths
@@ -395,12 +395,31 @@ def test_cut_non_cjk_tokens_follow_the_rule(lexicon, hmm, text):
 
 
 def test_token_set_drops_punct_and_dupes():
-    result = SegmentationResult(tokens=[("中医", (0, 2)), ("，", (2, 3)), ("中医", (3, 5))])
-    assert token_set(result) == {"中医"}
-    assert token_set(SegmentationResult(tokens=[])) == set()
-    result = SegmentationResult(
-        tokens=[("a", (0, 1)), ("b", (1, 2)), ("a", (2, 3)), ("。", (3, 4))])
-    assert token_set(result) == {"a", "b"}
+    lex = build_lexicon([("中医", 5)])
+    assert token_set("中医，中医", lex) == {"中医"}
+    assert token_set("", lex) == set()
+    assert token_set("？？ 。", lex) == set()
+    assert token_set("a，b a。", lex) == {"a", "b"}
+
+
+def test_no_cjk_range_character_is_ignorable():
+    # token_set keeps every token of a CJK run unchecked on this fact
+    chars = [chr(c) for lo, hi in ((0x3400, 0x4DC0), (0x4E00, 0xA000)) for c in range(lo, hi)]
+    assert not any(map(segment._is_ignorable, chars))
+
+
+def cut_token_set(text: str, lex: Lexicon, hmm: HmmModel | None) -> set[str]:
+    """The documented token set, from cut's tokens."""
+    return {t for t, _ in cut(text, lex, hmm).tokens if not segment._is_ignorable(t)}
+
+
+@given(st.text(alphabet="中医药方㏿㐀䶿䷀一鿿ꀀ\U00020000aZ09_Ａ１é²٣，。 \t\r\n", max_size=40),
+       st.booleans())
+def test_token_set_is_the_set_of_cut_tokens(lexicon, hmm, text, use_hmm):
+    model = hmm if use_hmm else None
+    want = cut_token_set(text, cold(lexicon), model)
+    assert token_set(text, cold(lexicon), model) == want
+    assert token_set(text, lexicon, model) == want  # warm: the fixture is shared
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +483,30 @@ def test_run_memo_never_exceeds_its_bound(lexicon):
         text = "，".join(runs[i:i + 500])
         assert cut(text, lex).tokens == cut(text, cold(lexicon)).tokens
         assert 0 < len(lex._runs) <= segment._RUN_MEMO_LIMIT
+    lex = cold(lexicon)
+    for i in range(0, len(runs), 500):
+        text = "，".join(runs[i:i + 500])
+        assert token_set(text, lex) == cut_token_set(text, cold(lexicon), None)
+        assert 0 < len(lex._runs) <= segment._RUN_MEMO_LIMIT
+
+
+@pytest.mark.parametrize("cut_first", [True, False])
+def test_cut_and_token_set_cut_each_run_once(monkeypatch, lexicon, hmm, cut_first):
+    cut_runs: list[str] = []
+    real_cut_cjk = segment._cut_cjk
+
+    def counting_cut_cjk(block, lex, model):
+        cut_runs.append(block)
+        return real_cut_cjk(block, lex, model)
+
+    monkeypatch.setattr(segment, "_cut_cjk", counting_cut_cjk)
+    lex = cold(lexicon)
+    text = "胃脘胀痛龘风寒，舌红abc胃脘胀痛龘风寒。"
+    steps = [lambda: cut(text, lex, hmm), lambda: token_set(text, lex, hmm)]
+    for step in (steps if cut_first else steps[::-1]) * 2:
+        step()
+    assert sorted(cut_runs) == ["胃脘胀痛龘风寒", "舌红"]
+    assert token_set(text, lex, hmm) == cut_token_set(text, lex, hmm)
 
 
 @pytest.mark.parametrize("text", ["胃脘胀痛龘风寒", "胃脘胀痛龘风寒，胃脘胀痛龘风寒"])

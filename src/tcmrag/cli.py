@@ -358,7 +358,8 @@ def cmd_eval(cfg: AppConfig, args) -> int:
             path.write_text(report.to_json(), encoding="utf-8")
             print(f"eval: {report.label}: aggregate={report.aggregate:.2f} "
                   f"parse_failures={report.parse_failures} "
-                  f"provider_failures={report.provider_failures} -> {path}")
+                  f"provider_failures={report.provider_failures} "
+                  f"prompt_failures={report.prompt_failures} -> {path}")
         if len(reports) >= 2:
             table, rows = ev.compare_runs(reports)
             (out_dir / "comparison.txt").write_text(table, encoding="utf-8")
@@ -366,8 +367,9 @@ def cmd_eval(cfg: AppConfig, args) -> int:
                 json.dumps(rows, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                 encoding="utf-8")
             print(table, end="")
-        # every report is written first, so one failed chat call costs its item only
-        return EXIT_RUNTIME if any(r.provider_failures for r in reports) else EXIT_OK
+        # every report is written first, so a failed chat call or prompt costs its item only
+        failed = any(r.provider_failures or r.prompt_failures for r in reports)
+        return EXIT_RUNTIME if failed else EXIT_OK
     finally:
         lock.unlink(missing_ok=True)
 

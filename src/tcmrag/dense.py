@@ -9,6 +9,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .sparse import _top_rows
 from .transport import post_json, with_retries
 
 
@@ -26,7 +27,7 @@ _MAGIC = b"TCMRAGVIDX\x00\x00"
 _VERSION = 2
 # magic, version, dim, row count, byte length of the ids' JSON array; then that array
 # (UTF-8) and the rows as one count x dim block of little-endian float64, both in chunk_id
-# order (files written before that order was kept still load, sorted on loading)
+# order, which `load` checks
 _HEADER = struct.Struct("<12sIIIQ")
 
 
@@ -124,16 +125,6 @@ def embed(text: str, provider: EmbedProvider) -> np.ndarray:
         raise EmbeddingError(f"provider returned an unusable vector: {exc}") from exc
 
 
-def _id_order(ids: list[str]) -> list[int]:
-    """The rows of `ids` in chunk_id order: row r of the sorted index is row order[r]
-    here. Raises EmbeddingError naming a repeated chunk id."""
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if ids[a] == ids[b]:
-            raise EmbeddingError(f"duplicate chunk_id {ids[a]!r}")
-    return order
-
-
 class VectorIndex:
     """Exact flat index over unit vectors; cosine equals dot product. Row r of `matrix`
     (count x dim float64) holds ids[r], and the ids are in chunk_id order, in memory as
@@ -165,11 +156,8 @@ class VectorIndex:
         if not self.ids:
             return []
         scores = self._row_scores(self._matrix, query)
-        floor = np.partition(scores, -n)[-n] if n < len(scores) else -np.inf
-        rows = np.flatnonzero(scores >= floor)  # every row tied with the n-th best stays in
-        ranked = sorted(zip(scores[rows].tolist(), [self.ids[r] for r in rows.tolist()]),
-                        key=lambda x: (-x[0], x[1]))
-        return [(cid, s) for s, cid in ranked[:n]]
+        top = _top_rows(scores, n)
+        return list(zip([self.ids[r] for r in top.tolist()], scores[top].tolist()))
 
     def save(self, path: str | Path) -> None:
         ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
@@ -202,16 +190,10 @@ class VectorIndex:
             except ValueError as exc:
                 raise EmbeddingError(f"{path}: chunk ids are not a JSON array: {exc}") from exc
             if not (isinstance(ids, list) and all(isinstance(cid, str) for cid in ids)
-                    and len(ids) == count):
-                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings")
-            try:
-                order = _id_order(ids)
-            except EmbeddingError as exc:
-                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings: "
-                                     f"{exc}") from exc
+                    and len(ids) == count and all(a < b for a, b in zip(ids, ids[1:]))):
+                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings "
+                                     f"in chunk_id order")
             matrix = np.empty((count, dim), dtype="<f8")
             if fh.readinto(matrix) != matrix.nbytes:  # shrank since the stat
                 raise EmbeddingError(f"{path}: truncated vector index file")
-        if order != list(range(count)):  # rows in the order they were built: sort them once
-            ids, matrix = [ids[r] for r in order], matrix[order]
         return cls(ids, matrix)

@@ -8,7 +8,7 @@ import numpy as np
 from .corpus import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP, DEFAULT_OVERLAP_TOKENS,
                      DEFAULT_WINDOW, OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
                      case_document, chunk_by_tokens, chunk_overlap)
-from .dense import EmbeddingError, EmbedProvider, VectorIndex, _id_order, embed
+from .dense import EmbeddingError, EmbedProvider, VectorIndex, embed
 from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
 from .sparse import KeywordIndex
@@ -56,7 +56,10 @@ def build_indexes(chunks: list[Chunk], tokenize: Callable[[str], set[str]],
     come in. Each chunk is embedded into one preallocated matrix and its token set streamed
     into the keyword columns, so no set per chunk is kept. Raises EmbeddingError naming a
     repeated chunk id, or a chunk that cannot be embedded or whose dim differs."""
-    chunks = [chunks[r] for r in _id_order([c.chunk_id for c in chunks])]
+    chunks = sorted(chunks, key=lambda c: c.chunk_id)
+    for a, b in zip(chunks, chunks[1:]):
+        if a.chunk_id == b.chunk_id:
+            raise EmbeddingError(f"duplicate chunk_id {a.chunk_id!r}")
     matrix = np.empty((0, 0), dtype="<f8")
 
     def rows():

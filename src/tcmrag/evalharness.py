@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .corpus import ClinicalCase, _read_records
 from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
-from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, TemplateSet,
-                     build_prompt, serialize_answer)
+from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, PromptError,
+                     TemplateSet, build_prompt, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
                        RetrieverDeps, parent_case_id, prompt_context, two_stage_retrieve)
 from .sparse import iou_score
@@ -25,6 +25,7 @@ _STAGE1_MODE = {MODE_NAIVE_RAG: DENSE_ONLY, MODE_HYBRID_JIEBA: HYBRID}
 
 METRIC_NOTE = "artifact metric: 100 x mean of (Jaccard(pathogenesis)/2 + Jaccard(syndromes)/2)"
 _CHAT_FAILED = "chat provider failed"
+_PROMPT_FAILED = "prompt not built"
 
 
 class TaskError(ValueError):
@@ -92,6 +93,7 @@ class ScoreReport:
     items: list[ItemResult]
     parse_failures: int
     provider_failures: int
+    prompt_failures: int
     provider_fallbacks: int
     warning_count: int
     config: dict
@@ -103,6 +105,7 @@ class ScoreReport:
             "aggregate": self.aggregate,
             "parse_failures": self.parse_failures,
             "provider_failures": self.provider_failures,
+            "prompt_failures": self.prompt_failures,
             "provider_fallbacks": self.provider_fallbacks,
             "warning_count": self.warning_count,
             "config": self.config,
@@ -162,20 +165,23 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
                 retrieved: RetrievalResult | None = None,
                 chunk_texts: dict[str, str] | None = None) -> tuple[Answer | None, list[str]]:
     """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one parsed
-    answer, or None with an "unparseable answer" warning when even the repaired reply does
-    not parse, or a "chat provider failed" one naming the provider error; either comes
-    last. Warns when a retrieval ran (`retrieved` not None) but found nothing, and for each
-    reply with a finish reason other than stop."""
+    answer, or None with a last warning that says why: "unparseable answer" (even the
+    repaired reply does not parse), "chat provider failed" or "prompt not built" (over the
+    budget with every optional part dropped). Also warns when a retrieval ran (`retrieved`
+    not None) but found nothing, and for each reply with a finish reason other than stop."""
     blocks, demo_text, warnings = [], None, []
     if retrieved is not None:
         blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
         if not blocks:
             warnings.append("nothing retrieved; answered without context")
     variant = ("rag_cot" if cot else "rag") if blocks else ("cot" if cot else "base")
-    bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
-                          demonstration=demo_text, budget=deps.budget)
     try:
+        bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
+                              demonstration=demo_text, budget=deps.budget)
         answer = generate_answer(deps.chat, bundle, item, warnings, deps.params)
+    except PromptError as exc:
+        warnings.append(f"{_PROMPT_FAILED}: {exc}")
+        return None, warnings
     except AnswerParseError as exc:
         warnings.append(f"unparseable answer: {exc}")
         return None, warnings
@@ -186,14 +192,14 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
 
 
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
-    """Retrieve (per mode), prompt, generate, parse, and score every item. An item whose
-    answer does not parse, or whose chat call fails, scores 0 and is counted."""
+    """Retrieve (per mode), prompt, generate, parse, and score every item. An item with no
+    answer (prompt not built, chat call failed, answer unparseable) scores 0 and is counted."""
     if config.retrieval_mode != MODE_NONE and config.retrieval_mode not in deps.retrievers:
         raise ConfigurationError(
             f"retrieval_mode {config.retrieval_mode!r} requested but no index is loaded")
 
     results: list[ItemResult] = []
-    parse_failures = provider_failures = 0
+    parse_failures = provider_failures = prompt_failures = 0
     fallbacks = 0
     for item in sorted(items, key=lambda it: it.item_id):
         retrieved, chunk_texts = None, None
@@ -208,6 +214,8 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         if answer is None:
             if warnings[-1].startswith(_CHAT_FAILED):
                 provider_failures += 1
+            elif warnings[-1].startswith(_PROMPT_FAILED):
+                prompt_failures += 1
             else:
                 parse_failures += 1
             score, answer_json = 0.0, ""
@@ -223,6 +231,7 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
         items=results,
         parse_failures=parse_failures,
         provider_failures=provider_failures,
+        prompt_failures=prompt_failures,
         provider_fallbacks=fallbacks,
         warning_count=sum(len(r.warnings) for r in results),
         config={"retrieval_mode": config.retrieval_mode, "cot": config.cot,

@@ -47,8 +47,6 @@ class RetrievalCandidate:
     dense_score: float
     sparse_score: float
     rerank_score: float = 0.0
-    from_dense: bool = False
-    from_sparse: bool = False
 
 
 @dataclass
@@ -125,14 +123,9 @@ def first_stage(query_text: str, deps: RetrieverDeps,
     pooled = sorted(dense | sparse)
     if not pooled:  # a zero-chunk index has no dim to score against
         return []
-    return [RetrievalCandidate(chunk_id=cid, dense_score=d, sparse_score=s,
-                               from_dense=cid in dense, from_sparse=cid in sparse)
+    return [RetrievalCandidate(chunk_id=cid, dense_score=d, sparse_score=s)
             for cid, d, s in zip(pooled, deps.dense_index._score(pooled, query_vec),
                                  deps.kw_index._score(pooled, query_tokens))]
-
-
-def fusion_score(cand: RetrievalCandidate, alpha: float) -> float:
-    return alpha * cand.dense_score + (1.0 - alpha) * cand.sparse_score
 
 
 def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: RetrieverDeps,
@@ -153,9 +146,9 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
         except ProviderError as exc:
             warnings.append(f"{RERANK_FALLBACK}: {exc}")
     if scores is None:
-        scores = [fusion_score(c, cfg.alpha) for c in candidates]
-    scored = [RetrievalCandidate(c.chunk_id, c.dense_score, c.sparse_score, s,
-                                 c.from_dense, c.from_sparse)
+        scores = [cfg.alpha * c.dense_score + (1.0 - cfg.alpha) * c.sparse_score
+                  for c in candidates]
+    scored = [RetrievalCandidate(c.chunk_id, c.dense_score, c.sparse_score, s)
               for c, s in zip(candidates, scores)]
     scored.sort(key=lambda c: (-c.rerank_score, c.chunk_id))
     return scored, warnings

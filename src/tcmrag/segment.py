@@ -29,19 +29,15 @@ DEFAULT_UNSEEN_EMIT_LOGP = -16.0
 # Most distinct CJK runs a Lexicon's run memo holds; it is emptied when full.
 _RUN_MEMO_LIMIT = 4096
 
-# One memo entry: a CJK run's tokens, spans relative to the run, and their texts. The
-# texts are a tuple, not a frozenset: as fast to add to a set, and a quarter the memory.
-_MemoEntry = tuple[tuple[tuple[str, tuple[int, int]], ...], tuple[str, ...]]
-
 
 @dataclass
 class Lexicon:
     entries: dict[str, int]   # word -> frequency; prefixes of real words present with 0
     total: int
     log_total: float
-    # (CJK run, HMM or None) -> the run's tokens with spans relative to the run, and their
-    # texts; see cut and token_set
-    _runs: dict[tuple[str, HmmModel | None], _MemoEntry] = field(
+    # (CJK run, HMM or None) -> the run's token texts, in order; see cut and token_set. A
+    # tuple, not a frozenset: as fast to add to a set, and a quarter the memory.
+    _runs: dict[tuple[str, HmmModel | None], tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -203,15 +199,12 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
     return tokens
 
 
-# A CJK run (group 1: U+3400-U+4DBF and U+4E00-U+9FFF), an ASCII letter/digit run,
-# or any other single character.
-_PIECE = re.compile(r"([\u3400-\u4dbf\u4e00-\u9fff]+)|[0-9A-Za-z]+|.", re.S)
-# _PIECE's runs alone: what is left of a text without them is its one-character tokens.
+# A CJK run (U+3400-U+4DBF and U+4E00-U+9FFF) or an ASCII letter/digit run; every
+# character between two runs is a token of its own.
 _RUN = re.compile(r"[\u3400-\u4dbf\u4e00-\u9fff]+|[0-9A-Za-z]+")
 
 
-def _cut_cjk(block: str, lex: Lexicon,
-             hmm: HmmModel | None) -> list[tuple[str, tuple[int, int]]]:
+def _cut_cjk(block: str, lex: Lexicon, hmm: HmmModel | None) -> tuple[str, ...]:
     route = max_prob_route(block, lex)
     words: list[tuple[int, int]] = []
     i = 0
@@ -223,47 +216,54 @@ def _cut_cjk(block: str, lex: Lexicon,
         s, e = word
         return e - s == 1 and lex.entries.get(block[s], 0) == 0
 
-    tokens: list[tuple[str, tuple[int, int]]] = []
+    tokens: list[str] = []
     for is_unknown, group in groupby(words, key=unknown):
         run = list(group)
         if is_unknown and hmm is not None:  # re-decode the run of unknown single chars
-            s, e = run[0][0], run[-1][1]
-            tokens += [(text, (s + ts, s + te)) for text, (ts, te) in viterbi(block[s:e], hmm)]
+            tokens += [text for text, _ in viterbi(block[run[0][0]:run[-1][1]], hmm)]
         else:
-            tokens += [(block[s:e], (s, e)) for s, e in run]
-    return tokens
+            tokens += [block[s:e] for s, e in run]
+    return tuple(tokens)
 
 
-def _memo_run(block: str, lex: Lexicon, hmm: HmmModel | None) -> _MemoEntry:
-    """Cut one CJK run and keep it in the run memo on `lex`, emptied when full."""
+def _memo_run(block: str, lex: Lexicon, hmm: HmmModel | None) -> tuple[str, ...]:
+    """Cut one CJK run and keep its token texts in the run memo on `lex`, emptied when full."""
     runs = lex._runs
     if len(runs) >= _RUN_MEMO_LIMIT:
         runs.clear()
-    tokens = tuple(_cut_cjk(block, lex, hmm))
-    entry = runs[block, hmm] = (tokens, tuple(text for text, _ in tokens))
-    return entry
+    texts = runs[block, hmm] = _cut_cjk(block, lex, hmm)
+    return texts
 
 
 def cut(sentence: str, lex: Lexicon, hmm: HmmModel | None = None) -> SegmentationResult:
     """Segment a sentence: dictionary DP over CJK runs, HMM over unknown runs. Outside
     CJK runs an ASCII letter/digit run is one token and any other character is its own.
 
-    Each distinct CJK run is cut once per lexicon object and HMM: its tokens, with spans
-    relative to the run, are kept in a memo on `lex` (at most _RUN_MEMO_LIMIT runs,
-    emptied when full, shared with token_set) and shifted by the run's start. This is
-    exact because `_PIECE` ends a run at every non-CJK character, so a run's tokens never
-    depend on its neighbours. Do not change `lex` or `hmm` in place after cutting with
-    them."""
+    Each distinct CJK run is cut once per lexicon object and HMM: its token texts are
+    kept in a memo on `lex` (at most _RUN_MEMO_LIMIT runs, emptied when full, shared
+    with token_set), and their spans follow from their lengths, starting at the run's
+    start. This is exact because `_RUN` ends a run at every non-CJK character, so a run's
+    tokens never depend on its neighbours. Do not change `lex` or `hmm` in place after
+    cutting with them."""
     runs = lex._runs
     tokens: list[tuple[str, tuple[int, int]]] = []
-    for m in _PIECE.finditer(sentence):
-        block = m.group(1)
-        if block:
-            run = runs.get((block, hmm)) or _memo_run(block, lex, hmm)
-            base = m.start()
-            tokens += [(text, (base + s, base + e)) for text, (s, e) in run[0]]
+    append = tokens.append
+    pos = 0  # where the previous run ended
+    for m in _RUN.finditer(sentence):
+        start, stop = m.span()
+        for i in range(pos, start):  # each character between two runs is a token
+            append((sentence[i], (i, i + 1)))
+        pos = stop
+        block = m.group()
+        if block.isascii():
+            append((block, (start, stop)))
         else:
-            tokens.append((m.group(), m.span()))
+            for text in runs.get((block, hmm)) or _memo_run(block, lex, hmm):
+                end = start + len(text)
+                append((text, (start, end)))
+                start = end
+    for i in range(pos, len(sentence)):
+        append((sentence[i], (i, i + 1)))
     return SegmentationResult(tokens=tokens)
 
 
@@ -287,5 +287,5 @@ def token_set(text: str, lex: Lexicon, hmm: HmmModel | None = None) -> set[str]:
         if block.isascii():
             tokens.add(block)
         else:
-            tokens.update((runs.get((block, hmm)) or _memo_run(block, lex, hmm))[1])
+            tokens.update(runs.get((block, hmm)) or _memo_run(block, lex, hmm))
     return tokens

@@ -20,6 +20,15 @@ def iou_score(q: set[str], d: set[str]) -> float:
     return inter / union if union else 0.0
 
 
+def _top_rows(scores: np.ndarray, n: int) -> np.ndarray:
+    """The positions of the n best scores, by score descending then position ascending.
+    Only the positions at or above the n-th best score, found with `np.partition`, are
+    sorted, so every position tied with it at the cut stays in the running."""
+    keep = (np.flatnonzero(scores >= np.partition(scores, -n)[-n]) if n < len(scores)
+            else np.arange(len(scores)))
+    return keep[np.argsort(-scores[keep], kind="stable")[:n]]
+
+
 def _columns(rows: Iterable[tuple[str, set[str]]]):
     """Columns from (chunk_id, token set) pairs in chunk_id order: the ids (row r holds
     ids[r]), each row's set size, and per token the rows holding it, ascending; each a
@@ -96,10 +105,7 @@ class KeywordIndex:
         inter = cnt[cand]
         # the same two integers as len(q & d) / len(q | d), so the same rounded float
         iou = inter / (len(query_tokens) + self._sizes[cand] - inter)
-        if n < len(iou):  # only the rows at or above the n-th best IoU are sorted
-            keep = np.flatnonzero(iou >= np.partition(iou, -n)[-n])
-            cand, iou = cand[keep], iou[keep]
-        top = np.argsort(-iou, kind="stable")[:n]  # cand ascends: ties stay in chunk_id order
+        top = _top_rows(iou, n)  # cand ascends: ties stay in chunk_id order
         return [(self.ids[r], s) for r, s in zip(cand[top].tolist(), iou[top].tolist())]
 
     def save(self, path: str | Path) -> None:

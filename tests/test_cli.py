@@ -582,50 +582,24 @@ def rewrite_in_build_order(index_dir: Path) -> None:
         + ids + rows)
 
 
-def pool_digest(pool) -> list[tuple]:
-    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex(), c.rerank_score.hex(),
-             c.from_dense, c.from_sparse) for c in pool]
-
-
 @pytest.mark.parametrize("strategy", ["overlap_window", "token_chunk"])
-def test_an_index_with_vectors_in_build_order_answers_as_in_memory(tmp_path, monkeypatch,
-                                                                   strategy):
-    from tcmrag import cli
-    from tcmrag.retrieve import MODES, RetrievalConfig, RetrieverDeps, first_stage, \
-        two_stage_retrieve
+def test_an_index_with_vectors_in_build_order_is_refused(tmp_path, capsys, strategy):
     cases = load_corpus(DATA / "sample_corpus.jsonl")[::-1]  # built out of chunk_id order
     corpus = tmp_path / "corpus.jsonl"
     save_corpus(cases, corpus)
     cfg = write_config(tmp_path, corpus=str(corpus))
-    built, build_indexes = [], cli.build_indexes
-
-    def keep(chunks, tokenize, embedder):
-        dense_index, kw_index = build_indexes(chunks, tokenize, embedder)
-        built.append(RetrieverDeps(tokenize=tokenize, embedder=embedder,
-                                   dense_index=dense_index, kw_index=kw_index,
-                                   chunk_texts={c.chunk_id: c.text for c in chunks}))
-        return dense_index, kw_index
-
-    monkeypatch.setattr(cli, "build_indexes", keep)
     index = tmp_path / "idx"
     assert main(["--config", str(cfg), "--stub", "index", "--strategy", strategy,
                  "--out", str(index)]) == 0
-    live = built[0]
-    assert live.dense_index.ids == live.kw_index.ids == sorted(live.chunk_texts)
     sorted_rows = (index / "vectors.bin").read_bytes()
     rewrite_in_build_order(index)
     assert (index / "vectors.bin").read_bytes() != sorted_rows
-    _, reopened = cli._retriever_from_dir(AppConfig.load(cfg), index, stub=True)
-    assert reopened.dense_index.ids == sorted(live.dense_index.ids)
-    queries = [json.loads(line)["case_text"]
-               for line in (DATA / "tasks.jsonl").read_text(encoding="utf-8").splitlines()]
-    for mode in MODES:
-        rcfg = RetrievalConfig(n_dense=5, n_sparse=5, top_k=3, mode=mode)
-        for q in queries:
-            assert pool_digest(first_stage(q, reopened, rcfg)) == \
-                pool_digest(first_stage(q, live, rcfg))
-            assert pool_digest(two_stage_retrieve(q, reopened, rcfg).candidates) == \
-                pool_digest(two_stage_retrieve(q, live, rcfg).candidates)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)]) == 2
+    err = capsys.readouterr().err
+    assert "vectors.bin: chunk ids are not" in err and "in chunk_id order" in err
+    assert "rebuild it with 'index'" in err
 
 
 def test_query_on_an_index_whose_meta_dim_disagrees_is_config_error(workspace, tmp_path,
@@ -957,6 +931,36 @@ def test_a_failed_chat_call_fails_its_item_and_eval_still_writes_every_report(
                 "chat provider failed: no canned response for digest ")
     assert (out / "comparison.txt").exists() and (out / "comparison.json").exists()
     assert "provider_failures=20" in capsys.readouterr().out
+    assert not (out / ".lock").exists()
+
+
+def test_an_over_budget_prompt_fails_its_item_and_eval_still_writes_every_report(
+        workspace, tmp_path, capsys):
+    tasks = [json.loads(line)
+             for line in (DATA / "tasks.jsonl").read_text(encoding="utf-8").splitlines()]
+    tasks[1]["case_text"] = "胃" * 7000  # longer than the whole budget
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("".join(json.dumps(t, ensure_ascii=False) + "\n" for t in tasks),
+                    encoding="utf-8")
+    out = tmp_path / "reports"
+    code = main(["--config", str(workspace["cfg"]), "--stub", "eval", "--tasks", str(path),
+                 "--mode", "none", "--mode", "hybrid_jieba",
+                 "--index-hybrid", str(workspace["hybrid"]),
+                 "--chat", "echo_gold", "--out", str(out)])
+    assert code == 1
+    for label in ("none", "hybrid_jieba"):
+        report = json.loads((out / f"report_{label}.json").read_text(encoding="utf-8"))
+        assert (report["prompt_failures"], report["provider_failures"],
+                report["parse_failures"]) == (1, 0, 0)
+        for item in report["items"]:
+            if item["item_id"] == tasks[1]["item_id"]:
+                assert item["score"] == 0.0 and not item["parsed"]
+                assert item["warnings"][-1] == ("prompt not built: prompt exceeds budget "
+                                                "6000 even with all optional parts dropped")
+            else:
+                assert item["score"] == 1.0 and item["parsed"]
+    assert (out / "comparison.txt").exists() and (out / "comparison.json").exists()
+    assert capsys.readouterr().out.count("prompt_failures=1") == 2
     assert not (out / ".lock").exists()
 
 

@@ -385,7 +385,8 @@ def report_with(label, aggregate, ids=("a", "b")):
     items = [ItemResult(item_id=i, score=aggregate / 100.0, parsed=True, answer_json="{}")
              for i in ids]
     return ScoreReport(label=label, aggregate=aggregate, items=items, parse_failures=0,
-                       provider_failures=0, provider_fallbacks=0, warning_count=0, config={})
+                       provider_failures=0, prompt_failures=0, provider_fallbacks=0,
+                       warning_count=0, config={})
 
 
 def test_compare_runs_orders_and_deltas():

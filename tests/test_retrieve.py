@@ -12,7 +12,7 @@ from tcmrag.corpus import TOKEN_CHUNK, Chunk, ClinicalCase, render_demonstration
 from tcmrag.dense import EmbeddingError, StubEmbedProvider, VectorIndex, embed, token_bucket
 from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_ONLY,
                              HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
-                             RetrieverDeps, first_stage, fusion_score, parent_case_id,
+                             RetrieverDeps, first_stage, parent_case_id,
                              prompt_context, rerank, two_stage_retrieve)
 from tcmrag.segment import _is_ignorable, cut
 from tcmrag.sparse import KeywordIndex, iou_score
@@ -88,9 +88,11 @@ def test_first_stage_hybrid_pools_and_fills_both_scores():
     assert by_id["c2#0"].sparse_score == pytest.approx(1 / 3)
     assert by_id["c3#0"].dense_score == pytest.approx(0.0)
     assert by_id["c3#0"].sparse_score == pytest.approx(0.0)
+    dense = [cid for cid, _ in deps.dense_index.search(embed(f"{A} {B}", deps.embedder), 50)]
+    sparse = [cid for cid, _ in deps.kw_index.search({A, B}, 50)]
     # c3 shares no token, so only the dense list can have contributed it
-    assert by_id["c3#0"].from_dense and not by_id["c3#0"].from_sparse
-    assert by_id["c1#0"].from_dense and by_id["c1#0"].from_sparse
+    assert "c3#0" in dense and "c3#0" not in sparse
+    assert "c1#0" in dense and "c1#0" in sparse
 
 
 def never_called(*args, **kwargs):
@@ -101,7 +103,8 @@ def test_first_stage_dense_only_skips_keyword_search(monkeypatch):
     deps = make_deps()
     monkeypatch.setattr(deps.kw_index, "search", never_called)
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig(mode=DENSE_ONLY))
-    assert all(c.from_dense and not c.from_sparse for c in pool)
+    dense = deps.dense_index.search(embed(f"{A} {B}", deps.embedder), 50)
+    assert [c.chunk_id for c in pool] == sorted(cid for cid, _ in dense)
     # sparse scores are still filled in for downstream fusion
     assert {c.chunk_id: c.sparse_score for c in pool}["c1#0"] == pytest.approx(1.0)
 
@@ -111,7 +114,8 @@ def test_first_stage_sparse_only_skips_vector_search(monkeypatch):
     monkeypatch.setattr(deps.dense_index, "search", never_called)
     pool = first_stage(f"{A} {B}", deps, RetrievalConfig(mode=SPARSE_ONLY))
     assert [c.chunk_id for c in pool] == ["c1#0", "c2#0"]  # c3 has no shared token
-    assert all(c.from_sparse and not c.from_dense for c in pool)
+    assert [c.chunk_id for c in pool] == sorted(cid for cid, _ in
+                                                deps.kw_index.search({A, B}, 50))
 
 
 def test_first_stage_respects_pool_sizes():
@@ -232,18 +236,16 @@ def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tok
     pool = first_stage(query, deps, cfg)
     assert [c.chunk_id for c in pool] == sorted(dense.keys() | sparse.keys())
     for c in pool:
-        assert (c.from_dense, c.from_sparse) == (c.chunk_id in dense, c.chunk_id in sparse)
         assert [c.dense_score] == deps.dense_index._score([c.chunk_id], q)
         assert c.sparse_score == iou_score(query_tokens, docs[c.chunk_id])
-        if c.from_dense:
+        if c.chunk_id in dense:
             assert c.dense_score == dense[c.chunk_id]
-        if c.from_sparse:
+        if c.chunk_id in sparse:
             assert c.sparse_score == sparse[c.chunk_id]
 
 
 def pool_digest(pool) -> list[tuple]:
-    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex(), c.from_dense,
-             c.from_sparse) for c in pool]
+    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex()) for c in pool]
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,7 +257,7 @@ def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, c
                                                               query_vector, query_tokens,
                                                               n_dense, n_sparse):
     """Rows given out of chunk_id order, saved and loaded: in every mode the pool has
-    the same ids, flags and scores to the last bit (an empty token set included)."""
+    the same ids and scores to the last bit (an empty token set included)."""
     ids = [f"c{i:02d}#0" for i in range(len(chunks))][::-1]
     rows = {cid: np.array(v, dtype=np.float64) for cid, (v, _) in zip(ids, chunks)}
     docs = {cid: toks for cid, (_, toks) in zip(ids, chunks)}
@@ -280,15 +282,20 @@ def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, c
 
 def test_fusion_score_arithmetic():
     cand = RetrievalCandidate(chunk_id="x", dense_score=0.9, sparse_score=0.1)
-    assert fusion_score(cand, 0.5) == pytest.approx(0.5)
-    assert fusion_score(cand, 1.0) == pytest.approx(0.9)
-    assert fusion_score(cand, 0.0) == pytest.approx(0.1)
     other = RetrievalCandidate(chunk_id="y", dense_score=0.2, sparse_score=1.0)
+
+    def fused(alpha: float) -> list[tuple[str, float]]:
+        ranked, warnings = rerank("q", [cand, other], make_deps(), RetrievalConfig(alpha=alpha))
+        assert warnings == []
+        return [(c.chunk_id, c.rerank_score) for c in ranked]
+
+    assert dict(fused(0.5))["x"] == pytest.approx(0.5)
+    assert dict(fused(1.0))["x"] == pytest.approx(0.9)
+    assert dict(fused(0.0))["x"] == pytest.approx(0.1)
     # at alpha 0.5 the sparse-strong candidate wins: 0.6 > 0.5
-    assert fusion_score(other, 0.5) == pytest.approx(0.6)
+    assert fused(0.5)[0] == ("y", pytest.approx(0.6))
     # at alpha 0.9 the dense-strong one wins: 0.82 > 0.28
-    assert fusion_score(cand, 0.9) == pytest.approx(0.82)
-    assert fusion_score(other, 0.9) == pytest.approx(0.28)
+    assert fused(0.9) == [("x", pytest.approx(0.82)), ("y", pytest.approx(0.28))]
 
 
 def test_rerank_fusion_fallback_ordering():
@@ -374,7 +381,8 @@ def test_rerank_provider_failure_degrades_with_warning():
     ranked, warnings = rerank(f"{A} {B}", pool, deps, RetrievalConfig(alpha=0.5))
     assert len(warnings) == 1
     assert "fusion fallback" in warnings[0]
-    assert ranked[0].rerank_score == pytest.approx(fusion_score(ranked[0], 0.5))
+    assert ranked[0].rerank_score == pytest.approx(
+        0.5 * ranked[0].dense_score + (1.0 - 0.5) * ranked[0].sparse_score)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +523,7 @@ def test_http_rerank_malformed_reply_falls_back_to_fusion(monkeypatch, payload):
     assert len(posted) == 1  # one attempt, no retries
     assert len(warnings) == 1 and "fusion fallback" in warnings[0]
     for cand in ranked:
-        assert cand.rerank_score == fusion_score(cand, 0.5)
+        assert cand.rerank_score == 0.5 * cand.dense_score + (1.0 - 0.5) * cand.sparse_score
 
 
 def test_http_rerank_rejected_request_falls_back_to_fusion(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -654,6 +655,25 @@ def test_query_and_eval_refuse_a_version_1_index(workspace, tmp_path, capsys):
                  "--index-hybrid", str(index), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.count("unsupported version 1; rebuild it with 'index'") == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, 1e6], ids=["NaN", "scaled by 1e6"])
+def test_query_and_eval_refuse_an_index_with_a_row_that_is_not_a_unit_vector(
+        workspace, tmp_path, capsys, value):
+    # before, a NaN row dropped out of every search and a scaled row topped it
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    vectors = VectorIndex.load(index / "vectors.bin")
+    vectors._matrix[1, 0] = value
+    vectors.save(index / "vectors.bin")
+    assert main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)]) == 2
+    assert main(["--config", str(workspace["cfg"]), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "hybrid_jieba",
+                 "--index-hybrid", str(index), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"the row of chunk {vectors.ids[1]!r} is not a finite unit vector") == 2
+    assert err.count("rebuild it with 'index'") == 2
 
 
 def test_index_respects_lock(workspace, tmp_path, capsys):

@@ -8,12 +8,13 @@ import struct
 import numpy as np
 import pytest
 import requests
-from hypothesis import example, given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from tcmrag import dense
 from tcmrag.dense import (DEFAULT_STUB_DIM, EmbeddingError, HttpEmbedProvider,
                           StubEmbedProvider, VectorIndex, embed, fnv1a64, stub_embed,
                           token_bucket)
+from tcmrag.sparse import _top_rows
 from tcmrag.transport import PermanentError, TransientError
 
 # ---------------------------------------------------------------------------
@@ -339,6 +340,93 @@ def test_index_search_keeps_ties_across_the_cut(seed):
             assert index.search(q, n) == expected[:n]
 
 
+def full_scan(index: VectorIndex, query: np.ndarray, n: int) -> list[tuple[str, str]]:
+    """The n best of every row's float64 score, as (id, float.hex) pairs."""
+    scores = index._row_scores(index._matrix, query)
+    return [(index.ids[r], float(scores[r]).hex()) for r in _top_rows(scores, n).tolist()]
+
+
+def planted_index(seed: int, dim: int, count: int, n: int) -> tuple[VectorIndex, np.ndarray]:
+    """A unit query and an index of at least four unit rows. About half the rows score
+    within the float32 margin m of one score c0, on both sides of it, some further from c0
+    than a float32 scan can err and some much closer, and the n-th place
+    falls among them when n <= count; the other rows score at least 3m above or below
+    c0. Copies of one near-tied row sit at the head, the middle and the tail of the id
+    order."""
+    rng = np.random.default_rng(seed)
+    m = dense._margin(dim)
+    query = unit(rng.normal(size=dim))
+    plain = max(count, 4) - 3
+    near = max(1, plain // 2)
+    most = min(n - 1, plain - near)  # rows above the near-tied ones
+    above = int(rng.integers(min(max(0, n - near - 3), most), most + 1))
+    c0 = rng.uniform(-0.5, 0.5)
+    scores = np.concatenate([c0 + rng.uniform(3 * m, 0.4, above),
+                             c0 + rng.choice([-m, m], near) * 10.0 ** -rng.uniform(0, 6, near),
+                             c0 - rng.uniform(3 * m, 0.4, plain - near - above)])
+
+    def row(score):  # a unit row scoring `score` against the query
+        other = rng.normal(size=dim)
+        other = unit(other - (other @ query) * query)
+        return unit(score * query + math.sqrt(1.0 - score * score) * other)
+
+    rows = [row(c) for c in scores]
+    tied = rows[above]
+    pairs = [(f"c{i:04d}", r) for i, r in zip(rng.permutation(plain), rows)]
+    pairs += [("a-copy", tied), (f"c{plain // 2:04d}-copy", tied), ("z-copy", tied)]
+    return vector_index(pairs), query
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([8, 64, 768]), st.integers(4, 240),
+       st.one_of(st.integers(1, 26), st.integers(1, 242)))
+@example(1, 8, 100, 1).via("n = 1")
+@example(2, 768, 100, 99).via("n = count - 1")
+@example(3, 8, 40, 40).via("n = count")
+@example(4, 768, 40, 42).via("n > count")
+@example(5, 768, 240, 29).via("float32 scan first: 240 rows > 8 x 29")
+@example(6, 8, 240, 30).via("one scan: 240 rows <= 8 x 30")
+def test_search_equals_a_float64_scan_of_every_row(seed, dim, count, n):
+    """Whichever rows the float32 scan keeps, `search` gives the ids, order and float64
+    bits of a float64 scan of every row, with near-ties planted within the margin on
+    both sides of the n-th place and identical rows at the head, middle and tail."""
+    n = min(n, count + 2)
+    index, query = planted_index(seed, dim, count, n)
+    got = [(cid, score.hex()) for cid, score in index.search(query, n)]
+    assert got == full_scan(index, query, n)
+    event("float32 scan first" if index._candidates(query, n) is not None
+          else "one float64 scan")
+
+
+def test_search_scans_in_float32_only_above_the_rows_per_result():
+    index, query = planted_index(7, 16, 8 * 5 + 1, 5)
+    assert len(index.ids) == 41 and index._matrix32 is not None
+    assert index._candidates(query, 5) is not None   # 41 rows > 8 x 5
+    assert index._candidates(query, 6) is None       # 41 rows <= 8 x 6
+    small, _ = planted_index(7, 16, 8, 1)
+    assert small._matrix32 is None                   # 8 rows: no n can prefilter
+
+
+@pytest.mark.parametrize("query_of", [
+    lambda q: 2.0 * q, lambda q: 1e200 * q, lambda q: q.astype(np.float32),
+    lambda q: np.where(q > 0, np.nan, q), lambda q: list(q)],
+    ids=["not unit", "huge", "float32", "NaN", "list"])
+def test_search_outside_the_margin_premises_scans_every_row_in_float64(query_of):
+    """A query that is not a float64 unit vector gets no float32 scan, and so does an
+    index with a row that is not a unit vector; each searches as the float64 scan does."""
+    index, query = planted_index(8, 64, 200, 5)
+    query = query_of(query)
+    assert index._candidates(query, 5) is None
+    assert [(cid, score.hex()) for cid, score in index.search(query, 5)] == \
+        full_scan(index, query, 5)
+    scaled, unit_query = planted_index(8, 64, 200, 5)
+    scaled._matrix[7] *= 3.0
+    scaled = VectorIndex(scaled.ids, scaled._matrix)
+    assert scaled._matrix32 is None and scaled._candidates(unit_query, 5) is None
+    assert [(cid, score.hex()) for cid, score in scaled.search(unit_query, 5)] == \
+        full_scan(scaled, unit_query, 5)
+
+
 def test_index_matches_brute_force_oracle():
     rng = random.Random(3)
     rows = {f"c{i:02d}#0": unit([rng.gauss(0, 1) for _ in range(16)]) for i in range(40)}
@@ -410,13 +498,26 @@ V1_FILE = (b"TCMRAGVIDX\x00\x00" + struct.pack("<III", 1, 2, 2)
     (v2_file(b'[1]', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
     (v2_file(b'"a"', 1, 2, struct.pack("<2d", 1.0, 0.0)), "distinct"),
     (v2_file(b'["a"', 1, 2, struct.pack("<2d", 1.0, 0.0)), "JSON"),
+    (v2_file(b'["a", "b"]', 2, 2, struct.pack("<4d", 1.0, 0.0, math.nan, 0.0)),
+     "row of chunk 'b' is not a finite unit vector"),
+    (v2_file(b'["a"]', 1, 2, struct.pack("<2d", 0.0, -math.inf)), "not a finite unit"),
+    (v2_file(b'["a"]', 1, 2, struct.pack("<2d", 1e6, 0.0)), "not a finite unit"),
+    (v2_file(b'["a"]', 1, 2, struct.pack("<2d", 0.0, 0.0)), "not a finite unit"),
+    (v2_file(b'["a"]', 1, 2, struct.pack("<2d", 1.000001, 0.0)), "not a finite unit"),
 ], ids=["version 1", "trailing byte", "duplicate ids", "more ids than rows",
-        "fewer ids than rows", "object", "number id", "string", "cut array"])
+        "fewer ids than rows", "object", "number id", "string", "cut array", "NaN entry",
+        "infinite entry", "row scaled by 1e6", "zero row", "norm 1 + 1e-6"])
 def test_index_load_refuses_version_1_and_malformed_version_2(tmp_path, data, message):
     path = tmp_path / "vectors.bin"
     path.write_bytes(data)
     with pytest.raises(EmbeddingError, match=message):
         VectorIndex.load(path)
+
+
+def test_index_load_accepts_a_row_within_the_unit_tolerance(tmp_path):
+    path = tmp_path / "vectors.bin"
+    path.write_bytes(v2_file(b'["a"]', 1, 2, struct.pack("<2d", 1.0 + 1e-7, 0.0)))
+    assert VectorIndex.load(path).ids == ["a"]
 
 
 @given(st.lists(st.text(), unique=True, max_size=8), st.integers(1, 6), st.randoms())

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 
@@ -15,8 +15,6 @@ class ChunkingError(ValueError):
     """Bad chunking parameters or token list inconsistent with text."""
 
 
-REQUIRED_CASE_KEYS = ("case_id", "patient_background", "clinical_info", "pathogenesis", "syndromes")
-OPTIONAL_CASE_KEYS = ("doctor_notes", "source", "raw_text")
 CHUNK_KEYS = ("chunk_id", "case_id", "text", "start", "end", "strategy")
 
 OVERLAP_WINDOW = "overlap_window"
@@ -65,6 +63,14 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
 
 
+def _record_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A dataclass's field names as a record line's (required, optional) keys, in field
+    order: a field with a default or a default factory is optional."""
+    optional = tuple(f.name for f in fields(cls)
+                     if f.default is not MISSING or f.default_factory is not MISSING)
+    return tuple(f.name for f in fields(cls) if f.name not in optional), optional
+
+
 def _read_records(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...],
                   error: type[Exception]):
     """Yield (lineno, record) for each non-blank line; raise `error`, naming `path:lineno`,
@@ -95,8 +101,7 @@ def load_corpus(path: str | Path) -> list[ClinicalCase]:
     """Read a line-delimited JSON corpus file into validated cases (order kept)."""
     cases: list[ClinicalCase] = []
     seen: set[str] = set()
-    for lineno, rec in _read_records(path, REQUIRED_CASE_KEYS, OPTIONAL_CASE_KEYS,
-                                     CorpusError):
+    for lineno, rec in _read_records(path, *_record_keys(ClinicalCase), CorpusError):
         where = f"{path}:{lineno}"
         syndromes = rec["syndromes"]
         if not isinstance(syndromes, list) or any(not isinstance(s, str) for s in syndromes):

@@ -171,8 +171,8 @@ def embed(text: str, provider: EmbedProvider) -> np.ndarray:
 class VectorIndex:
     """Exact flat index over unit vectors; cosine equals dot product. Row r of `matrix`
     (count x dim float64) holds ids[r], and the ids are in chunk_id order, in memory as
-    in the file. An index of more than `_ROWS_PER_RESULT` float64 unit rows also keeps a
-    float32 copy of the matrix, which `search` scans first."""
+    in the file. The first search that prefilters (see `_candidates`) makes a float32
+    copy of the matrix, which that search and every later one scans first."""
 
     def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
         self.ids = ids
@@ -183,9 +183,7 @@ class VectorIndex:
         # matrix; a non-finite entry makes the squared norm NaN or inf, so its row too
         self._off_unit = np.flatnonzero(
             ~(np.abs(np.einsum("ij,ij->i", matrix, matrix) - 1.0) <= _UNIT_TOL))
-        self._matrix32 = (matrix.astype(np.float32)
-                          if len(ids) > _ROWS_PER_RESULT and matrix.dtype == np.float64
-                          and not len(self._off_unit) else None)
+        self._matrix32: np.ndarray | None = None
 
     def _row_scores(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the query, one row at a time: unlike a BLAS
@@ -203,19 +201,22 @@ class VectorIndex:
 
     def _candidates(self, query: np.ndarray, n: int) -> np.ndarray | None:
         """The rows, ascending, whose float32 score s32 is at least t - 2m, with t the
-        n-th best s32 and m = `_margin(dim)`; or None, for every row, when the index has
-        no float32 copy, holds at most `_ROWS_PER_RESULT` rows per result, or the query
-        is not a float64 unit vector of its dim.
+        n-th best s32 and m = `_margin(dim)`; or None, for every row, when the index
+        holds at most `_ROWS_PER_RESULT` rows per result, its matrix is not float64 unit
+        rows, or the query is not a float64 unit vector of its dim.
 
         They hold the n best rows by their `_row_scores` score s64, every tie at the cut
         included: as |s32 - s64| <= m, the n rows with s32 >= t have s64 >= t - m, so
         the n-th best s64, T, is at least t - m, and every row with s64 >= T has
         s32 >= T - m >= t - 2m."""
-        if (self._matrix32 is None or len(self.ids) <= _ROWS_PER_RESULT * n
+        if (len(self.ids) <= _ROWS_PER_RESULT * n or self._matrix.dtype != np.float64
+                or len(self._off_unit)
                 or not isinstance(query, np.ndarray) or query.dtype != np.float64
                 or query.shape != (self.dim,)
                 or not abs(float(np.einsum("i,i->", query, query)) - 1.0) <= _UNIT_TOL):
             return None
+        if self._matrix32 is None:
+            self._matrix32 = self._matrix.astype(np.float32)
         s32 = self._matrix32 @ query.astype(np.float32)
         return np.flatnonzero(s32 >= np.partition(s32, -n)[-n] - 2.0 * _margin(self.dim))
 

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import ClinicalCase, _read_records
+from .corpus import ClinicalCase, _read_records, _record_keys
 from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
 from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, PromptError,
                      TemplateSet, build_prompt, serialize_answer)
@@ -34,10 +34,6 @@ class TaskError(ValueError):
 
 class ConfigurationError(ValueError):
     pass
-
-
-TASK_KEYS = ("item_id", "case_text", "pathogenesis_options", "syndrome_options",
-             "gold_pathogenesis", "gold_syndromes")
 
 
 @dataclass
@@ -82,7 +78,7 @@ class ItemResult:
     item_id: str
     score: float
     parsed: bool
-    answer_json: str
+    answer: str  # the serialized answer; "" when there is none
     warnings: list[str] = field(default_factory=list)
 
 
@@ -99,29 +95,14 @@ class ScoreReport:
     config: dict
 
     def to_json(self) -> str:
-        doc = {
-            "label": self.label,
-            "metric": METRIC_NOTE,
-            "aggregate": self.aggregate,
-            "parse_failures": self.parse_failures,
-            "provider_failures": self.provider_failures,
-            "prompt_failures": self.prompt_failures,
-            "provider_fallbacks": self.provider_fallbacks,
-            "warning_count": self.warning_count,
-            "config": self.config,
-            "items": [
-                {"item_id": r.item_id, "score": r.score, "parsed": r.parsed,
-                 "answer": r.answer_json, "warnings": r.warnings}
-                for r in self.items
-            ],
-        }
+        doc = {**vars(self), "metric": METRIC_NOTE, "items": [vars(r) for r in self.items]}
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
 def load_tasks(path: str | Path) -> list[TaskItem]:
     items: list[TaskItem] = []
     seen: set[str] = set()
-    for lineno, rec in _read_records(path, TASK_KEYS, (), TaskError):
+    for lineno, rec in _read_records(path, *_record_keys(TaskItem), TaskError):
         item = TaskItem(**rec)
         _validate_item(item)
         if item.item_id in seen:
@@ -135,7 +116,8 @@ def _validate_item(item: TaskItem) -> None:
     for name in ("item_id", "case_text"):
         if not isinstance(getattr(item, name), str):
             raise TaskError(f"item {item.item_id!r}: {name} must be a string")
-    for name in TASK_KEYS[2:]:  # the option and gold label lists
+    for name in ("pathogenesis_options", "syndrome_options", "gold_pathogenesis",
+                 "gold_syndromes"):
         value = getattr(item, name)
         if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
             raise TaskError(f"item {item.item_id!r}: {name} must be an array of strings")
@@ -218,11 +200,11 @@ def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreR
                 prompt_failures += 1
             else:
                 parse_failures += 1
-            score, answer_json = 0.0, ""
+            score, answer_text = 0.0, ""
         else:
-            score, answer_json = score_item(answer, item), serialize_answer(answer)
+            score, answer_text = score_item(answer, item), serialize_answer(answer)
         results.append(ItemResult(item_id=item.item_id, score=score, parsed=answer is not None,
-                                  answer_json=answer_json, warnings=warnings))
+                                  answer=answer_text, warnings=warnings))
 
     aggregate = 100.0 * (sum(r.score for r in results) / len(results)) if results else 0.0
     return ScoreReport(
@@ -263,23 +245,20 @@ def compare_runs(reports: list[ScoreReport]) -> tuple[str, list[dict]]:
 # --- Offline mock chat providers for ablation tests -------------------------
 
 def _gold_json(item: TaskItem) -> str:
-    return json.dumps({
-        "clinical_features": ["依据病案提取的特征"],
-        "pathogenesis": item.gold_pathogenesis,
-        "syndromes": item.gold_syndromes,
-        "reasoning": "按步骤推理得出。",
-    }, ensure_ascii=False)
+    return serialize_answer(Answer(["依据病案提取的特征"], item.gold_pathogenesis,
+                                   item.gold_syndromes, "按步骤推理得出。"))
 
 
-_EMPTY_ANSWER = json.dumps({"clinical_features": [], "pathogenesis": [],
-                            "syndromes": [], "reasoning": "无法判断。"}, ensure_ascii=False)
+_EMPTY_ANSWER = serialize_answer(Answer([], [], [], "无法判断。"))
 
 
 def _find_item(items: list[TaskItem], user_text: str) -> TaskItem | None:
-    for item in items:
-        if item.case_text in user_text:
-            return item
-    return None
+    """The task whose case text's last occurrence in the prompt ends last, the longer text
+    on a tie. Every template renders the case once, after the demonstration and the
+    context, which may quote other tasks' case texts."""
+    return max((item for item in items if item.case_text in user_text), default=None,
+               key=lambda item: (user_text.rfind(item.case_text) + len(item.case_text),
+                                 len(item.case_text)))
 
 
 def echo_gold_provider(items: list[TaskItem]) -> FnChatProvider:

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .corpus import ClinicalCase
-from .prompt import Answer, OptionItem, PromptBundle, _first_json, parse_answer
+from .prompt import ANSWER_KEYS, Answer, OptionItem, PromptBundle, _first_json, parse_answer
 from .transport import PermanentError, post_json, with_retries
 
 Message = tuple[str, str]  # (role, content)
@@ -135,7 +135,7 @@ _EXTRACT_FORMAT = (
 )
 
 _ANSWER_REPAIR = ("上一次输出无法解析（{}）。请严格按要求重新输出 JSON 对象，"
-                  "键为 clinical_features, pathogenesis, syndromes, reasoning。")
+                  f"键为 {', '.join(ANSWER_KEYS)}。")
 
 COVERAGE_THRESHOLD = 0.8
 

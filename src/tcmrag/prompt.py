@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Protocol
 
@@ -18,8 +18,6 @@ COT_STEP_HEADERS = (
     "STEP 2 - 推断病机 (infer pathogenesis)",
     "STEP 3 - 判定证型 (determine syndromes)",
 )
-
-ANSWER_KEYS = ("clinical_features", "pathogenesis", "syndromes", "reasoning")
 
 DEFAULT_BUDGET = 6000
 
@@ -63,6 +61,9 @@ class Answer:
     pathogenesis: list[str]
     syndromes: list[str]
     reasoning: str
+
+
+ANSWER_KEYS = tuple(f.name for f in fields(Answer))  # the answer JSON's keys, in order
 
 
 @dataclass
@@ -212,9 +213,4 @@ def parse_answer(raw: str, item: OptionItem) -> tuple[Answer, list[str]]:
 
 
 def serialize_answer(answer: Answer) -> str:
-    return json.dumps({
-        "clinical_features": answer.clinical_features,
-        "pathogenesis": answer.pathogenesis,
-        "syndromes": answer.syndromes,
-        "reasoning": answer.reasoning,
-    }, ensure_ascii=False)
+    return json.dumps(vars(answer), ensure_ascii=False)

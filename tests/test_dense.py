@@ -399,12 +399,20 @@ def test_search_equals_a_float64_scan_of_every_row(seed, dim, count, n):
 
 
 def test_search_scans_in_float32_only_above_the_rows_per_result():
+    """The float32 copy is made by the first search that prefilters, and only then."""
     index, query = planted_index(7, 16, 8 * 5 + 1, 5)
-    assert len(index.ids) == 41 and index._matrix32 is not None
-    assert index._candidates(query, 5) is not None   # 41 rows > 8 x 5
+    assert len(index.ids) == 41 and index._matrix32 is None   # no copy before a search
     assert index._candidates(query, 6) is None       # 41 rows <= 8 x 6
-    small, _ = planted_index(7, 16, 8, 1)
-    assert small._matrix32 is None                   # 8 rows: no n can prefilter
+    assert index._matrix32 is None
+    assert index._candidates(query, 5) is not None   # 41 rows > 8 x 5
+    copy = index._matrix32
+    assert np.array_equal(copy, index._matrix.astype(np.float32))
+    index.search(query, 5)
+    assert index._matrix32 is copy                   # made once
+    small, small_query = planted_index(7, 16, 120, 50)
+    for n in (50, 60, 120):                          # 120 rows <= 8 x 50
+        small.search(small_query, n)
+    assert small._matrix32 is None
 
 
 @pytest.mark.parametrize("query_of", [
@@ -422,9 +430,10 @@ def test_search_outside_the_margin_premises_scans_every_row_in_float64(query_of)
     scaled, unit_query = planted_index(8, 64, 200, 5)
     scaled._matrix[7] *= 3.0
     scaled = VectorIndex(scaled.ids, scaled._matrix)
-    assert scaled._matrix32 is None and scaled._candidates(unit_query, 5) is None
+    assert scaled._candidates(unit_query, 5) is None
     assert [(cid, score.hex()) for cid, score in scaled.search(unit_query, 5)] == \
         full_scan(scaled, unit_query, 5)
+    assert scaled._matrix32 is None
 
 
 def test_index_matches_brute_force_oracle():

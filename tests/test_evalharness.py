@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK
+from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, load_corpus
 from tcmrag.dense import StubEmbedProvider
 from tcmrag.engine import build_retriever, make_tokenizer
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
@@ -14,7 +14,7 @@ from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RU
                                 echo_gold_provider, empty_answer_provider, load_tasks,
                                 retrieval_sensitive_provider, run_eval, score_item)
 from tcmrag.llm import FnChatProvider
-from tcmrag.prompt import COT_STEP_HEADERS, Answer
+from tcmrag.prompt import COT_STEP_HEADERS, Answer, build_prompt, parse_answer
 from tcmrag.transport import PermanentError, ProviderError
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_a_failed_chat_call_scores_its_item_0_and_is_counted_apart(eval_setup, t
     assert report.aggregate == pytest.approx(200.0 / 3)
     by_id = {r.item_id: r for r in report.items}
     failed = by_id[items[1].item_id]
-    assert (failed.parsed, failed.score, failed.answer_json) == (False, 0.0, "")
+    assert (failed.parsed, failed.score, failed.answer) == (False, 0.0, "")
     assert failed.warnings == ["chat provider failed: HTTP 400"]
     assert all(by_id[it.item_id].score == 1.0 for it in (items[0], items[2]))
     doc = json.loads(report.to_json())
@@ -375,6 +375,107 @@ def test_report_json_shape(eval_setup, task_items, templates):
     assert doc["config"]["cot"] is False
     assert len(doc["items"]) == 2
     assert "metric" in doc
+    assert doc.keys() == {"label", "metric", "aggregate", "parse_failures", "provider_failures",
+                          "prompt_failures", "provider_fallbacks", "warning_count", "config",
+                          "items"}
+    assert all(it.keys() == {"item_id", "score", "parsed", "answer", "warnings"}
+               for it in doc["items"])
+    fixed = ScoreReport(
+        label="none", aggregate=50.0,
+        items=[ItemResult("a", 1.0, True, '{"syndromes": ["脾虚证"]}'),
+               ItemResult("b", 0.0, False, "", ["chat provider failed: HTTP 400"])],
+        parse_failures=0, provider_failures=1, prompt_failures=0, provider_fallbacks=0,
+        warning_count=1, config={"retrieval_mode": "none", "cot": False})
+    assert fixed.to_json() == FIXED_REPORT_JSON
+
+
+FIXED_REPORT_JSON = r"""{
+  "aggregate": 50.0,
+  "config": {
+    "cot": false,
+    "retrieval_mode": "none"
+  },
+  "items": [
+    {
+      "answer": "{\"syndromes\": [\"脾虚证\"]}",
+      "item_id": "a",
+      "parsed": true,
+      "score": 1.0,
+      "warnings": []
+    },
+    {
+      "answer": "",
+      "item_id": "b",
+      "parsed": false,
+      "score": 0.0,
+      "warnings": [
+        "chat provider failed: HTTP 400"
+      ]
+    }
+  ],
+  "label": "none",
+  "metric": "artifact metric: 100 x mean of (Jaccard(pathogenesis)/2 + Jaccard(syndromes)/2)",
+  "parse_failures": 0,
+  "prompt_failures": 0,
+  "provider_failures": 1,
+  "provider_fallbacks": 0,
+  "warning_count": 1
+}
+"""
+
+
+CASE_RECORD = {"case_id": "c1", "patient_background": "男，45岁。", "clinical_info": "胃脘胀痛。",
+               "pathogenesis": "肝气犯胃", "syndromes": ["肝胃不和证"]}
+
+
+@pytest.mark.parametrize("loader, record, message", [
+    (load_corpus, {k: v for k, v in CASE_RECORD.items() if k not in ("case_id", "syndromes")},
+     "missing keys ['case_id', 'syndromes']"),
+    (load_corpus, {**CASE_RECORD, "doctor_notes": "", "gold_case": "c1", "x": 1},
+     "unknown keys ['gold_case', 'x']"),
+    (load_tasks, {k: v for k, v in task_record().items()
+                  if k not in ("syndrome_options", "gold_pathogenesis")},
+     "missing keys ['syndrome_options', 'gold_pathogenesis']"),
+    (load_tasks, {"extra": 0, **task_record(), "notes": ""},
+     "unknown keys ['extra', 'notes']"),
+], ids=["case_missing", "case_unknown", "task_missing", "task_unknown"])
+def test_record_lines_name_their_missing_and_unknown_keys(tmp_path, loader, record, message):
+    """Required keys are the dataclass fields without a default, listed in field order;
+    unknown keys are listed in line order."""
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}:1: {message}"
+
+
+def mock_answer(chat, item: TaskItem, variant, templates, **context) -> Answer:
+    bundle = build_prompt(item, variant, templates, **context)
+    raw = chat.fn([("system", bundle.system_text), ("user", bundle.user_text)])
+    return parse_answer(raw, item)[0]
+
+
+def test_mock_chats_answer_the_task_whose_case_the_prompt_asks_about(templates):
+    """A task's case text may sit in another prompt's demonstration or context, or end
+    another task's case text; the mocks answer the task rendered last, the longer on a tie."""
+    a = make_item(item_id="a", case_text="嗳气吞酸。")
+    b = make_item(item_id="b", case_text="胃脘胀痛，嗳气吞酸。",
+                  gold_pathogenesis=["脾胃虚弱"], gold_syndromes=["脾虚证"])
+    c = make_item(item_id="c", case_text="头晕目眩，耳鸣。", gold_pathogenesis=["脾胃虚弱"])
+    gold = echo_gold_provider([a, b, c])
+    for item, variant, context in [
+            (b, "base", {}),
+            (c, "rag", {"demonstration": a.case_text, "context_blocks": [("cb#0", "x")]}),
+            (c, "rag_cot", {"context_blocks": [("ca#0", b.case_text)]})]:
+        got = mock_answer(gold, item, variant, templates, **context)
+        assert score_item(got, item) == 1.0, (item.item_id, variant)
+    sensitive = retrieval_sensitive_provider([a, b, c], {"a": "ca", "b": "cb", "c": "cc"})
+    got = mock_answer(sensitive, c, "rag", templates,
+                      demonstration=a.case_text, context_blocks=[("cc#0", "x")])
+    assert score_item(got, c) == 1.0
+    got = mock_answer(sensitive, c, "rag", templates,
+                      demonstration=a.case_text, context_blocks=[("ca#0", "x")])
+    assert score_item(got, c) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +483,7 @@ def test_report_json_shape(eval_setup, task_items, templates):
 # ---------------------------------------------------------------------------
 
 def report_with(label, aggregate, ids=("a", "b")):
-    items = [ItemResult(item_id=i, score=aggregate / 100.0, parsed=True, answer_json="{}")
+    items = [ItemResult(item_id=i, score=aggregate / 100.0, parsed=True, answer="{}")
              for i in ids]
     return ScoreReport(label=label, aggregate=aggregate, items=items, parse_failures=0,
                        provider_failures=0, prompt_failures=0, provider_fallbacks=0,

@@ -31,7 +31,8 @@ EXIT_CONFIG = 2
 
 META_FILE = "meta.json"
 VECTORS_FILE = "vectors.bin"
-KEYWORDS_FILE = "keywords.tsv"
+KEYWORDS_FILE = "keywords.bin"
+_KEYWORDS_RECORD = "keywords.tsv"  # the keyword index as text, for people; never read
 CHUNKS_FILE = "chunks.jsonl"
 LOCK_FILE = ".lock"
 
@@ -227,12 +228,13 @@ def cmd_index(cfg: AppConfig, args) -> int:
             stage = Path(tmp)
             dense_index.save(stage / VECTORS_FILE)
             kw_index.save(stage / KEYWORDS_FILE)
+            kw_index._save_tsv(stage / _KEYWORDS_RECORD)
             dump_chunks(chunks, stage / CHUNKS_FILE)
             meta = {"strategy": args.strategy, "dim": dense_index.dim, "count": len(chunks),
                     "stub": bool(args.stub)}
             (stage / META_FILE).write_text(json.dumps(meta, sort_keys=True) + "\n",
                                            encoding="utf-8")
-            for name in (VECTORS_FILE, KEYWORDS_FILE, CHUNKS_FILE, META_FILE):
+            for name in (VECTORS_FILE, KEYWORDS_FILE, _KEYWORDS_RECORD, CHUNKS_FILE, META_FILE):
                 os.replace(stage / name, out_dir / name)
         print(f"index: {len(cases)} cases -> {len(chunks)} chunks "
               f"(strategy={args.strategy}, dim={dense_index.dim}) in {out_dir}")
@@ -255,6 +257,9 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
         dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
         kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
         chunks = load_chunks(index_dir / CHUNKS_FILE)
+    except FileNotFoundError as exc:
+        raise CliConfigError(f"index at {index_dir} is missing {Path(exc.filename).name}; "
+                             f"rebuild it with 'index'") from exc
     except ValueError as exc:
         raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
                              f"rebuild it with 'index'") from exc

@@ -1,6 +1,10 @@
 """Keyword inverted index with token-set IoU (Jaccard) scoring."""
 from __future__ import annotations
 
+import json
+import operator
+import os
+import struct
 from array import array
 from collections import defaultdict
 from pathlib import Path
@@ -11,6 +15,16 @@ import numpy as np
 
 class KeywordIndexError(ValueError):
     pass
+
+
+_MAGIC = b"TCMRAGKIDX\x00\x00"
+_VERSION = 1
+# magic, version, chunk count, token count, entry count (rows summed over every token's
+# postings), byte lengths of the ids' and the tokens' JSON arrays; then both arrays
+# (UTF-8, the ids in chunk_id order and the tokens sorted), the token count + 1 offsets
+# of each token's first entry as little-endian int64, and the entries, each token's rows
+# ascending, as little-endian int32
+_HEADER = struct.Struct("<12sIIIQQQ")
 
 
 def iou_score(q: set[str], d: set[str]) -> float:
@@ -45,39 +59,17 @@ def _columns(rows: Iterable[tuple[str, set[str]]]):
             {tok: np.frombuffer(r, dtype=np.intc) for tok, r in postings.items()})
 
 
-def _read_rows(path: str | Path):
-    """(chunk_id, token set) per line of a saved index; a token repeated in a line counts
-    once. Raises KeywordIndexError for a line cut short, without a tab, or whose chunk id
-    does not sort after the previous line's (repeated or out of order)."""
-    last = None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if not line.endswith("\n"):  # save ends every line; this one was cut
-                    raise KeywordIndexError(f"{path}:{lineno}: line cut short")
-                line = line[:-1]
-                if not line:
-                    continue
-                cid, tab, rest = line.partition("\t")
-                if not tab:
-                    raise KeywordIndexError(
-                        f"{path}:{lineno}: expected '<chunk_id>\\t<tokens>'")
-                if last is not None and cid <= last:
-                    raise KeywordIndexError(f"{path}:{lineno}: chunk id {cid!r} is repeated "
-                                            f"or out of chunk_id order")
-                last = cid
-                yield cid, set(rest.split())
-        except UnicodeDecodeError as exc:
-            raise KeywordIndexError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
 class KeywordIndex:
     """Token sets held as columns (see `_columns`) over one row per chunk, in chunk_id
     order, from (chunk_id, token set) pairs given in that order."""
 
     def __init__(self, rows: Iterable[tuple[str, set[str]]]) -> None:
-        self.ids, self._sizes, self._postings = _columns(rows)
-        self._by_id = {cid: row for row, cid in enumerate(self.ids)}
+        self._set_columns(*_columns(rows))
+
+    def _set_columns(self, ids: list[str], sizes: np.ndarray,
+                     postings: dict[str, np.ndarray]) -> None:
+        self.ids, self._sizes, self._postings = ids, sizes, postings
+        self._by_id = {cid: row for row, cid in enumerate(ids)}
 
     def _overlaps(self, query_tokens: set[str]):
         """Per row, the number of query tokens it holds; None when no row holds one."""
@@ -109,9 +101,26 @@ class KeywordIndex:
         return [(self.ids[r], s) for r, s in zip(cand[top].tolist(), iou[top].tolist())]
 
     def save(self, path: str | Path) -> None:
-        """One line per chunk in chunk_id order: the id, a tab, its tokens sorted and
-        separated by spaces. Each row's tokens are read back from the postings, taken in
-        token order, so they arrive sorted."""
+        """The columns as one block (see `_HEADER`): each token's postings, the tokens
+        taken in sorted order, end to end."""
+        tokens = sorted(self._postings)
+        ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
+        toks = json.dumps(tokens, ensure_ascii=False).encode("utf-8")
+        offsets = np.zeros(len(tokens) + 1, dtype="<i8")
+        np.cumsum([len(self._postings[tok]) for tok in tokens], out=offsets[1:])
+        rows = np.concatenate([np.empty(0, dtype=np.intc)]
+                              + [self._postings[tok] for tok in tokens])
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, len(self.ids), len(tokens), len(rows),
+                                  len(ids), len(toks)))
+            fh.write(ids + toks)
+            fh.write(offsets)
+            fh.write(rows.astype("<i4", copy=False))
+
+    def _save_tsv(self, path: str | Path) -> None:
+        """The index as text, which nothing reads back: one line per chunk in chunk_id
+        order, the id, a tab, its tokens sorted and separated by spaces. Each row's tokens
+        are read back from the postings, taken in token order, so they arrive sorted."""
         tokens: list[list[str]] = [[] for _ in self.ids]
         for tok in sorted(self._postings):
             for row in self._postings[tok].tolist():
@@ -122,5 +131,58 @@ class KeywordIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordIndex":
-        """The columns, parsed from a saved index (see `_read_rows` for what it refuses)."""
-        return cls(_read_rows(path))
+        """The columns of a block `save` wrote, the offsets and entries read with one
+        `readinto`; each token's postings are a view of the entries. Raises
+        KeywordIndexError for a file that is not a whole, well-formed block."""
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if head[:12] != _MAGIC:
+                raise KeywordIndexError(f"{path}: not a keyword index file")
+            if len(head) < _HEADER.size:
+                raise KeywordIndexError(f"{path}: truncated keyword index file")
+            _, version, count, n_tokens, entries, id_bytes, token_bytes = _HEADER.unpack(head)
+            if version != _VERSION:
+                raise KeywordIndexError(f"{path}: unsupported version {version}")
+            size = os.fstat(fh.fileno()).st_size
+            expected = _HEADER.size + id_bytes + token_bytes + 8 * (n_tokens + 1) + 4 * entries
+            if size != expected:
+                raise KeywordIndexError(f"{path}: truncated keyword index file" if size < expected
+                                        else f"{path}: trailing bytes after the postings")
+            ids = _sorted_strings(path, fh.read(id_bytes), "chunk ids", count)
+            tokens = _sorted_strings(path, fh.read(token_bytes), "tokens", n_tokens)
+            block = np.empty(8 * (n_tokens + 1) + 4 * entries, dtype=np.uint8)
+            if fh.readinto(block) != block.nbytes:  # shrank since the stat
+                raise KeywordIndexError(f"{path}: truncated keyword index file")
+        offsets = block[:8 * (n_tokens + 1)].view("<i8")
+        rows = block[8 * (n_tokens + 1):].view("<i4")
+        if offsets[0] != 0 or offsets[-1] != entries or np.any(np.diff(offsets) <= 0):
+            raise KeywordIndexError(f"{path}: token offsets do not rise from 0 to the "
+                                    f"{entries} entries, each token holding a row")
+        if entries and (rows.min() < 0 or rows.max() >= count):
+            raise KeywordIndexError(f"{path}: a row is outside the {count} chunks")
+        falls = np.diff(rows) <= 0
+        falls[offsets[1:-1] - 1] = False  # a token's first row follows another token's
+        if falls.any():
+            tok = tokens[int(np.searchsorted(offsets, np.argmax(falls) + 1, "right")) - 1]
+            raise KeywordIndexError(f"{path}: the rows of token {tok!r} are not "
+                                    f"strictly ascending")
+        bounds = offsets.tolist()
+        index = cls.__new__(cls)
+        index._set_columns(ids, np.bincount(rows, minlength=count).astype(np.intc),
+                           {tok: rows[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])})
+        return index
+
+
+def _sorted_strings(path: str | Path, data: bytes, what: str, count: int) -> list[str]:
+    """The JSON array of `count` distinct strings, ascending, that data holds."""
+    try:
+        values = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise KeywordIndexError(f"{path}: {what} are not UTF-8: {exc}") from exc
+    except ValueError as exc:
+        raise KeywordIndexError(f"{path}: {what} are not a JSON array: {exc}") from exc
+    if not (isinstance(values, list) and len(values) == count
+            and set(map(type, values)) <= {str} and all(map(operator.lt, values, values[1:]))):
+        raise KeywordIndexError(f"{path}: {what} are not {count} distinct strings "
+                                f"in sorted order")
+    return values

@@ -22,6 +22,7 @@ from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_d
 from tcmrag.prompt import COT_STEP_HEADERS
 from tcmrag.segment import HmmModelError, load_hmm
 from tcmrag.sparse import KeywordIndex
+from test_sparse import MALFORMED_BLOCKS, parts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -297,7 +298,7 @@ def test_ingest_clean_prints_each_flagged_reply_and_exits_0(tmp_path, monkeypatc
 
 def test_index_writes_all_files_and_meta(workspace):
     naive = workspace["naive"]
-    for name in ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
         assert (naive / name).exists(), name
     meta = json.loads((naive / "meta.json").read_text(encoding="utf-8"))
     assert meta["strategy"] == "overlap_window"
@@ -311,21 +312,25 @@ def test_index_build_is_deterministic(workspace, tmp_path):
     out = tmp_path / "again"
     assert main(["--config", str(workspace["cfg"]), "--stub", "index",
                  "--strategy", "overlap_window", "--out", str(out)]) == 0
-    for name in ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
         a = hashlib.sha256((workspace["naive"] / name).read_bytes()).hexdigest()
         b = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert a == b, name
 
 
-# SHA-256 of the text files of both stub indexes of the sample corpus, built with
-# small chunks so that the strategies differ. vectors.bin is left out: its float bytes
-# may differ with the BLAS library.
+# SHA-256 of the files of both stub indexes of the sample corpus that hold no floats,
+# built with small chunks so that the strategies differ. vectors.bin is left out: its
+# float bytes may differ with the BLAS library.
 SMALL_CHUNKS = {"window": 64, "overlap": 16, "max_tokens": 24, "overlap_tokens": 4}
 INDEX_DIGESTS = {
+    ("overlap_window", "keywords.bin"):
+        "516d221d9375064b810b7cefddd1a910deab5a37de31602ab831462718a3bf87",
     ("overlap_window", "keywords.tsv"):
         "6d0a99ae99f7d9c90f5e147c9d42ea1baf6dd408b337d2d7b0ea8cb3a7673b90",
     ("overlap_window", "chunks.jsonl"):
         "4b34a0b528801702c568b50a2d68465fd2af59cf15cf1061fd6c28fa8af287d2",
+    ("token_chunk", "keywords.bin"):
+        "2148e57e9856e3cb82c3b52d412ed9a8693f775be1f2855c6aee6740b0ed6d25",
     ("token_chunk", "keywords.tsv"):
         "96b9197b42f4ed942760e294ae8c01280d15e87503221f87944811abde0f2bc4",
     ("token_chunk", "chunks.jsonl"):
@@ -339,7 +344,7 @@ def test_index_text_files_match_recorded_digests(tmp_path):
         out = tmp_path / strategy
         assert main(["--config", str(cfg), "--stub", "index",
                      "--strategy", strategy, "--out", str(out)]) == 0
-        for name in ("keywords.tsv", "chunks.jsonl"):
+        for name in ("keywords.bin", "keywords.tsv", "chunks.jsonl"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == INDEX_DIGESTS[strategy, name], (strategy, name)
 
@@ -362,12 +367,13 @@ def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
     code = main(["--config", str(cfg), "--stub", "index",
                  "--strategy", "overlap_window", "--out", str(out)])
     assert code == 1
-    for name in ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json", ".lock"):
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json",
+                 ".lock"):
         assert not (out / name).exists(), name
     assert not list(out.glob(".index-*"))
 
 
-INDEX_FILES = ("vectors.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
+INDEX_FILES = ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
 
 
 def test_index_names_the_chunk_it_cannot_embed_and_keeps_the_previous_index(
@@ -453,7 +459,7 @@ def test_index_with_a_malformed_hmm_model_names_the_file_and_exits_1(tmp_path, c
 
 
 def test_index_refuses_a_case_id_with_a_tab_or_line_break(workspace, tmp_path, capsys):
-    # such an id would split its keywords.tsv line, and no later query could open the index
+    # such an id would split its line of keywords.tsv, the index's readable record
     lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()[:3]
     recs = [json.loads(line) for line in lines]
     recs[0]["case_id"], recs[1]["case_id"] = "c\t1", "c\n2"
@@ -471,17 +477,52 @@ def test_index_refuses_a_case_id_with_a_tab_or_line_break(workspace, tmp_path, c
     assert sorted(p.name for p in out.iterdir()) == sorted(INDEX_FILES)
 
 
-@pytest.mark.parametrize("name", ["keywords.tsv", "chunks.jsonl"])
+def drop_last_row(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def drop_last_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, damage", [("keywords.bin", drop_last_row),
+                                          ("chunks.jsonl", drop_last_line)],
+                         ids=["keywords.bin", "chunks.jsonl"])
 def test_query_on_an_index_with_a_truncated_file_is_config_error(workspace, tmp_path, name,
-                                                                  capsys):
+                                                                  damage, capsys):
     index = tmp_path / "idx"
     shutil.copytree(workspace["hybrid"], index)
-    lines = (index / name).read_text(encoding="utf-8").splitlines(keepends=True)
-    (index / name).write_text("".join(lines[:-1]), encoding="utf-8")
+    damage(index / name)
     code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
                  "--index", str(index)])
     assert code == 2
     assert "rebuild it with 'index'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["vectors.bin", "keywords.bin", "chunks.jsonl"])
+def test_query_on_an_index_missing_a_data_file_is_config_error(workspace, tmp_path, name,
+                                                                capsys):
+    # an index built before keywords.bin was written lacks it
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    (index / name).unlink()
+    code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
+                 "--index", str(index)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: index at {index} is missing {name}; "
+                                       f"rebuild it with 'index'\n")
+
+
+def test_query_does_not_read_the_keywords_tsv_record(workspace, tmp_path, capsys):
+    args = ["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。", "--index"]
+    assert main([*args, str(workspace["hybrid"])]) == 0
+    expected = capsys.readouterr().out
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    (index / "keywords.tsv").unlink()
+    assert main([*args, str(index)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def cut_in_half(path: Path) -> None:
@@ -489,26 +530,22 @@ def cut_in_half(path: Path) -> None:
     path.write_bytes(data[:len(data) // 2])
 
 
-def drop_first_tab(path: Path) -> None:
-    path.write_text(path.read_text(encoding="utf-8").replace("\t", " ", 1), encoding="utf-8")
-
-
 def cut_last_line(path: Path) -> None:
     path.write_bytes(path.read_bytes().rstrip(b"\n")[:-5] + b"\n")
 
 
-def cut_last_line_mid_line(path: Path) -> None:
-    text = path.read_text(encoding="utf-8").rstrip("\n")
-    path.write_text(text[:text.rindex(" ")], encoding="utf-8")  # drop its last token and \n
+def damage_block(case: str):
+    """The damage that makes the block of keywords.bin malformed as MALFORMED_BLOCKS's case."""
+    make, _ = MALFORMED_BLOCKS[case]
+    return lambda path: path.write_bytes(make(parts(KeywordIndex.load(path))))
 
 
 UNREADABLE_INDEX = {
     "truncated meta.json": ("meta.json", cut_in_half),
     "meta.json not an object": ("meta.json", lambda p: p.write_text("[1]\n")),
     "truncated vectors.bin": ("vectors.bin", cut_in_half),
-    "keywords.tsv line without a tab": ("keywords.tsv", drop_first_tab),
-    "keywords.tsv cut mid-line": ("keywords.tsv", cut_last_line_mid_line),
     "chunks.jsonl line cut": ("chunks.jsonl", cut_last_line),
+    **{f"keywords.bin {case}": ("keywords.bin", damage_block(case)) for case in MALFORMED_BLOCKS},
 }
 
 
@@ -526,26 +563,14 @@ def test_query_on_an_unreadable_index_is_config_error(workspace, tmp_path, case,
     assert "rebuild it with 'index'" in err
 
 
-def swap_first_two_lines(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join([lines[1], lines[0], *lines[2:]]), encoding="utf-8")
-
-
-def repeat_first_line(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join([lines[0], *lines]), encoding="utf-8")
-
-
 def break_second_line(path: Path) -> None:
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join([lines[0], "{not json\n", *lines[2:]]), encoding="utf-8")
 
 
 @pytest.mark.parametrize("name, damage, message", [
-    ("keywords.tsv", swap_first_two_lines, "is repeated or out of chunk_id order"),
-    ("keywords.tsv", repeat_first_line, "is repeated or out of chunk_id order"),
     ("chunks.jsonl", break_second_line, "malformed JSON"),
-], ids=["keywords.tsv out of order", "keywords.tsv repeats an id", "chunks.jsonl bad line"])
+], ids=["chunks.jsonl bad line"])
 def test_query_on_an_index_with_a_bad_line_names_the_line(workspace, tmp_path, name, damage,
                                                          message, capsys):
     index = tmp_path / "idx"
@@ -562,7 +587,7 @@ def test_query_on_an_index_with_a_bad_line_names_the_line(workspace, tmp_path, n
 
 @pytest.mark.parametrize("name", ["naive", "hybrid"])
 def test_a_loaded_index_saves_the_bytes_it_was_loaded_from(workspace, tmp_path, name):
-    for file, cls in (("vectors.bin", VectorIndex), ("keywords.tsv", KeywordIndex)):
+    for file, cls in (("vectors.bin", VectorIndex), ("keywords.bin", KeywordIndex)):
         cls.load(workspace[name] / file).save(tmp_path / file)
         cls.load(tmp_path / file).save(tmp_path / ("again-" + file))
         original = (workspace[name] / file).read_bytes()

@@ -42,8 +42,7 @@ def test_load_corpus_malformed_line_cites_lineno(tmp_path):
 
 @pytest.mark.parametrize("case_id", ["c\t1", "c\n2", "c\r3"])
 def test_case_id_with_a_tab_or_line_break_is_rejected(tmp_path, case_id):
-    # keywords.tsv is read line by line and split on tabs, so such an id builds an index
-    # that cannot be opened
+    # such an id would split its line of keywords.tsv, the index's readable record
     path = tmp_path / "corpus.jsonl"
     path.write_text(_case_line("a") + "\n" + _case_line(case_id) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=r"in case_id \(.*corpus\.jsonl:2\)"):

@@ -264,10 +264,10 @@ def test_a_reloaded_index_pools_what_the_in_memory_one_pools(tmp_path_factory, c
     live = vector_deps(rows, docs, np.array(query_vector, dtype=np.float64))
     d = tmp_path_factory.mktemp("idx")
     live.dense_index.save(d / "vectors.bin")
-    live.kw_index.save(d / "keywords.tsv")
+    live.kw_index.save(d / "keywords.bin")
     loaded = RetrieverDeps(tokenize=live.tokenize, embedder=live.embedder,
                            dense_index=VectorIndex.load(d / "vectors.bin"),
-                           kw_index=KeywordIndex.load(d / "keywords.tsv"),
+                           kw_index=KeywordIndex.load(d / "keywords.bin"),
                            chunk_texts=live.chunk_texts)
     query = " ".join(sorted(query_tokens))
     for mode in MODES:
@@ -608,9 +608,9 @@ def test_build_indexes_keeps_one_row_order_whatever_the_chunk_order(tmp_path_fac
         assert dense_index.dim == (16 if docs else None)
         d = tmp_path_factory.mktemp("idx")
         dense_index.save(d / "vectors.bin")
-        kw_index.save(d / "keywords.tsv")
+        kw_index.save(d / "keywords.bin")
         built.append((dense_index._matrix.tobytes(), (d / "vectors.bin").read_bytes(),
-                      (d / "keywords.tsv").read_bytes()))
+                      (d / "keywords.bin").read_bytes()))
     assert built[0] == built[1]
 
 

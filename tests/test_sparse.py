@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+import re
+import struct
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -93,9 +97,9 @@ def test_search_truncates_to_n():
 
 
 def test_add_duplicate_and_bad_n(tmp_path):
-    path = tmp_path / "kw.tsv"
-    path.write_text("c1#0\tx\nc1#0\ty\n", encoding="utf-8")
-    with pytest.raises(KeywordIndexError, match="repeated"):
+    path = tmp_path / "kw.bin"
+    path.write_bytes(block(["c1#0", "c1#0"], ["x", "y"], [0, 1, 2], [0, 1], count=2))
+    with pytest.raises(KeywordIndexError, match="distinct"):
         KeywordIndex.load(path)
     with pytest.raises(KeywordIndexError):
         small_index().search({"x"}, 0)
@@ -133,8 +137,8 @@ def test_search_equals_the_exhaustive_sort_exactly(first, later, query, n):
     index = keyword_index(docs)
     assert index.search(query, n) == exhaustive(docs, query, n)
     with tempfile.TemporaryDirectory() as d:
-        index.save(Path(d) / "kw.tsv")
-        loaded = KeywordIndex.load(Path(d) / "kw.tsv")
+        index.save(Path(d) / "kw.bin")
+        loaded = KeywordIndex.load(Path(d) / "kw.bin")
     assert loaded.search(query, n) == exhaustive(docs, query, n)
 
 
@@ -159,13 +163,13 @@ def test_search_keeps_iou_ties_straddling_every_n():
 
 def test_save_load_roundtrip(tmp_path):
     index = small_index()
-    path = tmp_path / "keywords.tsv"
+    path = tmp_path / "keywords.bin"
     index.save(path)
     loaded = KeywordIndex.load(path)
     assert loaded.ids == index.ids
     for tok in set().union(*SMALL_DOCS.values()):
         assert loaded.search({tok}, 10) == index.search({tok}, 10)
-    path2 = tmp_path / "again.tsv"
+    path2 = tmp_path / "again.bin"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
 
@@ -173,57 +177,155 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_format_is_sorted_tsv(tmp_path):
     index = keyword_index({"b#0": {"y", "x"}, "a#0": {"z"}})
     path = tmp_path / "kw.tsv"
-    index.save(path)
+    index._save_tsv(path)
     assert path.read_text(encoding="utf-8") == "a#0\tz\nb#0\tx y\n"
 
 
-def test_load_rejects_malformed_line(tmp_path):
-    path = tmp_path / "kw.tsv"
-    path.write_text("a#0\tx\nno-tab-here\n", encoding="utf-8")
-    with pytest.raises(KeywordIndexError, match=":2"):
+def block(ids, tokens, offsets, rows, *, magic=b"TCMRAGKIDX\x00\x00", version=1,
+          count=None) -> bytes:
+    """A keyword index block as README lays it out: the header, the ids and the tokens
+    as JSON arrays (or the bytes given), the int64 offsets and the int32 rows."""
+    count = len(ids) if count is None else count
+    ids, tokens = (v if isinstance(v, bytes) else json.dumps(v, ensure_ascii=False).encode()
+                   for v in (ids, tokens))
+    head = struct.pack("<12sIIIQQQ", magic, version, count, len(offsets) - 1, len(rows),
+                       len(ids), len(tokens))
+    return (head + ids + tokens + struct.pack(f"<{len(offsets)}q", *offsets)
+            + struct.pack(f"<{len(rows)}i", *rows))
+
+
+def parts(index: KeywordIndex) -> dict:
+    """The keyword arguments of `block` that give the block `index.save` writes."""
+    tokens = sorted(index._postings)
+    return {"ids": index.ids, "tokens": tokens, "count": len(index.ids),
+            "offsets": [0, *accumulate(len(index._postings[tok]) for tok in tokens)],
+            "rows": [r for tok in tokens for r in index._postings[tok].tolist()]}
+
+
+def test_save_writes_the_block_readme_lays_out(tmp_path):
+    index = keyword_index({"c2#0": {"胀痛", "头晕"}, "c1#0": {"胀痛"}, "c3#0": set()})
+    index.save(tmp_path / "kw.bin")
+    assert (tmp_path / "kw.bin").read_bytes() == block(
+        ["c1#0", "c2#0", "c3#0"], ["头晕", "胀痛"], [0, 1, 3], [1, 0, 1])
+    assert block(**parts(index)) == (tmp_path / "kw.bin").read_bytes()
+
+
+def with_part(name, value):
+    return lambda p: block(**{**p, name: value(p)})
+
+
+def first_pair(p) -> int:
+    """The position of the first of two rows held by one token."""
+    return next(a for a, b in zip(p["offsets"], p["offsets"][1:]) if b - a >= 2)
+
+
+def swapped(values: list, i: int) -> list:
+    return [*values[:i], values[i + 1], values[i], *values[i + 2:]]
+
+
+def replaced(values: list, i: int, value) -> list:
+    values = list(values)
+    values[i] = value
+    return values
+
+
+# Every way a block can be malformed: case -> (the block from the parts of a good one,
+# the error's text). Each part must hold at least two ids, two tokens and a token with
+# two rows.
+MALFORMED_BLOCKS = {
+    "bad magic": (lambda p: block(**p, magic=b"TCMRAGVIDX\x00\x00"), "not a keyword index file"),
+    "truncated header": (lambda p: block(**p)[:40], "truncated keyword index file"),
+    "unsupported version": (lambda p: block(**p, version=2), "unsupported version 2"),
+    "truncated file": (lambda p: block(**p)[:-1], "truncated keyword index file"),
+    "trailing bytes": (lambda p: block(**p) + b"\x00", "trailing bytes after the postings"),
+    "ids not UTF-8": (with_part("ids", lambda p: b'["\xff"]'), "chunk ids are not UTF-8"),
+    "ids not a JSON array": (with_part("ids", lambda p: b"[oops"),
+                             "chunk ids are not a JSON array"),
+    "ids not strings": (with_part("ids", lambda p: [1] * p["count"]), "distinct strings"),
+    "ids out of order": (with_part("ids", lambda p: swapped(p["ids"], 0)),
+                         "distinct strings in sorted order"),
+    "ids repeated": (with_part("ids", lambda p: replaced(p["ids"], 1, p["ids"][0])),
+                     "distinct strings in sorted order"),
+    "ids fewer than the count": (with_part("count", lambda p: p["count"] + 1),
+                                 "chunk ids are not"),
+    "tokens not strings": (with_part("tokens", lambda p: [None] * len(p["tokens"])),
+                           "tokens are not"),
+    "tokens out of order": (with_part("tokens", lambda p: swapped(p["tokens"], 0)),
+                            "tokens are not"),
+    "tokens repeated": (with_part("tokens", lambda p: replaced(p["tokens"], 1, p["tokens"][0])),
+                        "tokens are not"),
+    "offsets not from 0": (with_part("offsets", lambda p: replaced(p["offsets"], 0, -1)),
+                           "token offsets do not rise from 0"),
+    "offsets falling": (with_part("offsets", lambda p: swapped(p["offsets"], 1)),
+                        "token offsets do not rise from 0"),
+    "token without rows": (with_part("offsets", lambda p: replaced(p["offsets"], 1, 0)),
+                           "each token holding a row"),
+    "offsets short of the entries": (
+        with_part("offsets", lambda p: replaced(p["offsets"], -1, p["offsets"][-1] - 1)),
+        "token offsets do not rise from 0"),
+    "row below 0": (with_part("rows", lambda p: replaced(p["rows"], 0, -1)),
+                    "a row is outside the"),
+    "row at the count": (with_part("rows", lambda p: replaced(p["rows"], -1, p["count"])),
+                         "a row is outside the"),
+    "rows repeated within a token": (
+        with_part("rows", lambda p: replaced(p["rows"], first_pair(p) + 1,
+                                             p["rows"][first_pair(p)])),
+        "are not strictly ascending"),
+    "rows falling within a token": (with_part("rows", lambda p: swapped(p["rows"], first_pair(p))),
+                                    "are not strictly ascending"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_load_refuses_a_malformed_block(tmp_path, case):
+    make, message = MALFORMED_BLOCKS[case]
+    good = parts(small_index())
+    path = tmp_path / "kw.bin"
+    path.write_bytes(block(**good))
+    KeywordIndex.load(path)
+    path.write_bytes(make(good))
+    with pytest.raises(KeywordIndexError, match=re.escape(message)):
         KeywordIndex.load(path)
 
 
-def test_load_accepts_only_prefixes_cut_at_a_line_end(tmp_path):
-    index = keyword_index({"c1#0": {"胃脘", "胀痛", "嗳气"}, "c2#0": {"头晕", "目眩"},
-                           "c3#0": {"肝气", "犯胃", "吞酸"}})
-    path = tmp_path / "kw.tsv"
-    index.save(path)
+def test_load_refuses_every_proper_prefix_of_a_block(tmp_path):
+    path = tmp_path / "kw.bin"
+    small_index().save(path)
     data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    loaded = 0
     for cut in range(len(data)):
         path.write_bytes(data[:cut])
-        whole = data[:cut].count(b"\n")
-        if data[:cut] == b"".join(lines[:whole]):
-            KeywordIndex.load(path).save(tmp_path / "again.tsv")
-            assert (tmp_path / "again.tsv").read_bytes() == data[:cut]
-            loaded += 1
-        else:
-            with pytest.raises(KeywordIndexError):
-                KeywordIndex.load(path)
-    assert loaded == len(lines)
+        with pytest.raises(KeywordIndexError):
+            KeywordIndex.load(path)
 
 
-def test_load_counts_a_token_repeated_in_a_line_once(tmp_path):
-    path = tmp_path / "kw.tsv"
-    path.write_text("a#0\tx x y\nb#0\tx\n", encoding="utf-8")
-    loaded = KeywordIndex.load(path)
-    query = {"x", "z"}
-    assert loaded.search(query, 5) == [("b#0", iou_score(query, {"x"})),
-                                       ("a#0", iou_score(query, {"x", "y"}))]
-    assert loaded._score(["a#0"], query) == [iou_score(query, {"x", "y"})]
-    loaded.save(tmp_path / "again.tsv")
-    assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == "a#0\tx y\nb#0\tx\n"
-
-
-@pytest.mark.parametrize("text", ["b#0\tx\na#0\ty\n", "a#0\tx\na#0\ty\n"],
+@pytest.mark.parametrize("ids", [["b#0", "a#0"], ["a#0", "a#0"]],
                          ids=["out of order", "repeated"])
-def test_load_refuses_a_chunk_id_that_does_not_sort_after_the_last(tmp_path, text):
-    path = tmp_path / "kw.tsv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(KeywordIndexError, match=":2: chunk id 'a#0' is repeated or out of"):
+def test_load_refuses_a_chunk_id_that_does_not_sort_after_the_last(tmp_path, ids):
+    path = tmp_path / "kw.bin"
+    path.write_bytes(block(ids, ["x", "y"], [0, 1, 2], [0, 1], count=2))
+    with pytest.raises(KeywordIndexError,
+                       match="chunk ids are not 2 distinct strings in sorted order"):
         KeywordIndex.load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4),
+                       st.sets(st.text("ab 中药证\t\"\\", min_size=1, max_size=3), max_size=5),
+                       max_size=20))
+def test_a_loaded_block_holds_the_columns_it_was_saved_from(docs):
+    """Token sets empty or not, ids and tokens with CJK, spaces, tabs, quotes or
+    backslashes: the loaded columns are the built ones, dtypes included."""
+    built = keyword_index(docs)
+    with tempfile.TemporaryDirectory() as d:
+        built.save(Path(d) / "kw.bin")
+        loaded = KeywordIndex.load(Path(d) / "kw.bin")
+    assert loaded.ids == built.ids
+    assert loaded._sizes.dtype == built._sizes.dtype
+    assert loaded._sizes.tolist() == built._sizes.tolist()
+    assert sorted(loaded._postings) == sorted(built._postings)
+    for tok, rows in built._postings.items():
+        assert loaded._postings[tok].dtype == rows.dtype
+        assert loaded._postings[tok].tolist() == rows.tolist()
 
 
 def test_score_is_the_iou_of_any_chunk_and_0_without_a_shared_token():

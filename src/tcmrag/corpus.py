@@ -12,7 +12,7 @@ class CorpusError(ValueError):
 
 
 class ChunkingError(ValueError):
-    """Bad chunking parameters or token list inconsistent with text."""
+    """Bad chunking parameters or an empty text."""
 
 
 CHUNK_KEYS = ("chunk_id", "case_id", "text", "start", "end", "strategy")
@@ -63,19 +63,26 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
 
 
-def _record_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A dataclass's field names as a record line's (required, optional) keys, in field
-    order: a field with a default or a default factory is optional."""
-    optional = tuple(f.name for f in fields(cls)
-                     if f.default is not MISSING or f.default_factory is not MISSING)
-    return tuple(f.name for f in fields(cls) if f.name not in optional), optional
+# What a record line's value must be, by the annotation of the dataclass field it fills.
+_VALUE_RULES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[str]": ("an array of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+}
 
 
-def _read_records(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...],
-                  error: type[Exception]):
+def _read_records(path: str | Path, shape: type | tuple[str, ...], error: type[Exception]):
     """Yield (lineno, record) for each non-blank line; raise `error`, naming `path:lineno`,
-    unless the line is a JSON object with every `required` key and no key outside
-    `required + optional`."""
+    unless the line is a JSON object of `shape`. A dataclass `shape` takes a key per field,
+    optional if the field has a default, and a value of the field's annotation; a tuple
+    `shape` takes exactly its keys, of any value."""
+    if isinstance(shape, tuple):
+        required, optional, rules = shape, (), []
+    else:
+        optional = tuple(f.name for f in fields(shape)
+                         if f.default is not MISSING or f.default_factory is not MISSING)
+        required = tuple(f.name for f in fields(shape) if f.name not in optional)
+        rules = [(f.name, *_VALUE_RULES[f.type]) for f in fields(shape)]
     needed, allowed = set(required), set(required + optional)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -94,6 +101,9 @@ def _read_records(path: str | Path, required: tuple[str, ...], optional: tuple[s
                 if missing:
                     raise error(f"{where}: missing keys {missing}")
                 raise error(f"{where}: unknown keys {[k for k in rec if k not in allowed]}")
+            for name, kind, ok in rules:
+                if name in rec and not ok(rec[name]):
+                    raise error(f"{path}:{lineno}: {name} must be {kind}")
             yield lineno, rec
 
 
@@ -101,11 +111,8 @@ def load_corpus(path: str | Path) -> list[ClinicalCase]:
     """Read a line-delimited JSON corpus file into validated cases (order kept)."""
     cases: list[ClinicalCase] = []
     seen: set[str] = set()
-    for lineno, rec in _read_records(path, *_record_keys(ClinicalCase), CorpusError):
+    for lineno, rec in _read_records(path, ClinicalCase, CorpusError):
         where = f"{path}:{lineno}"
-        syndromes = rec["syndromes"]
-        if not isinstance(syndromes, list) or any(not isinstance(s, str) for s in syndromes):
-            raise CorpusError(f"{where}: syndromes must be an array of strings")
         case = ClinicalCase(**rec)
         validate_case(case, where=where)
         if case.case_id in seen:
@@ -161,75 +168,58 @@ def normalize_text(raw: str) -> str:
     return " ".join(cleaned.split())
 
 
+def _windows(text: str, ends, size: int, overlap: int, strategy: str,
+             case_id: str) -> list[Chunk]:
+    """Windows of `size` units of `text`, each next one starting `overlap` units before the
+    last one ended. The units tile the text and are given by their end offsets. A
+    TOKEN_CHUNK window short of the end ends instead after the last sentence-final unit
+    among its last SNAP_LOOKBACK, if the next window still advances."""
+    if not ends:
+        raise ChunkingError("empty text")
+    n = len(ends)
+    snap = strategy == TOKEN_CHUNK
+    chunks: list[Chunk] = []
+    start = 0
+    while True:
+        end = min(start + size, n)
+        if snap and end < n:
+            for j in range(end - 1, max(start, end - 1 - SNAP_LOOKBACK), -1):
+                if text[ends[j - 1]:ends[j]] in SENTENCE_ENDS:  # j > start >= 0
+                    if j + 1 - overlap > start:
+                        end = j + 1
+                    break
+        span = (ends[start - 1] if start else 0, ends[end - 1])
+        chunks.append(Chunk(
+            chunk_id=f"{case_id}#{len(chunks)}",
+            case_id=case_id,
+            text=text[span[0]:span[1]],
+            char_span=span,
+            strategy=strategy,
+        ))
+        if end == n:
+            return chunks
+        start = end - overlap
+
+
 def chunk_overlap(text: str, window: int = DEFAULT_WINDOW, overlap: int = DEFAULT_OVERLAP,
                   case_id: str = "") -> list[Chunk]:
     """Sliding character windows with fixed overlap; spans in Unicode scalar values."""
     if not (0 <= overlap < window):
         raise ChunkingError(f"need 0 <= overlap < window, got overlap={overlap} window={window}")
-    if not text:
-        raise ChunkingError("empty text")
-    stride = window - overlap
-    chunks: list[Chunk] = []
-    start = 0
-    while True:
-        end = min(start + window, len(text))
-        ordinal = len(chunks)
-        chunks.append(Chunk(
-            chunk_id=f"{case_id}#{ordinal}",
-            case_id=case_id,
-            text=text[start:end],
-            char_span=(start, end),
-            strategy=OVERLAP_WINDOW,
-        ))
-        if end == len(text):
-            break
-        start += stride
-    return chunks
+    return _windows(text, range(1, len(text) + 1), window, overlap, OVERLAP_WINDOW, case_id)
 
 
 def chunk_by_tokens(text: str, tokens: list[tuple[str, tuple[int, int]]],
                     max_tokens: int = DEFAULT_MAX_TOKENS,
                     overlap_tokens: int = DEFAULT_OVERLAP_TOKENS,
                     case_id: str = "") -> list[Chunk]:
-    """Token-aligned windows; boundaries snap back to recent sentence-final punctuation."""
+    """Token-aligned windows; boundaries snap back to recent sentence-final punctuation.
+    `tokens` must tile `text`, as `segment.cut`'s do."""
     if not (0 <= overlap_tokens < max_tokens):
         raise ChunkingError(
             f"need 0 <= overlap_tokens < max_tokens, got {overlap_tokens} vs {max_tokens}")
-    pos = 0
-    for tok, (s, e) in tokens:
-        if s != pos or text[s:e] != tok:
-            raise ChunkingError(f"token list inconsistent with text at offset {pos}")
-        pos = e
-    if pos != len(text):
-        raise ChunkingError("tokens do not cover the full text")
-    if not tokens:
-        raise ChunkingError("empty text")
-
-    chunks: list[Chunk] = []
-    start = 0
-    n = len(tokens)
-    while start < n:
-        end = min(start + max_tokens, n)
-        if end < n:
-            for j in range(end - 1, max(start, end - 1 - SNAP_LOOKBACK), -1):
-                if tokens[j][0] in SENTENCE_ENDS:
-                    # only snap if the next window still advances
-                    if j + 1 - overlap_tokens > start:
-                        end = j + 1
-                    break
-        span = (tokens[start][1][0], tokens[end - 1][1][1])
-        ordinal = len(chunks)
-        chunks.append(Chunk(
-            chunk_id=f"{case_id}#{ordinal}",
-            case_id=case_id,
-            text=text[span[0]:span[1]],
-            char_span=span,
-            strategy=TOKEN_CHUNK,
-        ))
-        if end == n:
-            break
-        start = end - overlap_tokens
-    return chunks
+    return _windows(text, [e for _, (_, e) in tokens], max_tokens, overlap_tokens, TOKEN_CHUNK,
+                    case_id)
 
 
 def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
@@ -242,4 +232,4 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
 def load_chunks(path: str | Path) -> list[Chunk]:
     return [Chunk(chunk_id=rec["chunk_id"], case_id=rec["case_id"], text=rec["text"],
                   char_span=(rec["start"], rec["end"]), strategy=rec["strategy"])
-            for _, rec in _read_records(path, CHUNK_KEYS, (), CorpusError)]
+            for _, rec in _read_records(path, CHUNK_KEYS, CorpusError)]

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import ClinicalCase, _read_records, _record_keys
+from .corpus import ClinicalCase, _read_records
 from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
 from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, PromptError,
                      TemplateSet, build_prompt, serialize_answer)
@@ -102,7 +102,7 @@ class ScoreReport:
 def load_tasks(path: str | Path) -> list[TaskItem]:
     items: list[TaskItem] = []
     seen: set[str] = set()
-    for lineno, rec in _read_records(path, *_record_keys(TaskItem), TaskError):
+    for lineno, rec in _read_records(path, TaskItem, TaskError):
         item = TaskItem(**rec)
         _validate_item(item)
         if item.item_id in seen:
@@ -113,14 +113,6 @@ def load_tasks(path: str | Path) -> list[TaskItem]:
 
 
 def _validate_item(item: TaskItem) -> None:
-    for name in ("item_id", "case_text"):
-        if not isinstance(getattr(item, name), str):
-            raise TaskError(f"item {item.item_id!r}: {name} must be a string")
-    for name in ("pathogenesis_options", "syndrome_options", "gold_pathogenesis",
-                 "gold_syndromes"):
-        value = getattr(item, name)
-        if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-            raise TaskError(f"item {item.item_id!r}: {name} must be an array of strings")
     for name, options in (("pathogenesis_options", item.pathogenesis_options),
                           ("syndrome_options", item.syndrome_options)):
         if len(options) < 2:

@@ -156,8 +156,9 @@ def max_prob_route(sentence: str, lex: Lexicon) -> list[int]:
     return route
 
 
-def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]:
-    """Max-likelihood BMES decode; ties prefer the state earlier in B<M<E<S."""
+def viterbi(fragment: str, model: HmmModel) -> list[str]:
+    """The token texts of a max-likelihood BMES decode; ties prefer the state earlier in
+    B<M<E<S."""
     if not fragment:
         return []
     neg_inf = -math.inf
@@ -185,16 +186,16 @@ def viterbi(fragment: str, model: HmmModel) -> list[tuple[str, tuple[int, int]]]
 
     path = [max(_FINAL_STATES, key=lambda s: (row[s], -STATES.index(s)))]
     if row[path[0]] == neg_inf:  # no path ends a word: one token per character
-        return [(ch, (i, i + 1)) for i, ch in enumerate(fragment)]
+        return list(fragment)
     for ptr in reversed(back):
         path.append(ptr[path[-1]])
     path.reverse()
 
-    tokens: list[tuple[str, tuple[int, int]]] = []
+    tokens: list[str] = []
     start = 0
     for t, state in enumerate(path):  # the path ends in E or S, so every char is covered
         if state in "ES":
-            tokens.append((fragment[start:t + 1], (start, t + 1)))
+            tokens.append(fragment[start:t + 1])
             start = t + 1
     return tokens
 
@@ -220,7 +221,7 @@ def _cut_cjk(block: str, lex: Lexicon, hmm: HmmModel | None) -> tuple[str, ...]:
     for is_unknown, group in groupby(words, key=unknown):
         run = list(group)
         if is_unknown and hmm is not None:  # re-decode the run of unknown single chars
-            tokens += [text for text, _ in viterbi(block[run[0][0]:run[-1][1]], hmm)]
+            tokens += viterbi(block[run[0][0]:run[-1][1]], hmm)
         else:
             tokens += [block[s:e] for s, e in run]
     return tuple(tokens)

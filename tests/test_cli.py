@@ -373,6 +373,19 @@ def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
     assert not list(out.glob(".index-*"))
 
 
+def test_index_names_the_corpus_line_with_a_wrongly_typed_value(tmp_path, capsys):
+    lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    rec["clinical_info"] = 5
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([*lines[:2], json.dumps(rec, ensure_ascii=False)]) + "\n",
+                      encoding="utf-8")
+    cfg = write_config(tmp_path, corpus=corpus)
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", "token_chunk",
+                 "--out", str(tmp_path / "idx")]) == 1
+    assert f"error: {corpus}:3: clinical_info must be a string" in capsys.readouterr().err
+
+
 INDEX_FILES = ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
 
 

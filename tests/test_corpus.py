@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tcmrag.corpus import (Chunk, ChunkingError, ClinicalCase, CorpusError, case_document,
+from tcmrag.corpus import (OVERLAP_WINDOW, SENTENCE_ENDS, SNAP_LOOKBACK, TOKEN_CHUNK, Chunk,
+                           ChunkingError, ClinicalCase, CorpusError, case_document,
                            chunk_by_tokens, chunk_overlap, dump_chunks, load_chunks,
                            load_corpus, normalize_text, save_corpus)
 
@@ -69,6 +70,26 @@ def test_empty_clinical_info_rejected(tmp_path):
     rec["clinical_info"] = ""
     path.write_text(json.dumps(rec), encoding="utf-8")
     with pytest.raises(CorpusError, match="clinical_info"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("case_id", 7, "case_id must be a string"),
+    ("clinical_info", 5, "clinical_info must be a string"),
+    ("patient_background", None, "patient_background must be a string"),
+    ("doctor_notes", ["按语"], "doctor_notes must be a string"),  # an optional field
+    ("syndromes", "肝胃不和证", "syndromes must be an array of strings"),
+    ("syndromes", ["肝胃不和证", 3], "syndromes must be an array of strings"),
+], ids=["int_case_id", "int_clinical_info", "null_background", "list_notes",
+        "string_syndromes", "int_syndrome"])
+def test_load_corpus_rejects_a_wrongly_typed_value_naming_its_line(tmp_path, key, value,
+                                                                   message):
+    rec = json.loads(_case_line("b"))
+    rec[key] = value
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_case_line("a") + "\n" + json.dumps(rec, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"corpus\.jsonl:2: {message}$"):
         load_corpus(path)
 
 
@@ -156,18 +177,107 @@ def test_chunk_by_tokens_sentence_snap():
     assert chunks[0].text == "ab。"
 
 
-def test_chunk_by_tokens_inconsistent_tokens():
-    with pytest.raises(ChunkingError):
-        chunk_by_tokens("abcd", [("ab", (0, 2)), ("d", (3, 4))], 4, 0)
-    with pytest.raises(ChunkingError):
-        chunk_by_tokens("abcd", [("ax", (0, 2)), ("cd", (2, 4))], 4, 0)
-
-
 @given(st.text(alphabet="ab。", min_size=1, max_size=60),
        st.integers(min_value=2, max_value=10))
 def test_chunk_by_tokens_zero_overlap_reconstructs(text, max_tokens):
     chunks = chunk_by_tokens(text, _single_char_tokens(text), max_tokens, 0)
     assert "".join(c.text for c in chunks) == text
+
+
+# The two chunking loops as they stood before both became one windowing function.
+def reference_chunk_overlap(text, window, overlap, case_id=""):
+    stride = window - overlap
+    chunks = []
+    start = 0
+    while True:
+        end = min(start + window, len(text))
+        chunks.append(Chunk(chunk_id=f"{case_id}#{len(chunks)}", case_id=case_id,
+                            text=text[start:end], char_span=(start, end),
+                            strategy=OVERLAP_WINDOW))
+        if end == len(text):
+            break
+        start += stride
+    return chunks
+
+
+def reference_chunk_by_tokens(text, tokens, max_tokens, overlap_tokens, case_id=""):
+    chunks = []
+    start = 0
+    n = len(tokens)
+    while start < n:
+        end = min(start + max_tokens, n)
+        if end < n:
+            for j in range(end - 1, max(start, end - 1 - SNAP_LOOKBACK), -1):
+                if tokens[j][0] in SENTENCE_ENDS:
+                    if j + 1 - overlap_tokens > start:
+                        end = j + 1
+                    break
+        span = (tokens[start][1][0], tokens[end - 1][1][1])
+        chunks.append(Chunk(chunk_id=f"{case_id}#{len(chunks)}", case_id=case_id,
+                            text=text[span[0]:span[1]], char_span=span, strategy=TOKEN_CHUNK))
+        if end == n:
+            break
+        start = end - overlap_tokens
+    return chunks
+
+
+@st.composite
+def sizes(draw, most=40):
+    """(size, overlap) with 0 <= overlap < size, overlap = size - 1 as often as not."""
+    size = draw(st.integers(min_value=1, max_value=most))
+    widest = draw(st.booleans())
+    return size, size - 1 if widest else draw(st.integers(min_value=0, max_value=size - 1))
+
+
+@st.composite
+def tiled_texts(draw):
+    """A text and a token list that tiles it; sentence ends are tokens of their own or
+    inside longer ones."""
+    text = draw(st.text(alphabet=st.sampled_from("aaaabb中中。！？；"), min_size=1,
+                        max_size=120))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(text) - 1)))
+                  if len(text) > 1 else [])
+    bounds = [0, *cuts, len(text)]
+    return text, [(text[s:e], (s, e)) for s, e in zip(bounds, bounds[1:])]
+
+
+@given(st.text(min_size=1, max_size=300), sizes())
+def test_chunk_overlap_equals_the_reference_loop(text, size_overlap):
+    assert chunk_overlap(text, *size_overlap, case_id="c") == reference_chunk_overlap(
+        text, *size_overlap, case_id="c")
+
+
+@given(tiled_texts(), sizes())
+def test_chunk_by_tokens_equals_the_reference_loop(text_tokens, size_overlap):
+    text, tokens = text_tokens
+    assert chunk_by_tokens(text, tokens, *size_overlap, case_id="c") == (
+        reference_chunk_by_tokens(text, tokens, *size_overlap, case_id="c"))
+
+
+@pytest.mark.parametrize("stop", range(20))
+def test_chunk_by_tokens_snaps_only_within_the_lookback(stop):
+    # the first window ends after token 19; a sentence end among its last SNAP_LOOKBACK
+    # tokens pulls it back, one earlier does not
+    text = "a" * stop + "。" + "a" * (39 - stop)
+    chunks = chunk_by_tokens(text, _single_char_tokens(text), 20, 0)
+    assert chunks == reference_chunk_by_tokens(text, _single_char_tokens(text), 20, 0)
+    snapped = stop >= 20 - SNAP_LOOKBACK
+    assert chunks[0].char_span == ((0, stop + 1) if snapped else (0, 20))
+
+
+@pytest.mark.parametrize("overlap, first_span", [(1, (0, 3)), (2, (0, 3)), (3, (0, 4))])
+def test_chunk_by_tokens_snaps_only_if_the_next_window_advances(overlap, first_span):
+    # snapping after "。" (token 2) would start the next window at token 3 - overlap
+    text = "ab。cdefgh"
+    chunks = chunk_by_tokens(text, _single_char_tokens(text), 4, overlap)
+    assert chunks[0].char_span == first_span
+    assert chunks == reference_chunk_by_tokens(text, _single_char_tokens(text), 4, overlap)
+
+
+def test_chunk_by_tokens_snaps_only_after_a_sentence_end_token():
+    text = "ab。cdefgh"
+    tokens = [("a", (0, 1)), ("b。", (1, 3)), *_single_char_tokens(text)[3:]]
+    assert chunk_by_tokens(text, tokens, 3, 0)[0].char_span == (0, 4)
 
 
 def test_chunking_is_deterministic():

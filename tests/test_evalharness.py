@@ -90,11 +90,15 @@ def test_load_tasks_rejects_duplicate_ids_and_bad_json(tmp_path):
     (task_record(gold_case="c1"), r"tasks\.jsonl:1: unknown keys \['gold_case'\]"),
     # a string is not a list of options, though each gold label is a substring of it
     (task_record(pathogenesis_options="ab", gold_pathogenesis=["a"]),
-     "item 't1': pathogenesis_options must be an array of strings"),
-    (task_record(gold_syndromes="肝胃不和证"), "item 't1': gold_syndromes must be an array"),
-    (task_record(case_text=["病案文字。"]), "item 't1': case_text must be a string"),
+     r"tasks\.jsonl:1: pathogenesis_options must be an array of strings"),
+    (task_record(gold_syndromes="肝胃不和证"),
+     r"tasks\.jsonl:1: gold_syndromes must be an array of strings"),
+    (task_record(case_text=["病案文字。"]), r"tasks\.jsonl:1: case_text must be a string"),
+    (task_record(item_id=7), r"tasks\.jsonl:1: item_id must be a string"),
+    (task_record(syndrome_options=["肝胃不和证", 2]),
+     r"tasks\.jsonl:1: syndrome_options must be an array of strings"),
 ], ids=["not_object", "missing_key", "unknown_key", "string_options", "string_gold",
-        "list_case_text"])
+        "list_case_text", "int_item_id", "int_option"])
 def test_load_tasks_rejects_malformed_records(tmp_path, record, message):
     with pytest.raises(TaskError, match=message):
         load_tasks(write_tasks(tmp_path, [record]))

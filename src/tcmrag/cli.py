@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evalharness as ev
-from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, dump_chunks, load_chunks,
+from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, _chunk_columns, dump_chunks,
                      load_corpus, normalize_text, save_corpus)
 from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
@@ -33,8 +34,10 @@ META_FILE = "meta.json"
 VECTORS_FILE = "vectors.bin"
 KEYWORDS_FILE = "keywords.bin"
 _KEYWORDS_RECORD = "keywords.tsv"  # the keyword index as text, for people; never read
-CHUNKS_FILE = "chunks.jsonl"
+CHUNKS_FILE = "chunks.bin"
 LOCK_FILE = ".lock"
+# the layout of an index's files, recorded in meta.json; an index of another does not open
+_INDEX_FORMAT = 2
 
 
 class CliConfigError(ValueError):
@@ -122,6 +125,18 @@ def _lock_owner(lock: Path) -> str:
     except PermissionError:
         pass  # the pid exists under another user
     return f"held by pid {pid} since {started}, which is still running"
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _fingerprint(cfg: AppConfig) -> dict:
+    """What meta.json records of how an index was built, beyond its shape: the layout of
+    its files and the lexicon and HMM that tokenize its chunks, which its queries must
+    share ("" for no HMM)."""
+    return {"format": _INDEX_FORMAT, "lexicon_sha256": _sha256(cfg.lexicon),
+            "hmm_sha256": _sha256(cfg.hmm) if cfg.hmm else ""}
 
 
 def _embedder(cfg: AppConfig, stub: bool, tokenize, dim: int | None = None):
@@ -231,7 +246,7 @@ def cmd_index(cfg: AppConfig, args) -> int:
             kw_index._save_tsv(stage / _KEYWORDS_RECORD)
             dump_chunks(chunks, stage / CHUNKS_FILE)
             meta = {"strategy": args.strategy, "dim": dense_index.dim, "count": len(chunks),
-                    "stub": bool(args.stub)}
+                    "stub": bool(args.stub), **_fingerprint(cfg)}
             (stage / META_FILE).write_text(json.dumps(meta, sort_keys=True) + "\n",
                                            encoding="utf-8")
             for name in (VECTORS_FILE, KEYWORDS_FILE, _KEYWORDS_RECORD, CHUNKS_FILE, META_FILE):
@@ -246,7 +261,8 @@ def cmd_index(cfg: AppConfig, args) -> int:
 def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
                         stub: bool) -> tuple[dict, RetrieverDeps]:
     """The index's retriever; it reranks with the configured provider unless `stub`.
-    Raises CliConfigError for a missing, unreadable or inconsistent index."""
+    Raises CliConfigError for a missing, unreadable or inconsistent index, or one built
+    with another file layout, lexicon or HMM than `cfg` gives."""
     meta_path = index_dir / META_FILE
     if not meta_path.exists():
         raise CliConfigError(f"no index at {index_dir} (missing {META_FILE})")
@@ -256,22 +272,27 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
             raise ValueError(f"{META_FILE} is not a JSON object")
         dense_index = VectorIndex.load(index_dir / VECTORS_FILE)
         kw_index = KeywordIndex.load(index_dir / KEYWORDS_FILE)
-        chunks = load_chunks(index_dir / CHUNKS_FILE)
+        _, chunk_ids, _, texts, _, _ = _chunk_columns(index_dir / CHUNKS_FILE)
     except FileNotFoundError as exc:
         raise CliConfigError(f"index at {index_dir} is missing {Path(exc.filename).name}; "
                              f"rebuild it with 'index'") from exc
     except ValueError as exc:
         raise CliConfigError(f"index at {index_dir} is unusable: {exc}; "
                              f"rebuild it with 'index'") from exc
-    chunk_texts = {c.chunk_id: c.text for c in chunks}
+    chunk_texts = dict(zip(chunk_ids, texts))
     if not (dense_index.ids == kw_index.ids == sorted(chunk_texts)
-            and len(chunks) == len(chunk_texts) == meta.get("count")
+            and len(chunk_ids) == len(chunk_texts) == meta.get("count")
             and meta.get("dim") == dense_index.dim):
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
                              f"the chunk ids, their count or the dim, or repeat a chunk id; "
                              f"rebuild it with 'index'")
     lex = load_lexicon(cfg.lexicon)
     hmm = load_hmm(cfg.hmm) if cfg.hmm else None
+    for key, now in _fingerprint(cfg).items():
+        if meta.get(key) != now:
+            raise CliConfigError(f"index at {index_dir} was built with {key} "
+                                 f"{meta.get(key)!r} and this command uses {now!r}; "
+                                 f"rebuild it with 'index'")
     tokenize = make_tokenizer(lex, hmm)
     embedder = _embedder(cfg, stub or meta.get("stub", False), tokenize, dim=dense_index.dim)
     rerank_provider = None

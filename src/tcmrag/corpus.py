@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+import struct
 import unicodedata
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 
 class CorpusError(ValueError):
@@ -14,8 +17,6 @@ class CorpusError(ValueError):
 class ChunkingError(ValueError):
     """Bad chunking parameters or an empty text."""
 
-
-CHUNK_KEYS = ("chunk_id", "case_id", "text", "start", "end", "strategy")
 
 OVERLAP_WINDOW = "overlap_window"
 TOKEN_CHUNK = "token_chunk"
@@ -71,18 +72,14 @@ _VALUE_RULES = {
 }
 
 
-def _read_records(path: str | Path, shape: type | tuple[str, ...], error: type[Exception]):
+def _read_records(path: str | Path, shape: type, error: type[Exception]):
     """Yield (lineno, record) for each non-blank line; raise `error`, naming `path:lineno`,
-    unless the line is a JSON object of `shape`. A dataclass `shape` takes a key per field,
-    optional if the field has a default, and a value of the field's annotation; a tuple
-    `shape` takes exactly its keys, of any value."""
-    if isinstance(shape, tuple):
-        required, optional, rules = shape, (), []
-    else:
-        optional = tuple(f.name for f in fields(shape)
-                         if f.default is not MISSING or f.default_factory is not MISSING)
-        required = tuple(f.name for f in fields(shape) if f.name not in optional)
-        rules = [(f.name, *_VALUE_RULES[f.type]) for f in fields(shape)]
+    unless the line is a JSON object of the dataclass `shape`: a key per field, optional if
+    the field has a default, and a value of the field's annotation."""
+    optional = tuple(f.name for f in fields(shape)
+                     if f.default is not MISSING or f.default_factory is not MISSING)
+    required = tuple(f.name for f in fields(shape) if f.name not in optional)
+    rules = [(f.name, *_VALUE_RULES[f.type]) for f in fields(shape)]
     needed, allowed = set(required), set(required + optional)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -222,14 +219,94 @@ def chunk_by_tokens(text: str, tokens: list[tuple[str, tuple[int, int]]],
                     case_id)
 
 
+_CHUNKS_MAGIC = b"TCMRAGCHUNK\x00"
+_CHUNKS_VERSION = 1
+# magic, version, chunk count, byte lengths of the head and of the text run; then the head
+# (UTF-8 JSON: {"strategy": ..., "chunk_ids": [...], "case_ids": [...]}, the ids in the
+# order the chunks were given), every chunk's text end to end as one UTF-8 run, and the
+# chunks' starts, then their ends, as little-endian int64
+_CHUNKS_HEADER = struct.Struct("<12sIIQQ")
+_HEAD_KEYS = {"strategy", "chunk_ids", "case_ids"}
+
+
 def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in chunks:
-            rec = dict(zip(CHUNK_KEYS, (c.chunk_id, c.case_id, c.text, *c.char_span, c.strategy)))
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    """Write the chunks as one block (see `_CHUNKS_HEADER`), or raise CorpusError before
+    touching `path` for chunks `load_chunks` would refuse: a text that is not its span's
+    length, an empty or negative span, or a strategy other than the first chunk's."""
+    strategy = chunks[0].strategy if chunks else None  # held once, for every chunk
+    if strategy not in (None, OVERLAP_WINDOW, TOKEN_CHUNK):
+        raise CorpusError(f"unknown chunking strategy {strategy!r}")
+    for c in chunks:
+        start, end = c.char_span
+        if not 0 <= start < end or len(c.text) != end - start:
+            raise CorpusError(f"chunk {c.chunk_id!r}: text of {len(c.text)} characters for "
+                              f"span {c.char_span}")
+        if c.strategy != strategy:
+            raise CorpusError(f"chunk {c.chunk_id!r}: strategy {c.strategy!r} among "
+                              f"{strategy!r} chunks")
+    head = json.dumps({"strategy": strategy, "chunk_ids": [c.chunk_id for c in chunks],
+                       "case_ids": [c.case_id for c in chunks]},
+                      ensure_ascii=False).encode("utf-8")
+    text = "".join(c.text for c in chunks).encode("utf-8")
+    spans = np.array([c.char_span for c in chunks], dtype="<i8").reshape(-1, 2)
+    with open(path, "wb") as fh:
+        fh.write(_CHUNKS_HEADER.pack(_CHUNKS_MAGIC, _CHUNKS_VERSION, len(chunks), len(head),
+                                     len(text)))
+        fh.write(head + text)
+        fh.write(spans.T.tobytes())
+
+
+def _chunk_columns(path: str | Path):
+    """(strategy, chunk ids, case ids, texts, starts, ends) of a block `dump_chunks` wrote,
+    from one read: the texts are slices of the run by the spans' lengths, the starts and
+    ends int64 views of the file's bytes. Raises CorpusError for a file that is not a
+    whole, well-formed block."""
+    data = Path(path).read_bytes()
+    size = _CHUNKS_HEADER.size
+    if data[:12] != _CHUNKS_MAGIC:
+        raise CorpusError(f"{path}: not a chunk file")
+    if len(data) < size:
+        raise CorpusError(f"{path}: truncated chunk file")
+    _, version, count, head_bytes, text_bytes = _CHUNKS_HEADER.unpack_from(data)
+    if version != _CHUNKS_VERSION:
+        raise CorpusError(f"{path}: unsupported version {version}")
+    expected = size + head_bytes + text_bytes + 16 * count
+    if len(data) != expected:
+        raise CorpusError(f"{path}: truncated chunk file" if len(data) < expected
+                          else f"{path}: trailing bytes after the spans")
+    try:
+        head = json.loads(data[size:size + head_bytes].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: chunk head is not UTF-8: {exc}") from exc
+    except ValueError as exc:
+        raise CorpusError(f"{path}: chunk head is not JSON: {exc}") from exc
+    try:
+        text = data[size + head_bytes:size + head_bytes + text_bytes].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: chunk texts are not UTF-8: {exc}") from exc
+    if not (isinstance(head, dict) and head.keys() == _HEAD_KEYS
+            and all(isinstance(head[k], list) and len(head[k]) == count
+                    and set(map(type, head[k])) <= {str} for k in ("chunk_ids", "case_ids"))):
+        raise CorpusError(f"{path}: chunk head is not an object of {count} chunk ids and "
+                          f"{count} case ids")
+    strategy = head["strategy"]
+    if strategy not in (OVERLAP_WINDOW, TOKEN_CHUNK) and not (count == 0 and strategy is None):
+        raise CorpusError(f"{path}: unknown chunking strategy {strategy!r}")
+    starts = np.frombuffer(data, "<i8", count, expected - 16 * count)
+    ends = np.frombuffer(data, "<i8", count, expected - 8 * count)
+    lengths = ends - starts  # cannot wrap once every start is at least 0
+    if count and (starts.min() < 0 or lengths.min() <= 0):
+        raise CorpusError(f"{path}: a span starts below 0 or does not end after its start")
+    # each length at most the text's, so the sum cannot wrap
+    if count and (lengths.max() > len(text) or lengths.sum() != len(text)):
+        raise CorpusError(f"{path}: the span lengths do not sum to the texts' "
+                          f"{len(text)} characters")
+    bounds = np.cumsum(lengths).tolist()
+    texts = [text[a:b] for a, b in zip([0, *bounds], bounds)]
+    return strategy, head["chunk_ids"], head["case_ids"], texts, starts, ends
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    return [Chunk(chunk_id=rec["chunk_id"], case_id=rec["case_id"], text=rec["text"],
-                  char_span=(rec["start"], rec["end"]), strategy=rec["strategy"])
-            for _, rec in _read_records(path, CHUNK_KEYS, CorpusError)]
+    strategy, chunk_ids, case_ids, texts, starts, ends = _chunk_columns(path)
+    return [Chunk(cid, case_id, text, span, strategy) for cid, case_id, text, span
+            in zip(chunk_ids, case_ids, texts, zip(starts.tolist(), ends.tolist()))]

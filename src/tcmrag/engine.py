@@ -1,4 +1,4 @@
-"""Wiring helpers: corpus -> chunks -> dense/sparse indexes -> retriever deps."""
+"""Wiring helpers: corpus -> chunks -> dense/sparse indexes."""
 from __future__ import annotations
 
 from typing import Callable
@@ -9,7 +9,6 @@ from .corpus import (DEFAULT_MAX_TOKENS, DEFAULT_OVERLAP, DEFAULT_OVERLAP_TOKENS
                      DEFAULT_WINDOW, OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
                      case_document, chunk_by_tokens, chunk_overlap)
 from .dense import EmbeddingError, EmbedProvider, VectorIndex, embed
-from .retrieve import RetrieverDeps
 from .segment import HmmModel, Lexicon, cut, token_set
 from .sparse import KeywordIndex
 
@@ -79,18 +78,3 @@ def build_indexes(chunks: list[Chunk], tokenize: Callable[[str], set[str]],
 
     kw_index = KeywordIndex(rows())
     return VectorIndex(kw_index.ids, matrix), kw_index
-
-
-def build_retriever(cases: list[ClinicalCase], strategy: str, lex: Lexicon,
-                    embedder: EmbedProvider, hmm: HmmModel | None = None,
-                    **chunk_kwargs) -> RetrieverDeps:
-    tokenize = make_tokenizer(lex, hmm)
-    chunks = chunk_corpus(cases, strategy, lex, hmm, **chunk_kwargs)
-    dense_index, kw_index = build_indexes(chunks, tokenize, embedder)
-    return RetrieverDeps(
-        tokenize=tokenize,
-        embedder=embedder,
-        dense_index=dense_index,
-        kw_index=kw_index,
-        chunk_texts={c.chunk_id: c.text for c in chunks},
-    )

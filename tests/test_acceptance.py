@@ -17,7 +17,6 @@ import pytest
 from tcmrag.cli import main
 from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK
 from tcmrag.dense import StubEmbedProvider, VectorIndex, stub_embed
-from tcmrag.engine import build_retriever, make_tokenizer
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
                                 EvalDeps, RunConfig, echo_gold_provider, run_eval)
 from tcmrag.prompt import COT_STEP_HEADERS, VARIANTS, build_prompt, parse_answer, serialize_answer
@@ -222,13 +221,11 @@ def test_criterion_6_fusion_algebra():
 # 7. Prompt invariants over the full fixture
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_prompt_invariants(task_items, templates, sample_cases, lexicon, hmm):
+def test_criterion_7_prompt_invariants(task_items, templates, sample_cases, sample_retrievers):
     from tcmrag.corpus import render_demonstration
     from tcmrag.retrieve import parent_case_id
 
-    tokenize = make_tokenizer(lexicon, hmm)
-    embedder = StubEmbedProvider(tokenize=tokenize)
-    rdeps = build_retriever(sample_cases, TOKEN_CHUNK, lexicon, embedder, hmm)
+    rdeps = sample_retrievers[TOKEN_CHUNK]
     corpus = {c.case_id: c for c in sample_cases}
     chat = echo_gold_provider(task_items)
     rcfg = RetrievalConfig(top_k=3)

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,12 +17,13 @@ import pytest
 import requests
 
 from tcmrag.cli import AppConfig, CliConfigError, main
-from tcmrag.corpus import load_chunks, load_corpus, save_corpus
+from tcmrag.corpus import dump_chunks, load_chunks, load_corpus, save_corpus
 from tcmrag.dense import VectorIndex
 from tcmrag.llm import CleaningError, FnChatProvider, extract_fields, messages_digest, split_cases
 from tcmrag.prompt import COT_STEP_HEADERS
 from tcmrag.segment import HmmModelError, load_hmm
 from tcmrag.sparse import KeywordIndex
+from test_corpus import MALFORMED_CHUNK_BLOCKS, chunk_parts
 from test_sparse import MALFORMED_BLOCKS, parts
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -298,13 +300,16 @@ def test_ingest_clean_prints_each_flagged_reply_and_exits_0(tmp_path, monkeypatc
 
 def test_index_writes_all_files_and_meta(workspace):
     naive = workspace["naive"]
-    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.bin", "meta.json"):
         assert (naive / name).exists(), name
     meta = json.loads((naive / "meta.json").read_text(encoding="utf-8"))
     assert meta["strategy"] == "overlap_window"
     assert meta["stub"] is True
     assert meta["dim"] == 256
     assert meta["count"] >= 20  # at least one chunk per corpus case
+    assert meta["format"] == 2
+    for key, name in (("lexicon_sha256", "lexicon.txt"), ("hmm_sha256", "hmm_model.json")):
+        assert meta[key] == hashlib.sha256((DATA / name).read_bytes()).hexdigest()
     assert not (naive / ".lock").exists()
 
 
@@ -312,7 +317,7 @@ def test_index_build_is_deterministic(workspace, tmp_path):
     out = tmp_path / "again"
     assert main(["--config", str(workspace["cfg"]), "--stub", "index",
                  "--strategy", "overlap_window", "--out", str(out)]) == 0
-    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json"):
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.bin", "meta.json"):
         a = hashlib.sha256((workspace["naive"] / name).read_bytes()).hexdigest()
         b = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert a == b, name
@@ -327,14 +332,14 @@ INDEX_DIGESTS = {
         "516d221d9375064b810b7cefddd1a910deab5a37de31602ab831462718a3bf87",
     ("overlap_window", "keywords.tsv"):
         "6d0a99ae99f7d9c90f5e147c9d42ea1baf6dd408b337d2d7b0ea8cb3a7673b90",
-    ("overlap_window", "chunks.jsonl"):
-        "4b34a0b528801702c568b50a2d68465fd2af59cf15cf1061fd6c28fa8af287d2",
+    ("overlap_window", "chunks.bin"):
+        "5a0a8bf93f27e01a4ac1b68c1d2c544733b58b861fa90e27444c175310ada0a2",
     ("token_chunk", "keywords.bin"):
         "2148e57e9856e3cb82c3b52d412ed9a8693f775be1f2855c6aee6740b0ed6d25",
     ("token_chunk", "keywords.tsv"):
         "96b9197b42f4ed942760e294ae8c01280d15e87503221f87944811abde0f2bc4",
-    ("token_chunk", "chunks.jsonl"):
-        "6bf3ad924d3ad3b1c87592c1f81b673fbbcd64b97aacbfbf2761abc2bed690c4",
+    ("token_chunk", "chunks.bin"):
+        "7c9b3ad50316ac05a746ac733e81e9054132ea051b3508be9394326a8b009914",
 }
 
 
@@ -344,7 +349,7 @@ def test_index_text_files_match_recorded_digests(tmp_path):
         out = tmp_path / strategy
         assert main(["--config", str(cfg), "--stub", "index",
                      "--strategy", strategy, "--out", str(out)]) == 0
-        for name in ("keywords.bin", "keywords.tsv", "chunks.jsonl"):
+        for name in ("keywords.bin", "keywords.tsv", "chunks.bin"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == INDEX_DIGESTS[strategy, name], (strategy, name)
 
@@ -367,7 +372,7 @@ def test_index_failure_leaves_no_partial_files(tmp_path, capsys):
     code = main(["--config", str(cfg), "--stub", "index",
                  "--strategy", "overlap_window", "--out", str(out)])
     assert code == 1
-    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json",
+    for name in ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.bin", "meta.json",
                  ".lock"):
         assert not (out / name).exists(), name
     assert not list(out.glob(".index-*"))
@@ -386,7 +391,7 @@ def test_index_names_the_corpus_line_with_a_wrongly_typed_value(tmp_path, capsys
     assert f"error: {corpus}:3: clinical_info must be a string" in capsys.readouterr().err
 
 
-INDEX_FILES = ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.jsonl", "meta.json")
+INDEX_FILES = ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.bin", "meta.json")
 
 
 def test_index_names_the_chunk_it_cannot_embed_and_keeps_the_previous_index(
@@ -494,14 +499,13 @@ def drop_last_row(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-4])
 
 
-def drop_last_line(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]), encoding="utf-8")
+def drop_last_chunk(path: Path) -> None:
+    dump_chunks(load_chunks(path)[:-1], path)
 
 
 @pytest.mark.parametrize("name, damage", [("keywords.bin", drop_last_row),
-                                          ("chunks.jsonl", drop_last_line)],
-                         ids=["keywords.bin", "chunks.jsonl"])
+                                          ("chunks.bin", drop_last_chunk)],
+                         ids=["keywords.bin", "chunks.bin"])
 def test_query_on_an_index_with_a_truncated_file_is_config_error(workspace, tmp_path, name,
                                                                   damage, capsys):
     index = tmp_path / "idx"
@@ -513,10 +517,10 @@ def test_query_on_an_index_with_a_truncated_file_is_config_error(workspace, tmp_
     assert "rebuild it with 'index'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["vectors.bin", "keywords.bin", "chunks.jsonl"])
+@pytest.mark.parametrize("name", ["vectors.bin", "keywords.bin", "chunks.bin"])
 def test_query_on_an_index_missing_a_data_file_is_config_error(workspace, tmp_path, name,
                                                                 capsys):
-    # an index built before keywords.bin was written lacks it
+    # an index built before keywords.bin or chunks.bin was written lacks it
     index = tmp_path / "idx"
     shutil.copytree(workspace["hybrid"], index)
     (index / name).unlink()
@@ -525,6 +529,28 @@ def test_query_on_an_index_missing_a_data_file_is_config_error(workspace, tmp_pa
     assert code == 2
     assert capsys.readouterr().err == (f"error: index at {index} is missing {name}; "
                                        f"rebuild it with 'index'\n")
+
+
+def test_an_index_of_an_earlier_release_asks_for_a_rebuild_that_leaves_its_chunks_jsonl(
+        workspace, tmp_path, capsys):
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    meta_of_an_earlier_layout(tmp_path, index)
+    (index / "chunks.bin").unlink()
+    old = "".join(json.dumps({"chunk_id": c.chunk_id, "case_id": c.case_id, "text": c.text,
+                              "start": c.char_span[0], "end": c.char_span[1],
+                              "strategy": c.strategy}, ensure_ascii=False) + "\n"
+                  for c in load_chunks(workspace["hybrid"] / "chunks.bin"))
+    (index / "chunks.jsonl").write_text(old, encoding="utf-8")
+    args = ["--config", str(workspace["cfg"]), "--stub"]
+    query = [*args, "query", "症见胃脘胀痛。", "--index", str(index)]
+    assert main(query) == 2
+    assert capsys.readouterr().err == (f"error: index at {index} is missing chunks.bin; "
+                                       f"rebuild it with 'index'\n")
+    assert main([*args, "index", "--strategy", "token_chunk", "--out", str(index)]) == 0
+    assert main(query) == 0
+    assert (index / "chunks.jsonl").read_text(encoding="utf-8") == old
+    assert sorted(p.name for p in index.iterdir()) == sorted([*INDEX_FILES, "chunks.jsonl"])
 
 
 def test_query_does_not_read_the_keywords_tsv_record(workspace, tmp_path, capsys):
@@ -543,10 +569,6 @@ def cut_in_half(path: Path) -> None:
     path.write_bytes(data[:len(data) // 2])
 
 
-def cut_last_line(path: Path) -> None:
-    path.write_bytes(path.read_bytes().rstrip(b"\n")[:-5] + b"\n")
-
-
 def damage_block(case: str):
     """The damage that makes the block of keywords.bin malformed as MALFORMED_BLOCKS's case."""
     make, _ = MALFORMED_BLOCKS[case]
@@ -557,7 +579,7 @@ UNREADABLE_INDEX = {
     "truncated meta.json": ("meta.json", cut_in_half),
     "meta.json not an object": ("meta.json", lambda p: p.write_text("[1]\n")),
     "truncated vectors.bin": ("vectors.bin", cut_in_half),
-    "chunks.jsonl line cut": ("chunks.jsonl", cut_last_line),
+    "chunks.bin cut in half": ("chunks.bin", cut_in_half),
     **{f"keywords.bin {case}": ("keywords.bin", damage_block(case)) for case in MALFORMED_BLOCKS},
 }
 
@@ -576,26 +598,20 @@ def test_query_on_an_unreadable_index_is_config_error(workspace, tmp_path, case,
     assert "rebuild it with 'index'" in err
 
 
-def break_second_line(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join([lines[0], "{not json\n", *lines[2:]]), encoding="utf-8")
-
-
-@pytest.mark.parametrize("name, damage, message", [
-    ("chunks.jsonl", break_second_line, "malformed JSON"),
-], ids=["chunks.jsonl bad line"])
-def test_query_on_an_index_with_a_bad_line_names_the_line(workspace, tmp_path, name, damage,
-                                                         message, capsys):
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHUNK_BLOCKS))
+def test_query_on_an_index_with_a_malformed_chunk_block_names_the_fault(workspace, tmp_path,
+                                                                         case, capsys):
+    make, message = MALFORMED_CHUNK_BLOCKS[case]
     index = tmp_path / "idx"
     shutil.copytree(workspace["hybrid"], index)
-    damage(index / name)
+    path = index / "chunks.bin"
+    path.write_bytes(make(chunk_parts(load_chunks(path))))
     code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
                  "--index", str(index)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"index at {index} is unusable: {index / name}:2: " in err
-    assert message in err
-    assert "rebuild it with 'index'" in err
+    assert f"index at {index} is unusable: {path}: {message}" in err
+    assert err.endswith("; rebuild it with 'index'\n")
 
 
 @pytest.mark.parametrize("name", ["naive", "hybrid"])
@@ -610,9 +626,9 @@ def test_a_loaded_index_saves_the_bytes_it_was_loaded_from(workspace, tmp_path, 
 
 def rewrite_in_build_order(index_dir: Path) -> None:
     """vectors.bin as it was written before its rows were kept in chunk_id order: the
-    rows in the order they were built, the order chunks.jsonl keeps."""
+    rows in the order they were built, the order chunks.bin keeps."""
     index = VectorIndex.load(index_dir / "vectors.bin")
-    order = [c.chunk_id for c in load_chunks(index_dir / "chunks.jsonl")]
+    order = [c.chunk_id for c in load_chunks(index_dir / "chunks.bin")]
     ids = json.dumps(order, ensure_ascii=False).encode("utf-8")
     by_id = dict(zip(index.ids, index._matrix))
     rows = b"".join(by_id[cid].tobytes() for cid in order)
@@ -660,16 +676,78 @@ def test_query_on_an_index_whose_chunks_repeat_an_id_is_config_error(workspace, 
     # the repeat's text would silently replace the first in what prompts and reranking see
     index = tmp_path / "idx"
     shutil.copytree(workspace["hybrid"], index)
-    first = json.loads((index / "chunks.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    assert first["chunk_id"] == "c01#0"
-    with open(index / "chunks.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(dict(first, text="另一段文字。"), ensure_ascii=False) + "\n")
+    chunks = load_chunks(index / "chunks.bin")
+    first = chunks[0]
+    assert first.chunk_id == "c01#0"
+    other = ("另一段文字。" * len(first.text))[:len(first.text)]
+    dump_chunks([*chunks, replace(first, text=other)], index / "chunks.bin")
     code = main(["--config", str(workspace["cfg"]), "--stub", "query", "症见胃脘胀痛。",
                  "--index", str(index)])
     assert code == 2
     err = capsys.readouterr().err
     assert f"index at {index} is inconsistent" in err
     assert "rebuild it with 'index'" in err
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def another_lexicon(tmp_path: Path, index: Path):
+    lex = tmp_path / "lexicon.txt"
+    lex.write_text((DATA / "lexicon.txt").read_text(encoding="utf-8") + "胃脘胀痛 50\n",
+                   encoding="utf-8")
+    return {"lexicon": lex}, "lexicon_sha256", sha256_of(DATA / "lexicon.txt"), sha256_of(lex)
+
+
+def another_hmm(tmp_path: Path, index: Path):
+    model = json.loads((DATA / "hmm_model.json").read_text(encoding="utf-8"))
+    hmm = tmp_path / "hmm.json"
+    hmm.write_text(json.dumps(dict(model, unseen=model["unseen"] - 1.0)), encoding="utf-8")
+    return {"hmm": hmm}, "hmm_sha256", sha256_of(DATA / "hmm_model.json"), sha256_of(hmm)
+
+
+def no_hmm(tmp_path: Path, index: Path):
+    return {"hmm": ""}, "hmm_sha256", sha256_of(DATA / "hmm_model.json"), ""
+
+
+def meta_of_an_earlier_layout(tmp_path: Path, index: Path):
+    # new data files beside the meta.json of an earlier release, as a killed rename leaves
+    meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+    (index / "meta.json").write_text(json.dumps({k: v for k, v in meta.items() if k in (
+        "strategy", "dim", "count", "stub")}), encoding="utf-8")
+    return {}, "format", None, 2
+
+
+@pytest.mark.parametrize("change", [another_lexicon, another_hmm, no_hmm,
+                                    meta_of_an_earlier_layout],
+                         ids=lambda f: f.__name__.replace("_", " "))
+def test_query_and_eval_refuse_an_index_built_otherwise(workspace, tmp_path, change, capsys):
+    """A query tokenized with another lexicon or HMM than the chunks were would silently
+    miss them; an index whose meta.json gives another layout may not be what it reads."""
+    index = tmp_path / "idx"
+    shutil.copytree(workspace["hybrid"], index)
+    settings, key, built, now = change(tmp_path, index)
+    cfg = write_config(tmp_path, **settings)
+    for argv in (["query", "症见胃脘胀痛。", "--index", str(index)],
+                 ["eval", "--tasks", str(DATA / "tasks.jsonl"), "--mode", "hybrid_jieba",
+                  "--chat", "echo_gold", "--index-hybrid", str(index),
+                  "--out", str(tmp_path / "r")]):
+        assert main(["--config", str(cfg), "--stub", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: index at {index} was built with {key} {built!r} and this command uses "
+            f"{now!r}; rebuild it with 'index'\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_query_opens_an_index_whose_lexicon_moved_with_its_bytes(workspace, tmp_path, capsys):
+    args = ["--stub", "query", "症见胃脘胀痛。", "--index", str(workspace["hybrid"])]
+    assert main(["--config", str(workspace["cfg"]), *args]) == 0
+    expected = capsys.readouterr().out
+    shutil.copy(DATA / "lexicon.txt", tmp_path / "moved.txt")
+    assert main(["--config", str(write_config(tmp_path, lexicon=tmp_path / "moved.txt")),
+                 *args]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def rewrite_as_version_1(path: Path) -> None:
@@ -1134,7 +1212,7 @@ def test_eval_and_query_rank_by_the_rerank_provider(workspace, tmp_path, sent, m
     query_argv = [a for a in query_answer_argv(cfg, workspace["hybrid"], task) if a != "--stub"]
     assert main(query_argv) == 0
     assert len(posted) == 2 and len(sent) == 2 and sent[1] == sent[0]
-    chunk_texts = {c.chunk_id: c.text for c in load_chunks(workspace["hybrid"] / "chunks.jsonl")}
+    chunk_texts = {c.chunk_id: c.text for c in load_chunks(workspace["hybrid"] / "chunks.bin")}
     context_ids = re.findall(r"\[CONTEXT \d+ \| ([^\]]+)\]", sent[0][1][1])
     assert len(context_ids) >= 2
     assert [chunk_texts[c] for c in context_ids] == posted[0][::-1][:len(context_ids)]

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import re
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcmrag.corpus import (OVERLAP_WINDOW, SENTENCE_ENDS, SNAP_LOOKBACK, TOKEN_CHUNK, Chunk,
                            ChunkingError, ClinicalCase, CorpusError, case_document,
                            chunk_by_tokens, chunk_overlap, dump_chunks, load_chunks,
                            load_corpus, normalize_text, save_corpus)
+
+from test_sparse import replaced
 
 
 def _case_line(case_id: str) -> str:
@@ -289,23 +295,178 @@ def test_chunking_is_deterministic():
 
 def test_chunk_dump_roundtrip(tmp_path):
     chunks = chunk_overlap("0123456789", 4, 2, case_id="c1")
-    path = tmp_path / "chunks.jsonl"
+    path = tmp_path / "chunks.bin"
     dump_chunks(chunks, path)
     assert load_chunks(path) == chunks
 
 
-@pytest.mark.parametrize("line, message", [
-    ('"a string"', r"chunks\.jsonl:2: record is not an object"),
-    ('{"chunk_id": "c1#1", "case_id": "c1", "text": "2345"}',
-     r"chunks\.jsonl:2: missing keys \['start', 'end', 'strategy'\]"),
-], ids=["not_object", "missing_key"])
-def test_load_chunks_rejects_malformed_records(tmp_path, line, message):
-    path = tmp_path / "chunks.jsonl"
-    dump_chunks(chunk_overlap("0123456789", 4, 2, case_id="c1")[:1], path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-    with pytest.raises(CorpusError, match=message):
+def chunk_block(strategy, chunk_ids, case_ids, text, starts, ends, *,
+                magic=b"TCMRAGCHUNK\x00", version=1, count=None, head=None) -> bytes:
+    """A chunk block as README lays it out: the header, the head (the JSON object of the
+    strategy and both id arrays, or the object or bytes given), the texts as one UTF-8 run
+    (or the bytes given), the int64 starts and the int64 ends."""
+    count = len(chunk_ids) if count is None else count
+    if head is None:
+        head = {"strategy": strategy, "chunk_ids": chunk_ids, "case_ids": case_ids}
+    head = head if isinstance(head, bytes) else json.dumps(head, ensure_ascii=False).encode()
+    text = text if isinstance(text, bytes) else text.encode()
+    return (struct.pack("<12sIIQQ", magic, version, count, len(head), len(text)) + head + text
+            + struct.pack(f"<{len(starts)}q", *starts) + struct.pack(f"<{len(ends)}q", *ends))
+
+
+def chunk_parts(chunks: list[Chunk]) -> dict:
+    """The keyword arguments of `chunk_block` that give the block `dump_chunks` writes."""
+    return {"strategy": chunks[0].strategy, "chunk_ids": [c.chunk_id for c in chunks],
+            "case_ids": [c.case_id for c in chunks], "text": "".join(c.text for c in chunks),
+            "starts": [c.char_span[0] for c in chunks], "ends": [c.char_span[1] for c in chunks]}
+
+
+def test_dump_chunks_writes_the_block_readme_lays_out(tmp_path):
+    chunks = [Chunk("c2#0", "c2", "胃脘𠀀痛。", (0, 5), TOKEN_CHUNK),
+              Chunk("c1#0", "c1", "x", (3, 4), TOKEN_CHUNK)]
+    dump_chunks(chunks, tmp_path / "chunks.bin")
+    head = '{"strategy": "token_chunk", "chunk_ids": ["c2#0", "c1#0"], "case_ids": ["c2", "c1"]}'
+    text = "胃脘𠀀痛。x".encode()
+    assert (tmp_path / "chunks.bin").read_bytes() == (
+        b"TCMRAGCHUNK\x00" + struct.pack("<IIQQ", 1, 2, len(head), len(text)) + head.encode()
+        + text + struct.pack("<4q", 0, 3, 5, 4))
+    assert chunk_block(**chunk_parts(chunks)) == (tmp_path / "chunks.bin").read_bytes()
+
+
+def with_chunk_part(name, value):
+    return lambda p: chunk_block(**{**p, name: value(p)})
+
+
+def head_with(p, **changes) -> dict:
+    head = {"strategy": p["strategy"], "chunk_ids": p["chunk_ids"], "case_ids": p["case_ids"]}
+    return {k: v for k, v in {**head, **changes}.items() if v is not None}
+
+
+def wrapping_spans(p) -> dict:
+    """Spans from 0 whose lengths, each below 2**63, sum to the text's length plus 2**64."""
+    n, top = len(p["starts"]), 2 ** 63 - 1
+    lengths = [top, top, *[1] * (n - 3), len(p["text"]) + 2 - (n - 3)]
+    return {**p, "starts": [0] * n, "ends": lengths}
+
+
+# Every way a chunk block can be malformed: case -> (the block from the parts of a good
+# one, the error's text). Each part must hold at least three chunks.
+MALFORMED_CHUNK_BLOCKS = {
+    "bad_magic": (lambda p: chunk_block(**p, magic=b"TCMRAGKIDX\x00\x00"), "not a chunk file"),
+    "truncated_header": (lambda p: chunk_block(**p)[:30], "truncated chunk file"),
+    "unsupported_version": (lambda p: chunk_block(**p, version=2), "unsupported version 2"),
+    "truncated_file": (lambda p: chunk_block(**p)[:-1], "truncated chunk file"),
+    "trailing_bytes": (lambda p: chunk_block(**p) + b"\x00", "trailing bytes after the spans"),
+    "head_not_utf8": (lambda p: chunk_block(**p, head=b'{"\xff": 1}'),
+                      "chunk head is not UTF-8"),
+    "head_not_json": (lambda p: chunk_block(**p, head=b"{oops"), "chunk head is not JSON"),
+    "not_object": (lambda p: chunk_block(**p, head=list(head_with(p).values())),
+                   "chunk head is not an object of"),
+    "missing_key": (lambda p: chunk_block(**p, head=head_with(p, case_ids=None)),
+                    "chunk head is not an object of"),
+    "unknown_key": (lambda p: chunk_block(**p, head=head_with(p, texts=[])),
+                    "chunk head is not an object of"),
+    "ids_not_strings": (with_chunk_part("chunk_ids", lambda p: [1] * len(p["starts"])),
+                        "chunk head is not an object of"),
+    "case_ids_not_strings": (with_chunk_part("case_ids", lambda p: [None] * len(p["starts"])),
+                             "chunk head is not an object of"),
+    "ids_fewer_than_the_count": (
+        lambda p: chunk_block(**p, head=head_with(p, chunk_ids=p["chunk_ids"][:-1])),
+        "chunk head is not an object of"),
+    "case_ids_more_than_the_count": (
+        lambda p: chunk_block(**p, head=head_with(p, case_ids=[*p["case_ids"], "c9"])),
+        "chunk head is not an object of"),
+    "unknown_strategy": (with_chunk_part("strategy", lambda p: "fixed_window"),
+                         "unknown chunking strategy 'fixed_window'"),
+    "no_strategy": (with_chunk_part("strategy", lambda p: None), "unknown chunking strategy None"),
+    "text_not_utf8": (with_chunk_part("text", lambda p: b"\xff" + p["text"].encode()[1:]),
+                      "chunk texts are not UTF-8"),
+    "start_below_0": (with_chunk_part("starts", lambda p: replaced(p["starts"], 0, -1)),
+                      "a span starts below 0 or does not end after its start"),
+    "empty_span": (with_chunk_part("ends", lambda p: replaced(p["ends"], 1, p["starts"][1])),
+                   "a span starts below 0 or does not end after its start"),
+    "span_ending_before_its_start": (
+        with_chunk_part("ends", lambda p: replaced(p["ends"], 1, p["starts"][1] - 1)),
+        "a span starts below 0 or does not end after its start"),
+    "spans_short_of_the_text": (with_chunk_part("ends", lambda p: replaced(p["ends"], -1,
+                                                                           p["ends"][-1] - 1)),
+                                "the span lengths do not sum to the texts'"),
+    "spans_beyond_the_text": (with_chunk_part("ends", lambda p: replaced(p["ends"], -1,
+                                                                         p["ends"][-1] + 1)),
+                              "the span lengths do not sum to the texts'"),
+    "span_lengths_wrapping_past_int64": (lambda p: chunk_block(**wrapping_spans(p)),
+                                         "the span lengths do not sum to the texts'"),
+}
+
+
+def good_chunks() -> list[Chunk]:
+    return chunk_overlap("胃脘胀痛𠀀嗳气吞酸。", 4, 1, case_id="c#1")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHUNK_BLOCKS))
+def test_load_chunks_rejects_malformed_records(tmp_path, case):
+    make, message = MALFORMED_CHUNK_BLOCKS[case]
+    good = chunk_parts(good_chunks())
+    path = tmp_path / "chunks.bin"
+    path.write_bytes(chunk_block(**good))
+    assert load_chunks(path) == good_chunks()
+    path.write_bytes(make(good))
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: {message}")):
         load_chunks(path)
+
+
+def test_load_chunks_refuses_every_proper_prefix_of_a_block(tmp_path):
+    path = tmp_path / "chunks.bin"
+    dump_chunks(good_chunks(), path)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(CorpusError):
+            load_chunks(path)
+
+
+@pytest.mark.parametrize("chunk, message", [
+    (Chunk("c1#0", "c1", "0123", (0, 3), OVERLAP_WINDOW), "text of 4 characters for span (0, 3)"),
+    (Chunk("c1#0", "c1", "𠀀", (5, 7), OVERLAP_WINDOW), "text of 1 characters for span (5, 7)"),
+    (Chunk("c1#0", "c1", "", (2, 2), OVERLAP_WINDOW), "text of 0 characters for span (2, 2)"),
+    (Chunk("c1#0", "c1", "0", (-1, 0), OVERLAP_WINDOW), "text of 1 characters for span (-1, 0)"),
+    (Chunk("c1#0", "c1", "0", (0, 1), TOKEN_CHUNK), "strategy 'token_chunk' among "
+                                                    "'overlap_window' chunks"),
+], ids=["text longer than its span", "span longer than its text", "empty span",
+        "negative start", "second strategy"])
+def test_dump_chunks_refuses_what_load_chunks_would_before_touching_the_path(tmp_path, chunk,
+                                                                              message):
+    path = tmp_path / "chunks.bin"
+    with pytest.raises(CorpusError, match=re.escape(f"chunk 'c1#0': {message}")):
+        dump_chunks([*good_chunks(), chunk], path)
+    with pytest.raises(CorpusError, match="unknown chunking strategy 'fixed_window'"):
+        dump_chunks([Chunk("c1#0", "c1", "0", (0, 1), "fixed_window")], path)
+    assert not path.exists()
+
+
+def test_an_empty_chunk_list_round_trips(tmp_path):
+    dump_chunks([], tmp_path / "chunks.bin")
+    assert load_chunks(tmp_path / "chunks.bin") == []
+
+
+chunk_texts = st.text(st.sampled_from("胃脘痛。a #𠀀\n\"") | st.characters(), min_size=1,
+                      max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([OVERLAP_WINDOW, TOKEN_CHUNK]),
+       st.lists(st.tuples(st.text("c#1中𠀀", max_size=4), st.text("c#1中𠀀", max_size=3),
+                          chunk_texts, st.integers(0, 2 ** 40)), max_size=12))
+def test_dump_chunks_then_load_chunks_gives_the_chunks_back(strategy, rows):
+    """Ids with '#' or CJK, repeated or empty; texts of one character or more, with astral
+    characters (a span counts code points), quotes and line breaks; any start."""
+    chunks = [Chunk(cid, case_id, text, (start, start + len(text)), strategy)
+              for cid, case_id, text, start in rows]
+    with tempfile.TemporaryDirectory() as d:
+        dump_chunks(chunks, Path(d) / "chunks.bin")
+        loaded = load_chunks(Path(d) / "chunks.bin")
+    assert loaded == chunks
+    assert [type(c.char_span[0]) for c in loaded] == [int] * len(chunks)
 
 
 def test_case_document_contains_all_fields(sample_cases):

@@ -6,8 +6,6 @@ from dataclasses import replace
 import pytest
 
 from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, load_corpus
-from tcmrag.dense import StubEmbedProvider
-from tcmrag.engine import build_retriever, make_tokenizer
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
                                 ConfigurationError, EvalDeps, ItemResult, RunConfig,
                                 ScoreReport, TaskError, TaskItem, compare_runs,
@@ -178,13 +176,9 @@ def no_token_item(like: TaskItem) -> TaskItem:
     return replace(like, item_id="no-tokens", case_text="？？")
 
 @pytest.fixture(scope="module")
-def eval_setup(sample_cases, task_items, lexicon, hmm, templates):
-    tokenize = make_tokenizer(lexicon, hmm)
-    embedder = StubEmbedProvider(tokenize=tokenize)
-    retrievers = {
-        MODE_NAIVE_RAG: build_retriever(sample_cases, OVERLAP_WINDOW, lexicon, embedder, hmm),
-        MODE_HYBRID_JIEBA: build_retriever(sample_cases, TOKEN_CHUNK, lexicon, embedder, hmm),
-    }
+def eval_setup(sample_cases, sample_retrievers):
+    retrievers = {MODE_NAIVE_RAG: sample_retrievers[OVERLAP_WINDOW],
+                  MODE_HYBRID_JIEBA: sample_retrievers[TOKEN_CHUNK]}
     corpus = {c.case_id: c for c in sample_cases}
     return corpus, retrievers
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evalharness as ev
-from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, _chunk_columns, dump_chunks,
-                     load_corpus, normalize_text, save_corpus)
+from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, _SURROGATE,
+                     _chunk_columns, dump_chunks, load_corpus, normalize_text, save_corpus)
 from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
 from .llm import CannedChatProvider, CleaningError, GenerationParams, HttpChatProvider, \
@@ -131,12 +131,13 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _fingerprint(cfg: AppConfig) -> dict:
-    """What meta.json records of how an index was built, beyond its shape: the layout of
-    its files and the lexicon and HMM that tokenize its chunks, which its queries must
-    share ("" for no HMM)."""
-    return {"format": _INDEX_FORMAT, "lexicon_sha256": _sha256(cfg.lexicon),
-            "hmm_sha256": _sha256(cfg.hmm) if cfg.hmm else ""}
+def _segmenter(cfg: AppConfig) -> tuple:
+    """The lexicon and HMM (or None) `cfg` names, and what meta.json records of how an index
+    was built beyond its shape, which its queries must share: the layout of its files and
+    the digests of that lexicon and HMM ("" for no HMM)."""
+    lex, hmm = load_lexicon(cfg.lexicon), load_hmm(cfg.hmm) if cfg.hmm else None
+    return lex, hmm, {"format": _INDEX_FORMAT, "lexicon_sha256": _sha256(cfg.lexicon),
+                      "hmm_sha256": _sha256(cfg.hmm) if cfg.hmm else ""}
 
 
 def _embedder(cfg: AppConfig, stub: bool, tokenize, dim: int | None = None):
@@ -179,7 +180,7 @@ def cmd_ingest(cfg: AppConfig, args) -> int:
     for path in files:
         try:
             text = normalize_text(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"ingest: cannot read {path}: {exc}", file=sys.stderr)
             failures.append(str(path))
             continue
@@ -227,8 +228,7 @@ def cmd_index(cfg: AppConfig, args) -> int:
     if args.stub and cfg.stub_dim < 8:
         raise CliConfigError(f"stub_dim must be >= 8, got {cfg.stub_dim}")
     cases = load_corpus(args.corpus or cfg.corpus)
-    lex = load_lexicon(cfg.lexicon)
-    hmm = load_hmm(cfg.hmm) if cfg.hmm else None
+    lex, hmm, fingerprint = _segmenter(cfg)
     tokenize = make_tokenizer(lex, hmm)
     out_dir = Path(args.out)
     lock = _acquire_lock(out_dir)
@@ -246,7 +246,7 @@ def cmd_index(cfg: AppConfig, args) -> int:
             kw_index._save_tsv(stage / _KEYWORDS_RECORD)
             dump_chunks(chunks, stage / CHUNKS_FILE)
             meta = {"strategy": args.strategy, "dim": dense_index.dim, "count": len(chunks),
-                    "stub": bool(args.stub), **_fingerprint(cfg)}
+                    "stub": bool(args.stub), **fingerprint}
             (stage / META_FILE).write_text(json.dumps(meta, sort_keys=True) + "\n",
                                            encoding="utf-8")
             for name in (VECTORS_FILE, KEYWORDS_FILE, _KEYWORDS_RECORD, CHUNKS_FILE, META_FILE):
@@ -258,11 +258,11 @@ def cmd_index(cfg: AppConfig, args) -> int:
         lock.unlink(missing_ok=True)
 
 
-def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
-                        stub: bool) -> tuple[dict, RetrieverDeps]:
-    """The index's retriever; it reranks with the configured provider unless `stub`.
-    Raises CliConfigError for a missing, unreadable or inconsistent index, or one built
-    with another file layout, lexicon or HMM than `cfg` gives."""
+def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
+                        segmenter: tuple) -> tuple[dict, RetrieverDeps]:
+    """The index's retriever, tokenizing with the `_segmenter(cfg)` given; it reranks with the
+    configured provider unless `stub`. Raises CliConfigError for a missing, unreadable or
+    inconsistent index, or one built with another file layout, lexicon or HMM."""
     meta_path = index_dir / META_FILE
     if not meta_path.exists():
         raise CliConfigError(f"no index at {index_dir} (missing {META_FILE})")
@@ -286,9 +286,8 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
         raise CliConfigError(f"index at {index_dir} is inconsistent: its files disagree on "
                              f"the chunk ids, their count or the dim, or repeat a chunk id; "
                              f"rebuild it with 'index'")
-    lex = load_lexicon(cfg.lexicon)
-    hmm = load_hmm(cfg.hmm) if cfg.hmm else None
-    for key, now in _fingerprint(cfg).items():
+    lex, hmm, fingerprint = segmenter
+    for key, now in fingerprint.items():
         if meta.get(key) != now:
             raise CliConfigError(f"index at {index_dir} was built with {key} "
                                  f"{meta.get(key)!r} and this command uses {now!r}; "
@@ -305,7 +304,9 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path,
 
 
 def cmd_query(cfg: AppConfig, args) -> int:
-    meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub)
+    if _SURROGATE.search(args.question):  # argument bytes that are not UTF-8
+        raise CliConfigError(f"the question {args.question!r} is not UTF-8 text")
+    meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub, _segmenter(cfg))
     if args.expect_strategy and args.expect_strategy != meta["strategy"]:
         raise CliConfigError(
             f"index was built with strategy {meta['strategy']!r} but the query "
@@ -353,6 +354,7 @@ def cmd_eval(cfg: AppConfig, args) -> int:
     corpus_map = {c.case_id: c for c in cases}
 
     retrievers: dict[str, RetrieverDeps] = {}
+    segmenter = None  # loaded once, so that every retriever shares the lexicon's run memo
     index_dirs = {ev.MODE_NAIVE_RAG: args.index_naive, ev.MODE_HYBRID_JIEBA: args.index_hybrid}
     for mode in modes:
         if mode == ev.MODE_NONE:
@@ -361,8 +363,8 @@ def cmd_eval(cfg: AppConfig, args) -> int:
         if not index_dir or not (Path(index_dir) / META_FILE).exists():
             raise CliConfigError(f"mode {mode!r} requested but its index directory is "
                                  f"missing (got {index_dir!r})")
-        _, deps = _retriever_from_dir(cfg, Path(index_dir), args.stub)
-        retrievers[mode] = deps
+        segmenter = segmenter or _segmenter(cfg)
+        _, retrievers[mode] = _retriever_from_dir(cfg, Path(index_dir), args.stub, segmenter)
 
     chat = _chat_provider(cfg, args, items=items)
     eval_deps = ev.EvalDeps(templates=templates, chat=chat, corpus=corpus_map,

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
-import struct
+import re
 import unicodedata
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from . import _block
 
 
 class CorpusError(ValueError):
@@ -64,18 +66,20 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
 
 
-# What a record line's value must be, by the annotation of the dataclass field it fills.
+# What a record line's value must be, by the annotation of the dataclass field it fills,
+# and its strings as one text, which UTF-8 must encode.
 _VALUE_RULES = {
-    "str": ("a string", lambda v: isinstance(v, str)),
+    "str": ("a string", lambda v: isinstance(v, str), str),
     "list[str]": ("an array of strings",
-                  lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+                  lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "".join),
 }
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # what UTF-8 cannot encode
 
 
 def _read_records(path: str | Path, shape: type, error: type[Exception]):
     """Yield (lineno, record) for each non-blank line; raise `error`, naming `path:lineno`,
     unless the line is a JSON object of the dataclass `shape`: a key per field, optional if
-    the field has a default, and a value of the field's annotation."""
+    the field has a default, and a value of the field's annotation that UTF-8 can encode."""
     optional = tuple(f.name for f in fields(shape)
                      if f.default is not MISSING or f.default_factory is not MISSING)
     required = tuple(f.name for f in fields(shape) if f.name not in optional)
@@ -98,9 +102,12 @@ def _read_records(path: str | Path, shape: type, error: type[Exception]):
                 if missing:
                     raise error(f"{where}: missing keys {missing}")
                 raise error(f"{where}: unknown keys {[k for k in rec if k not in allowed]}")
-            for name, kind, ok in rules:
+            escaped = "\\u" in line  # only a \u escape puts a lone surrogate in a record
+            for name, kind, ok, text in rules:
                 if name in rec and not ok(rec[name]):
                     raise error(f"{path}:{lineno}: {name} must be {kind}")
+                if escaped and name in rec and _SURROGATE.search(text(rec[name])):
+                    raise error(f"{path}:{lineno}: {name} holds a lone surrogate")
             yield lineno, rec
 
 
@@ -219,20 +226,17 @@ def chunk_by_tokens(text: str, tokens: list[tuple[str, tuple[int, int]]],
                     case_id)
 
 
-_CHUNKS_MAGIC = b"TCMRAGCHUNK\x00"
-_CHUNKS_VERSION = 1
-# magic, version, chunk count, byte lengths of the head and of the text run; then the head
-# (UTF-8 JSON: {"strategy": ..., "chunk_ids": [...], "case_ids": [...]}, the ids in the
+# the header fields: chunk count, byte lengths of the head and of the text run; then the
+# head (JSON: {"strategy": ..., "chunk_ids": [...], "case_ids": [...]}, the ids in the
 # order the chunks were given), every chunk's text end to end as one UTF-8 run, and the
-# chunks' starts, then their ends, as little-endian int64
-_CHUNKS_HEADER = struct.Struct("<12sIIQQ")
-_HEAD_KEYS = {"strategy", "chunk_ids", "case_ids"}
+# chunks' starts, then their ends, as <i8
+_FORMAT = _block.BlockFormat(b"TCMRAGCHUNK\0", 1, "IQQ", "chunk", "spans", CorpusError)
 
 
 def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
-    """Write the chunks as one block (see `_CHUNKS_HEADER`), or raise CorpusError before
-    touching `path` for chunks `load_chunks` would refuse: a text that is not its span's
-    length, an empty or negative span, or a strategy other than the first chunk's."""
+    """Write the chunks as one block (see `_FORMAT`), or raise CorpusError before touching
+    `path` for a chunk `load_chunks` would refuse (a text not its span's length, an empty or
+    negative span, a second strategy) or whose strings UTF-8 cannot encode."""
     strategy = chunks[0].strategy if chunks else None  # held once, for every chunk
     if strategy not in (None, OVERLAP_WINDOW, TOKEN_CHUNK):
         raise CorpusError(f"unknown chunking strategy {strategy!r}")
@@ -244,47 +248,30 @@ def dump_chunks(chunks: list[Chunk], path: str | Path) -> None:
         if c.strategy != strategy:
             raise CorpusError(f"chunk {c.chunk_id!r}: strategy {c.strategy!r} among "
                               f"{strategy!r} chunks")
-    head = json.dumps({"strategy": strategy, "chunk_ids": [c.chunk_id for c in chunks],
-                       "case_ids": [c.case_id for c in chunks]},
-                      ensure_ascii=False).encode("utf-8")
-    text = "".join(c.text for c in chunks).encode("utf-8")
+    try:
+        head = json.dumps({"strategy": strategy, "chunk_ids": [c.chunk_id for c in chunks],
+                           "case_ids": [c.case_id for c in chunks]},
+                          ensure_ascii=False).encode("utf-8")
+        text = "".join(c.text for c in chunks).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = next(c for c in chunks if _SURROGATE.search(c.chunk_id + c.case_id + c.text))
+        raise CorpusError(f"chunk {bad.chunk_id!r}: its id, case id or text holds a lone "
+                          f"surrogate, which UTF-8 cannot encode") from None
     spans = np.array([c.char_span for c in chunks], dtype="<i8").reshape(-1, 2)
-    with open(path, "wb") as fh:
-        fh.write(_CHUNKS_HEADER.pack(_CHUNKS_MAGIC, _CHUNKS_VERSION, len(chunks), len(head),
-                                     len(text)))
-        fh.write(head + text)
-        fh.write(spans.T.tobytes())
+    _FORMAT.write(path, (len(chunks), len(head), len(text)), head + text, spans.T.tobytes())
 
 
 def _chunk_columns(path: str | Path):
-    """(strategy, chunk ids, case ids, texts, starts, ends) of a block `dump_chunks` wrote,
-    from one read: the texts are slices of the run by the spans' lengths, the starts and
-    ends int64 views of the file's bytes. Raises CorpusError for a file that is not a
-    whole, well-formed block."""
-    data = Path(path).read_bytes()
-    size = _CHUNKS_HEADER.size
-    if data[:12] != _CHUNKS_MAGIC:
-        raise CorpusError(f"{path}: not a chunk file")
-    if len(data) < size:
-        raise CorpusError(f"{path}: truncated chunk file")
-    _, version, count, head_bytes, text_bytes = _CHUNKS_HEADER.unpack_from(data)
-    if version != _CHUNKS_VERSION:
-        raise CorpusError(f"{path}: unsupported version {version}")
-    expected = size + head_bytes + text_bytes + 16 * count
-    if len(data) != expected:
-        raise CorpusError(f"{path}: truncated chunk file" if len(data) < expected
-                          else f"{path}: trailing bytes after the spans")
-    try:
-        head = json.loads(data[size:size + head_bytes].decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: chunk head is not UTF-8: {exc}") from exc
-    except ValueError as exc:
-        raise CorpusError(f"{path}: chunk head is not JSON: {exc}") from exc
-    try:
-        text = data[size + head_bytes:size + head_bytes + text_bytes].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: chunk texts are not UTF-8: {exc}") from exc
-    if not (isinstance(head, dict) and head.keys() == _HEAD_KEYS
+    """(strategy, chunk ids, case ids, texts, starts, ends) of a block `dump_chunks` wrote:
+    the texts are slices of the run by the spans' lengths, the starts and ends the rows of
+    one int64 array. Raises CorpusError for a file that is not a whole, well-formed block."""
+    with open(path, "rb") as fh:
+        count, head_bytes, text_bytes = _FORMAT.read_header(
+            fh, path, lambda count, head_bytes, text_bytes: head_bytes + text_bytes + 16 * count)
+        head = _FORMAT.text_part(fh, path, head_bytes, "chunk head is", "JSON")
+        text = _FORMAT.text_part(fh, path, text_bytes, "chunk texts are")
+        starts, ends = _FORMAT.read_into(fh, path, np.empty((2, count), dtype="<i8"))
+    if not (isinstance(head, dict) and head.keys() == {"strategy", "chunk_ids", "case_ids"}
             and all(isinstance(head[k], list) and len(head[k]) == count
                     and set(map(type, head[k])) <= {str} for k in ("chunk_ids", "case_ids"))):
         raise CorpusError(f"{path}: chunk head is not an object of {count} chunk ids and "
@@ -292,8 +279,6 @@ def _chunk_columns(path: str | Path):
     strategy = head["strategy"]
     if strategy not in (OVERLAP_WINDOW, TOKEN_CHUNK) and not (count == 0 and strategy is None):
         raise CorpusError(f"{path}: unknown chunking strategy {strategy!r}")
-    starts = np.frombuffer(data, "<i8", count, expected - 16 * count)
-    ends = np.frombuffer(data, "<i8", count, expected - 8 * count)
     lengths = ends - starts  # cannot wrap once every start is at least 0
     if count and (starts.min() < 0 or lengths.min() <= 0):
         raise CorpusError(f"{path}: a span starts below 0 or does not end after its start")

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
 
+from . import _block
 from .sparse import _top_rows
 from .transport import post_json, with_retries
 
@@ -24,12 +24,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-_MAGIC = b"TCMRAGVIDX\x00\x00"
-_VERSION = 2
-# magic, version, dim, row count, byte length of the ids' JSON array; then that array
-# (UTF-8) and the rows as one count x dim block of little-endian float64, both in chunk_id
-# order, which `load` checks
-_HEADER = struct.Struct("<12sIIIQ")
+# the header fields: dim, row count, byte length of the ids' JSON array; then that array
+# and the rows as one count x dim block of <f8, both in chunk_id order, which `load` checks
+_FORMAT = _block.BlockFormat(b"TCMRAGVIDX\0\0", 2, "IIQ", "vector index", "vectors", EmbeddingError)
 
 # A row (or query) counts as a unit vector when its squared norm is within this of 1;
 # `load` refuses a file with any other row, and `search`'s error margin assumes it.
@@ -236,41 +233,17 @@ class VectorIndex:
 
     def save(self, path: str | Path) -> None:
         ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, self.dim or 0, len(self.ids), len(ids)))
-            fh.write(ids)
-            fh.write(self._matrix)
+        _FORMAT.write(path, (self.dim or 0, len(self.ids), len(ids)), ids, self._matrix)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         """Raises EmbeddingError for a file that is not a whole, well-formed index."""
         with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if head[:12] != _MAGIC:
-                raise EmbeddingError(f"{path}: not a vector index file")
-            if len(head) < _HEADER.size:
-                raise EmbeddingError(f"{path}: truncated vector index file")
-            _, version, dim, count, id_bytes = _HEADER.unpack(head)
-            if version != _VERSION:
-                raise EmbeddingError(f"{path}: unsupported version {version}")
-            size = Path(path).stat().st_size
-            expected = _HEADER.size + id_bytes + 8 * count * dim
-            if size != expected:
-                raise EmbeddingError(f"{path}: truncated vector index file" if size < expected
-                                     else f"{path}: trailing bytes after the vectors")
-            try:
-                ids = json.loads(fh.read(id_bytes).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise EmbeddingError(f"{path}: chunk id is not UTF-8: {exc}") from exc
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}: chunk ids are not a JSON array: {exc}") from exc
-            if not (isinstance(ids, list) and all(isinstance(cid, str) for cid in ids)
-                    and len(ids) == count and all(a < b for a, b in zip(ids, ids[1:]))):
-                raise EmbeddingError(f"{path}: chunk ids are not {count} distinct strings "
-                                     f"in chunk_id order")
-            matrix = np.empty((count, dim), dtype="<f8")
-            if fh.readinto(matrix) != matrix.nbytes:  # shrank since the stat
-                raise EmbeddingError(f"{path}: truncated vector index file")
+            dim, count, id_bytes = _FORMAT.read_header(
+                fh, path, lambda dim, count, id_bytes: id_bytes + 8 * count * dim)
+            ids = _FORMAT.sorted_strings(fh, path, id_bytes, "chunk ids", count,
+                                         "chunk_id order")
+            matrix = _FORMAT.read_into(fh, path, np.empty((count, dim), dtype="<f8"))
         index = cls(ids, matrix)
         if len(index._off_unit):
             row = int(index._off_unit[0])

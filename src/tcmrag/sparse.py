@@ -2,9 +2,6 @@
 from __future__ import annotations
 
 import json
-import operator
-import os
-import struct
 from array import array
 from collections import defaultdict
 from pathlib import Path
@@ -12,19 +9,19 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _block
+
 
 class KeywordIndexError(ValueError):
     pass
 
 
-_MAGIC = b"TCMRAGKIDX\x00\x00"
-_VERSION = 1
-# magic, version, chunk count, token count, entry count (rows summed over every token's
-# postings), byte lengths of the ids' and the tokens' JSON arrays; then both arrays
-# (UTF-8, the ids in chunk_id order and the tokens sorted), the token count + 1 offsets
-# of each token's first entry as little-endian int64, and the entries, each token's rows
-# ascending, as little-endian int32
-_HEADER = struct.Struct("<12sIIIQQQ")
+# the header fields: chunk count, token count, entry count (rows summed over every token's
+# postings), byte lengths of the ids' and the tokens' JSON arrays; then both arrays (the
+# ids in chunk_id order, the tokens sorted), the token count + 1 offsets of each token's
+# first entry as <i8, and the entries, each token's rows ascending, as <i4
+_FORMAT = _block.BlockFormat(b"TCMRAGKIDX\0\0", 1, "IIQQQ", "keyword index", "postings",
+                             KeywordIndexError)
 
 
 def iou_score(q: set[str], d: set[str]) -> float:
@@ -101,7 +98,7 @@ class KeywordIndex:
         return [(self.ids[r], s) for r, s in zip(cand[top].tolist(), iou[top].tolist())]
 
     def save(self, path: str | Path) -> None:
-        """The columns as one block (see `_HEADER`): each token's postings, the tokens
+        """The columns as one block (see `_FORMAT`): each token's postings, the tokens
         taken in sorted order, end to end."""
         tokens = sorted(self._postings)
         ids = json.dumps(self.ids, ensure_ascii=False).encode("utf-8")
@@ -110,12 +107,8 @@ class KeywordIndex:
         np.cumsum([len(self._postings[tok]) for tok in tokens], out=offsets[1:])
         rows = np.concatenate([np.empty(0, dtype=np.intc)]
                               + [self._postings[tok] for tok in tokens])
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, len(self.ids), len(tokens), len(rows),
-                                  len(ids), len(toks)))
-            fh.write(ids + toks)
-            fh.write(offsets)
-            fh.write(rows.astype("<i4", copy=False))
+        _FORMAT.write(path, (len(self.ids), len(tokens), len(rows), len(ids), len(toks)),
+                      ids + toks, offsets, rows.astype("<i4", copy=False))
 
     def _save_tsv(self, path: str | Path) -> None:
         """The index as text, which nothing reads back: one line per chunk in chunk_id
@@ -131,30 +124,17 @@ class KeywordIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "KeywordIndex":
-        """The columns of a block `save` wrote, the offsets and entries read with one
-        `readinto`; each token's postings are a view of the entries. Raises
+        """The columns of a block `save` wrote, the offsets and the entries each read with
+        one `readinto`; each token's postings are a view of the entries. Raises
         KeywordIndexError for a file that is not a whole, well-formed block."""
         with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if head[:12] != _MAGIC:
-                raise KeywordIndexError(f"{path}: not a keyword index file")
-            if len(head) < _HEADER.size:
-                raise KeywordIndexError(f"{path}: truncated keyword index file")
-            _, version, count, n_tokens, entries, id_bytes, token_bytes = _HEADER.unpack(head)
-            if version != _VERSION:
-                raise KeywordIndexError(f"{path}: unsupported version {version}")
-            size = os.fstat(fh.fileno()).st_size
-            expected = _HEADER.size + id_bytes + token_bytes + 8 * (n_tokens + 1) + 4 * entries
-            if size != expected:
-                raise KeywordIndexError(f"{path}: truncated keyword index file" if size < expected
-                                        else f"{path}: trailing bytes after the postings")
-            ids = _sorted_strings(path, fh.read(id_bytes), "chunk ids", count)
-            tokens = _sorted_strings(path, fh.read(token_bytes), "tokens", n_tokens)
-            block = np.empty(8 * (n_tokens + 1) + 4 * entries, dtype=np.uint8)
-            if fh.readinto(block) != block.nbytes:  # shrank since the stat
-                raise KeywordIndexError(f"{path}: truncated keyword index file")
-        offsets = block[:8 * (n_tokens + 1)].view("<i8")
-        rows = block[8 * (n_tokens + 1):].view("<i4")
+            count, n_tokens, entries, id_bytes, token_bytes = _FORMAT.read_header(
+                fh, path, lambda count, n_tokens, entries, id_bytes, token_bytes:
+                id_bytes + token_bytes + 8 * (n_tokens + 1) + 4 * entries)
+            ids = _FORMAT.sorted_strings(fh, path, id_bytes, "chunk ids", count)
+            tokens = _FORMAT.sorted_strings(fh, path, token_bytes, "tokens", n_tokens)
+            offsets = _FORMAT.read_into(fh, path, np.empty(n_tokens + 1, dtype="<i8"))
+            rows = _FORMAT.read_into(fh, path, np.empty(entries, dtype="<i4"))
         if offsets[0] != 0 or offsets[-1] != entries or np.any(np.diff(offsets) <= 0):
             raise KeywordIndexError(f"{path}: token offsets do not rise from 0 to the "
                                     f"{entries} entries, each token holding a row")
@@ -172,17 +152,3 @@ class KeywordIndex:
                            {tok: rows[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])})
         return index
 
-
-def _sorted_strings(path: str | Path, data: bytes, what: str, count: int) -> list[str]:
-    """The JSON array of `count` distinct strings, ascending, that data holds."""
-    try:
-        values = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise KeywordIndexError(f"{path}: {what} are not UTF-8: {exc}") from exc
-    except ValueError as exc:
-        raise KeywordIndexError(f"{path}: {what} are not a JSON array: {exc}") from exc
-    if not (isinstance(values, list) and len(values) == count
-            and set(map(type, values)) <= {str} and all(map(operator.lt, values, values[1:]))):
-        raise KeywordIndexError(f"{path}: {what} are not {count} distinct strings "
-                                f"in sorted order")
-    return values

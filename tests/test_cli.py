@@ -148,6 +148,19 @@ def test_ingest_empty_file_counts_as_failure(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
 
+def test_ingest_reports_a_file_that_is_not_utf8_and_writes_the_others(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.txt").write_text("某男，胃痛三年。", encoding="utf-8")
+    (raw / "b.txt").write_bytes(b"\xff\xfe" + "头晕".encode("utf-16-le"))
+    (raw / "c.txt").write_text("某女，头晕一月。", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ingest: cannot read {raw / 'b.txt'}: 'utf-8' codec can't decode" in err
+    assert [c.case_id for c in load_corpus(out)] == ["a", "c"]
+
+
 def test_ingest_no_files_is_config_error(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()
@@ -389,6 +402,18 @@ def test_index_names_the_corpus_line_with_a_wrongly_typed_value(tmp_path, capsys
     assert main(["--config", str(cfg), "--stub", "index", "--strategy", "token_chunk",
                  "--out", str(tmp_path / "idx")]) == 1
     assert f"error: {corpus}:3: clinical_info must be a string" in capsys.readouterr().err
+
+
+def test_index_names_the_corpus_line_holding_a_lone_surrogate(tmp_path, capsys):
+    lines = (DATA / "sample_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["clinical_info"] = "胃脘\ud800痛。"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, corpus=corpus)
+    assert main(["--config", str(cfg), "--stub", "index", "--strategy", "overlap_window",
+                 "--out", str(tmp_path / "idx")]) == 1
+    assert capsys.readouterr().err == f"error: {corpus}:2: clinical_info holds a lone surrogate\n"
 
 
 INDEX_FILES = ("vectors.bin", "keywords.bin", "keywords.tsv", "chunks.bin", "meta.json")
@@ -937,6 +962,15 @@ def test_query_expect_strategy_mismatch_is_config_error(workspace, capsys):
     assert "strategy" in capsys.readouterr().err
 
 
+def test_query_with_argument_bytes_that_are_not_utf8_is_config_error(workspace, capsys):
+    # Python hands argument bytes that are not UTF-8 to main as lone surrogates
+    question = b"\xff\xfe\xe8\x83\x83\xe8\x84\x98".decode("utf-8", "surrogateescape")
+    assert main(["--config", str(workspace["cfg"]), "--stub", "query", question,
+                 "--index", str(workspace["hybrid"])]) == 2
+    assert capsys.readouterr().err == ("error: the question '\\udcff\\udcfe胃脘' is not "
+                                       "UTF-8 text\n")
+
+
 def test_query_missing_index_is_config_error(workspace, tmp_path):
     code = main(["--config", str(workspace["cfg"]), "--stub", "query",
                  "症见胃脘胀痛。", "--index", str(tmp_path / "nowhere")])
@@ -1219,6 +1253,22 @@ def test_eval_and_query_rank_by_the_rerank_provider(workspace, tmp_path, sent, m
     report = json.loads((tmp_path / "r" / "report_hybrid_jieba+CoT.json")
                         .read_text(encoding="utf-8"))
     assert report["provider_fallbacks"] == 0
+
+
+def test_eval_loads_the_lexicon_and_hmm_once_for_both_indexes(workspace, tmp_path,
+                                                             monkeypatch):
+    from tcmrag import cli
+    loads = []
+    for name in ("load_lexicon", "load_hmm"):
+        load = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, load=load: loads.append(path) or load(path))
+    assert main(["--config", str(workspace["cfg"]), "--stub", "eval",
+                 "--tasks", str(DATA / "tasks.jsonl"), "--mode", "naive_rag",
+                 "--mode", "hybrid_jieba", "--chat", "echo_gold",
+                 "--index-naive", str(workspace["naive"]),
+                 "--index-hybrid", str(workspace["hybrid"]),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert loads == [str(DATA / "lexicon.txt"), str(DATA / "hmm_model.json")]
 
 
 def test_eval_missing_index_is_config_error(workspace, tmp_path, capsys):

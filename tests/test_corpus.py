@@ -79,6 +79,20 @@ def test_empty_clinical_info_rejected(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("key, value", [("case_id", "c\ud800"), ("doctor_notes", "\udfff按语"),
+                                        ("syndromes", ["肝胃不和证", "证\udbff"])],
+                         ids=["case_id", "doctor_notes", "syndromes"])
+def test_load_corpus_rejects_a_lone_surrogate_naming_its_line(tmp_path, key, value):
+    """A JSON escape such as "\\ud800" decodes to a lone surrogate, which no index file
+    could hold, as UTF-8 cannot encode it."""
+    rec = json.loads(_case_line("b"))
+    rec[key] = value
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_case_line("a") + "\n" + json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"corpus\.jsonl:2: {key} holds a lone surrogate$"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("case_id", 7, "case_id must be a string"),
     ("clinical_info", 5, "clinical_info must be a string"),
@@ -459,12 +473,20 @@ chunk_texts = st.text(st.sampled_from("胃脘痛。a #𠀀\n\"") | st.characters
                           chunk_texts, st.integers(0, 2 ** 40)), max_size=12))
 def test_dump_chunks_then_load_chunks_gives_the_chunks_back(strategy, rows):
     """Ids with '#' or CJK, repeated or empty; texts of one character or more, with astral
-    characters (a span counts code points), quotes and line breaks; any start."""
+    characters (a span counts code points), quotes and line breaks; any start. A text
+    holding a lone surrogate, which UTF-8 cannot encode, is refused before the file is
+    made."""
     chunks = [Chunk(cid, case_id, text, (start, start + len(text)), strategy)
               for cid, case_id, text, start in rows]
     with tempfile.TemporaryDirectory() as d:
-        dump_chunks(chunks, Path(d) / "chunks.bin")
-        loaded = load_chunks(Path(d) / "chunks.bin")
+        path = Path(d) / "chunks.bin"
+        if any("\ud800" <= ch <= "\udfff" for c in chunks for ch in c.text):
+            with pytest.raises(CorpusError, match="lone surrogate, which UTF-8 cannot encode"):
+                dump_chunks(chunks, path)
+            assert not path.exists()
+            return
+        dump_chunks(chunks, path)
+        loaded = load_chunks(path)
     assert loaded == chunks
     assert [type(c.char_span[0]) for c in loaded] == [int] * len(chunks)
 

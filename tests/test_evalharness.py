@@ -102,6 +102,13 @@ def test_load_tasks_rejects_malformed_records(tmp_path, record, message):
         load_tasks(write_tasks(tmp_path, [record]))
 
 
+def test_load_tasks_rejects_a_lone_surrogate_naming_its_line(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(json.dumps(task_record(case_text="胃脘\udcff痛。")) + "\n", encoding="utf-8")
+    with pytest.raises(TaskError, match=r"tasks\.jsonl:1: case_text holds a lone surrogate"):
+        load_tasks(path)
+
+
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------

@@ -306,6 +306,11 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
 def cmd_query(cfg: AppConfig, args) -> int:
     if _SURROGATE.search(args.question):  # argument bytes that are not UTF-8
         raise CliConfigError(f"the question {args.question!r} is not UTF-8 text")
+    for flag, values in (("--pathogenesis-option", args.pathogenesis_option),
+                         ("--syndrome-option", args.syndrome_option)):
+        for value in values or ():
+            if _SURROGATE.search(value):
+                raise CliConfigError(f"{flag} {value!r} is not UTF-8 text")
     meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub, _segmenter(cfg))
     if args.expect_strategy and args.expect_strategy != meta["strategy"]:
         raise CliConfigError(

@@ -64,6 +64,12 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty clinical_info{ctx}")
     if any(not s for s in case.syndromes):
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
+    for name, value in vars(case).items():
+        try:  # UTF-8 refuses exactly what _SURROGATE matches, and encodes faster than it scans
+            (value if type(value) is str else "".join(value)).encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"case {case.case_id!r}: {name} holds a lone surrogate"
+                              f"{ctx}") from None
 
 
 # What a record line's value must be, by the annotation of the dataclass field it fills,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -15,6 +16,7 @@ SPARSE_ONLY = "sparse_only"
 HYBRID = "hybrid"
 MODES = (DENSE_ONLY, SPARSE_ONLY, HYBRID)
 RERANK_FALLBACK = "rerank provider failed, using fusion fallback"
+_POOL_MEMO_LIMIT = 1024  # pools one RetrieverDeps remembers, about 2 KB each
 
 
 class RetrievalError(ValueError):
@@ -49,14 +51,17 @@ class RetrievalCandidate:
     rerank_score: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrieverDeps:
+    """What retrieval runs over. Frozen, so the pools `first_stage` remembers in `_pools`
+    never outlive the tokenizer, embedder and indexes they were made with."""
     tokenize: Callable[[str], set[str]]
     embedder: EmbedProvider
     dense_index: VectorIndex
     kw_index: KeywordIndex
     chunk_texts: dict[str, str]
     rerank_provider: "RerankProvider | None" = None
+    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -110,22 +115,35 @@ def first_stage(query_text: str, deps: RetrieverDeps,
     """Pool dense and sparse top lists (per mode); fill both scores for every candidate.
 
     The search lists give membership only. Both scores of every pooled candidate come
-    from one gather per index, bit for bit the scores its searches rank by."""
-    query_tokens = deps.tokenize(query_text)
-    if not query_tokens:
-        return []
-    query_vec = embed(query_text, deps.embedder)
+    from one gather per index, bit for bit the scores its searches rank by. `deps`
+    remembers the pool of its last `_POOL_MEMO_LIMIT` (text, mode, pool sizes) keys, as
+    ids and float64 scores, so a repeated query neither embeds nor searches; each call
+    gets fresh candidates."""
+    key = (query_text, cfg.mode, cfg.n_dense, cfg.n_sparse)
+    memo = deps._pools
+    hit = memo.get(key)
+    if hit is not None:
+        ids, dense_scores, sparse_scores = hit
+    else:
+        query_tokens = deps.tokenize(query_text)
+        if not query_tokens:
+            return []
+        query_vec = embed(query_text, deps.embedder)
 
-    dense = ({cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)}
-             if cfg.mode in (DENSE_ONLY, HYBRID) else set())
-    sparse = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
-              if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
-    pooled = sorted(dense | sparse)
-    if not pooled:  # a zero-chunk index has no dim to score against
-        return []
+        dense = ({cid for cid, _ in deps.dense_index.search(query_vec, cfg.n_dense)}
+                 if cfg.mode in (DENSE_ONLY, HYBRID) else set())
+        sparse = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
+                  if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
+        ids = sorted(dense | sparse)
+        dense_scores = sparse_scores = ()
+        if ids:  # a zero-chunk index has no dim to score against
+            dense_scores = deps.dense_index._score(ids, query_vec)
+            sparse_scores = deps.kw_index._score(ids, query_tokens)
+        if len(memo) >= _POOL_MEMO_LIMIT:
+            del memo[next(iter(memo))]  # the oldest entry
+        memo[key] = (tuple(ids), array("d", dense_scores), array("d", sparse_scores))
     return [RetrievalCandidate(chunk_id=cid, dense_score=d, sparse_score=s)
-            for cid, d, s in zip(pooled, deps.dense_index._score(pooled, query_vec),
-                                 deps.kw_index._score(pooled, query_tokens))]
+            for cid, d, s in zip(ids, dense_scores, sparse_scores)]
 
 
 def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: RetrieverDeps,
@@ -158,8 +176,9 @@ def two_stage_retrieve(query_text: str, deps: RetrieverDeps,
                        cfg: RetrievalConfig) -> RetrievalResult:
     pool = first_stage(query_text, deps, cfg)
     if not pool:
-        # tells a query with no tokens from one that matched nothing; the tokenizer
-        # remembers the text first_stage just cut, so this cuts nothing again
+        # tells a query with no tokens from one that matched nothing. A query with no
+        # tokens is never remembered, so first_stage has just cut it and the tokenizer
+        # cuts nothing again; a remembered empty pool is cut once more
         if deps.tokenize(query_text):
             return RetrievalResult(candidates=[])
         return RetrievalResult(candidates=[], warnings=[

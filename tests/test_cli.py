@@ -161,6 +161,20 @@ def test_ingest_reports_a_file_that_is_not_utf8_and_writes_the_others(tmp_path, 
     assert [c.case_id for c in load_corpus(out)] == ["a", "c"]
 
 
+def test_ingest_of_a_file_whose_name_is_not_utf8_leaves_the_previous_corpus(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.txt").write_text("某男，胃痛三年。", encoding="utf-8")
+    # the name's byte 0xff comes back from the directory listing as the lone surrogate \udcff
+    (raw / b"\xffb.txt".decode("utf-8", "surrogateescape")).write_text("某女，头晕一月。",
+                                                                      encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    out.write_text("previous\n", encoding="utf-8")
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out)]) == 1
+    assert capsys.readouterr().err == "error: case '\\udcffb': case_id holds a lone surrogate\n"
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
 def test_ingest_no_files_is_config_error(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()
@@ -969,6 +983,16 @@ def test_query_with_argument_bytes_that_are_not_utf8_is_config_error(workspace, 
                  "--index", str(workspace["hybrid"])]) == 2
     assert capsys.readouterr().err == ("error: the question '\\udcff\\udcfe胃脘' is not "
                                        "UTF-8 text\n")
+
+
+@pytest.mark.parametrize("flag", ["--pathogenesis-option", "--syndrome-option"])
+def test_query_with_an_option_whose_bytes_are_not_utf8_is_config_error(tmp_path, capsys, flag):
+    # checked before the index is opened: there is none at this path
+    option = b"\xff\xe8\x83\x83".decode("utf-8", "surrogateescape")
+    assert main(["--config", str(write_config(tmp_path)), "--stub", "query", "胃脘",
+                 "--index", str(tmp_path / "nowhere"), flag, "a", flag, option,
+                 "--answer"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} '\\udcff胃' is not UTF-8 text\n")
 
 
 def test_query_missing_index_is_config_error(workspace, tmp_path):

@@ -93,6 +93,22 @@ def test_load_corpus_rejects_a_lone_surrogate_naming_its_line(tmp_path, key, val
         load_corpus(path)
 
 
+@pytest.mark.parametrize("key, value", [("case_id", "b\udcff"), ("raw_text", "\ud800病案"),
+                                        ("syndromes", ["肝胃不和证", "证\udbff"])],
+                         ids=["case_id", "raw_text", "syndromes"])
+def test_save_corpus_refuses_a_lone_surrogate_before_touching_the_file(tmp_path, key, value):
+    """`ingest` makes a file's stem the case_id, and a name that is not UTF-8 holds lone
+    surrogates; the previous corpus must survive such a case."""
+    good = ClinicalCase(case_id="a", patient_background="", clinical_info="info",
+                        pathogenesis="", syndromes=[])
+    bad = ClinicalCase(**{**vars(good), "case_id": "b", key: value})
+    out = tmp_path / "out.jsonl"
+    out.write_text("previous\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"case '.*': {key} holds a lone surrogate$"):
+        save_corpus([good, bad], out)
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("case_id", 7, "case_id must be a string"),
     ("clinical_info", 5, "clinical_info must be a string"),

@@ -4,8 +4,10 @@ import json
 from dataclasses import replace
 
 import pytest
+import requests
 
 from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, load_corpus
+from tcmrag.dense import HttpEmbedProvider
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
                                 ConfigurationError, EvalDeps, ItemResult, RunConfig,
                                 ScoreReport, TaskError, TaskItem, compare_runs,
@@ -351,6 +353,47 @@ def test_run_eval_is_deterministic(eval_setup, task_items, templates):
     first = run_eval(task_items, cfg, deps).to_json()
     second = run_eval(task_items, cfg, deps).to_json()
     assert first == second
+
+
+class EmbeddingReply:
+    status_code = 200
+
+    def __init__(self, values):
+        self.values = values
+
+    def json(self):
+        return {"data": [{"embedding": self.values}]}
+
+
+def test_base_and_cot_runs_send_one_embedding_request_per_task_per_index(
+        eval_setup, task_items, templates, monkeypatch):
+    """With an HTTP embedder, the CoT run takes each pool the base run made: one paid
+    request per task text per index, for the same reports a stub embedder gives."""
+    corpus, stub_retrievers = eval_setup
+    stub = stub_retrievers[MODE_NAIVE_RAG].embedder
+    posted = []
+
+    def post(url, json, headers, timeout):
+        posted.append((url, json["input"][0]))
+        return EmbeddingReply(stub.embed_raw(json["input"][0]).tolist())
+
+    monkeypatch.setattr(requests, "post", post)
+    http_retrievers = {mode: replace(d, embedder=HttpEmbedProvider(url=f"http://{mode}",
+                                                                   model="m"))
+                       for mode, d in stub_retrievers.items()}
+    chat = retrieval_sensitive_provider(task_items,
+                                        {it.item_id: it.item_id for it in task_items})
+    http_deps = make_deps(templates, corpus, http_retrievers, chat)
+    for mode in (MODE_NAIVE_RAG, MODE_HYBRID_JIEBA):
+        for cot in (False, True):
+            cfg = RunConfig(retrieval_mode=mode, cot=cot)
+            want = run_eval(task_items, cfg, make_deps(templates, corpus,
+                                                       {mode: replace(stub_retrievers[mode])},
+                                                       chat))
+            assert run_eval(task_items, cfg, http_deps).to_json() == want.to_json()
+    assert sorted(posted) == sorted((f"http://{mode}", it.case_text)
+                                    for mode in (MODE_NAIVE_RAG, MODE_HYBRID_JIEBA)
+                                    for it in task_items)
 
 
 def test_retrieval_sensitive_ablation_ordering(eval_setup, task_items, templates):

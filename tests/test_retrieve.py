@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
-from tcmrag import engine
-from tcmrag.corpus import TOKEN_CHUNK, Chunk, ClinicalCase, render_demonstration
+from tcmrag import engine, retrieve
+from tcmrag.corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
+                           render_demonstration)
 from tcmrag.dense import EmbeddingError, StubEmbedProvider, VectorIndex, embed, token_bucket
 from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_ONLY,
                              HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
@@ -452,8 +454,7 @@ class RefusingEmbedder:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_query_without_tokens_retrieves_nothing_with_a_warning(mode):
-    deps = make_deps()
-    deps.embedder = RefusingEmbedder()
+    deps = dataclasses.replace(make_deps(), embedder=RefusingEmbedder())
     assert first_stage("  ", deps, RetrievalConfig(mode=mode)) == []
     result = two_stage_retrieve("  ", deps, RetrievalConfig(mode=mode))
     assert result.candidates == []
@@ -463,6 +464,150 @@ def test_query_without_tokens_retrieves_nothing_with_a_warning(mode):
 def test_query_matching_nothing_has_no_warning():
     result = two_stage_retrieve("unknowntoken", make_deps(), RetrievalConfig(mode=SPARSE_ONLY))
     assert result.candidates == [] and result.warnings == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_query_without_tokens_warns_on_every_call_and_is_not_remembered(mode):
+    deps = dataclasses.replace(make_deps(), embedder=RefusingEmbedder())
+    cfg = RetrievalConfig(mode=mode)
+    first, again = (two_stage_retrieve("  ", deps, cfg) for _ in range(2))
+    assert again == first and len(first.warnings) == 1
+    assert first.warnings[0] == "query '  ' has no searchable tokens; nothing retrieved"
+    assert deps._pools == {}
+
+
+def test_a_remembered_empty_pool_still_has_no_warning():
+    deps = make_deps()
+    cfg = RetrievalConfig(mode=SPARSE_ONLY)
+    for _ in range(2):
+        assert two_stage_retrieve("unknowntoken", deps, cfg) == \
+            retrieve.RetrievalResult(candidates=[])
+    assert len(deps._pools) == 1
+
+
+# ---------------------------------------------------------------------------
+# The pool memo
+# ---------------------------------------------------------------------------
+
+def result_digest(result) -> list[tuple]:
+    return [(c.chunk_id, c.dense_score.hex(), c.sparse_score.hex(), c.rerank_score.hex())
+            for c in result.candidates]
+
+
+@pytest.mark.parametrize("reloaded", [False, True], ids=["in_memory", "reloaded"])
+@pytest.mark.parametrize("strategy", [OVERLAP_WINDOW, TOKEN_CHUNK])
+def test_a_remembered_pool_is_bit_identical_to_a_fresh_one(tmp_path, sample_retrievers,
+                                                          task_items, strategy, reloaded):
+    """Every task text in every mode, twice over one deps (a miss, then a hit): each
+    pool and top k is, to the last bit, what a deps that remembers nothing gives."""
+    built = sample_retrievers[strategy]
+    if reloaded:
+        built.dense_index.save(tmp_path / "vectors.bin")
+        built.kw_index.save(tmp_path / "keywords.bin")
+        built = dataclasses.replace(built, dense_index=VectorIndex.load(tmp_path / "vectors.bin"),
+                                    kw_index=KeywordIndex.load(tmp_path / "keywords.bin"))
+    deps = dataclasses.replace(built)  # a memo of its own
+    queries = [item.case_text for item in task_items]
+    for mode in MODES:
+        cfg = RetrievalConfig(mode=mode)
+        for query in queries:
+            want = (pool_digest(first_stage(query, dataclasses.replace(built), cfg)),
+                    result_digest(two_stage_retrieve(query, dataclasses.replace(built), cfg)))
+            for _ in range(2):
+                assert (pool_digest(first_stage(query, deps, cfg)),
+                        result_digest(two_stage_retrieve(query, deps, cfg))) == want
+    assert len(deps._pools) == len(MODES) * len(set(queries))
+
+
+def test_a_hit_reranks_by_each_calls_alpha_and_top_k():
+    deps = make_deps()
+    query = f"{A} {C}"
+    two_stage_retrieve(query, deps, RetrievalConfig())
+    for alpha in (0.0, 0.3, 1.0):
+        for top_k in (1, 2, 3):
+            cfg = RetrievalConfig(alpha=alpha, top_k=top_k)
+            got = two_stage_retrieve(query, deps, cfg)
+            assert result_digest(got) == result_digest(two_stage_retrieve(query, make_deps(),
+                                                                          cfg))
+            assert len(got.candidates) == top_k
+    assert len(deps._pools) == 1  # alpha and top_k are not part of the key
+
+
+def test_the_rerank_provider_is_asked_on_every_retrieval_and_each_failure_falls_back():
+    class FailingSecond(FixedRerank):
+        def rerank(self, query, documents):
+            if len(self.calls) == 1:
+                self.calls.append((query, list(documents)))
+                raise ProviderError("provider offline")
+            return super().rerank(query, documents)
+
+    provider = FailingSecond([0.1, 0.9, 0.5])
+    deps = make_deps(rerank_provider=provider)
+    query, cfg = f"{A} {B}", RetrievalConfig()
+    results = [two_stage_retrieve(query, deps, cfg) for _ in range(3)]
+    assert len(provider.calls) == 3 and len(deps._pools) == 1
+    assert [c.chunk_id for c in results[0].candidates] == ["c2#0", "c3#0", "c1#0"]
+    assert results[2] == results[0] and results[0].warnings == []
+    assert results[1].warnings == [f"{RERANK_FALLBACK}: provider offline"]
+    assert result_digest(results[1]) == result_digest(two_stage_retrieve(query, make_deps(),
+                                                                         cfg))
+
+
+def test_a_hit_hands_out_candidates_of_its_own():
+    deps = make_deps()
+    first = first_stage(f"{A} {B}", deps, RetrievalConfig())
+    want = pool_digest(first)
+    for cand in first:
+        cand.dense_score = cand.sparse_score = -1.0
+    first.clear()
+    assert pool_digest(first_stage(f"{A} {B}", deps, RetrievalConfig())) == want
+
+
+def test_a_full_memo_drops_its_oldest_pool(monkeypatch):
+    embedded: list[str] = []
+    real_embed = retrieve.embed
+    monkeypatch.setattr(retrieve, "embed",
+                        lambda text, provider: embedded.append(text) or real_embed(text, provider))
+    monkeypatch.setattr(retrieve, "_POOL_MEMO_LIMIT", 2)
+    deps = make_deps()
+    cfg = RetrievalConfig()
+    q1, q2, q3 = A, B, f"{A} {B}"
+    for query in (q1, q2, q3, q2, q3, q1, q3):
+        first_stage(query, deps, cfg)
+    # q3 drops q1, the oldest; q2 and q3 then hit; q1 misses again and drops q2
+    assert embedded == [q1, q2, q3, q1]
+    assert [key[0] for key in deps._pools] == [q3, q1]
+    assert len({key[1:] for key in deps._pools}) == 1
+    # a mode or pool size is a key of its own
+    first_stage(q3, deps, RetrievalConfig(mode=DENSE_ONLY))
+    first_stage(q3, deps, RetrievalConfig(n_sparse=2))
+    assert embedded == [q1, q2, q3, q1, q3, q3]
+
+
+def test_retriever_deps_fields_cannot_be_assigned():
+    deps = make_deps()
+    for f in dataclasses.fields(RetrieverDeps):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(deps, f.name, None)
+    assert "_pools" not in repr(deps)
+
+
+def test_first_stage_runs_once_per_retrieval(monkeypatch):
+    """A hook on `retrieve.first_stage`, as a tracer installs, sees every pool, a
+    remembered one too."""
+    seen = []
+    real_first_stage = retrieve.first_stage
+
+    def hooked(query_text, deps, cfg):
+        seen.append(real_first_stage(query_text, deps, cfg))
+        return seen[-1]
+
+    monkeypatch.setattr(retrieve, "first_stage", hooked)
+    deps = make_deps()
+    for _ in range(3):
+        two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
+    assert len(seen) == 3 and len(deps._pools) == 1
+    assert pool_digest(seen[2]) == pool_digest(seen[0])
 
 
 # ---------------------------------------------------------------------------

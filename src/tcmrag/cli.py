@@ -8,6 +8,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +18,7 @@ from .corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, ClinicalCase, _SURROGATE,
                      _chunk_columns, dump_chunks, load_corpus, normalize_text, save_corpus)
 from .dense import DEFAULT_STUB_DIM, HttpEmbedProvider, StubEmbedProvider, VectorIndex
 from .engine import build_indexes, chunk_corpus, make_tokenizer
-from .llm import CannedChatProvider, CleaningError, GenerationParams, HttpChatProvider, \
-    extract_fields, split_cases
+from .llm import CannedChatProvider, CleaningError, HttpChatProvider, extract_fields, split_cases
 from .prompt import DEFAULT_BUDGET, TemplateSet, serialize_answer
 from .retrieve import (HttpRerankProvider, MODES, RetrievalConfig, RetrievalError,
                        RetrieverDeps, two_stage_retrieve)
@@ -90,9 +90,10 @@ class AppConfig:
         return cfg
 
 
-def _acquire_lock(out_dir: Path) -> Path:
-    """Create `out_dir/.lock` holding this process's pid and start time. A lock that
-    exists is never taken over: the error names its owner and whether that pid runs."""
+@contextmanager
+def _acquire_lock(out_dir: Path):
+    """Create `out_dir/.lock` holding this process's pid and start time, for the `with` block.
+    A lock that exists is never taken over: the error names its owner and whether it runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_FILE
     try:
@@ -103,7 +104,10 @@ def _acquire_lock(out_dir: Path) -> Path:
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"pid": os.getpid(), "started": time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime())}) + "\n")
-    return lock
+    try:
+        yield
+    finally:
+        lock.unlink(missing_ok=True)
 
 
 def _lock_owner(lock: Path) -> str:
@@ -162,11 +166,32 @@ def _chat_provider(cfg: AppConfig, args, items=None):
     if kind == "empty":
         return ev.empty_answer_provider()
     if kind == "retrieval_sensitive":
-        items = items or []
-        return ev.retrieval_sensitive_provider(items, {it.item_id: it.item_id for it in items})
+        return ev.retrieval_sensitive_provider(items or [])
     if not cfg.chat_url:
         raise CliConfigError("no chat_url configured; pass --chat canned/echo_gold/empty")
     return HttpChatProvider(url=cfg.chat_url, model=cfg.chat_model)
+
+
+def _answer_deps(cfg: AppConfig, args, items=None, retrievers=None) -> ev.EvalDeps:
+    """What `query --answer` and `eval` answer with, checked before anything is retrieved:
+    the templates, the chat provider, the budget, the `retrievers` and, as the
+    demonstrations (the top chunk's parent case), the cases of the config's `corpus`, or
+    none when it is not set."""
+    if not cfg.templates:
+        command = "query --answer" if args.command == "query" else args.command
+        raise CliConfigError(f"{command} requires a templates directory in the config")
+    corpus_map = {c.case_id: c for c in load_corpus(cfg.corpus)} if cfg.corpus else {}
+    return ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
+                       chat=_chat_provider(cfg, args, items), corpus=corpus_map,
+                       retrievers=retrievers or {}, budget=cfg.budget)
+
+
+def _retrieval_config(cfg: AppConfig, mode: str = RetrievalConfig.mode,
+                      top_k: int | None = None) -> RetrievalConfig:
+    """The config's retrieval settings, with `top_k` (query's --k) in place of its own."""
+    return RetrievalConfig(n_dense=cfg.n_dense, n_sparse=cfg.n_sparse,
+                           top_k=cfg.top_k if top_k is None else top_k, alpha=cfg.alpha,
+                           mode=mode)
 
 
 def cmd_ingest(cfg: AppConfig, args) -> int:
@@ -231,8 +256,7 @@ def cmd_index(cfg: AppConfig, args) -> int:
     lex, hmm, fingerprint = _segmenter(cfg)
     tokenize = make_tokenizer(lex, hmm)
     out_dir = Path(args.out)
-    lock = _acquire_lock(out_dir)
-    try:
+    with _acquire_lock(out_dir):
         chunks = chunk_corpus(cases, args.strategy, lex, hmm,
                               window=cfg.window, overlap=cfg.overlap,
                               max_tokens=cfg.max_tokens, overlap_tokens=cfg.overlap_tokens)
@@ -253,9 +277,7 @@ def cmd_index(cfg: AppConfig, args) -> int:
                 os.replace(stage / name, out_dir / name)
         print(f"index: {len(cases)} cases -> {len(chunks)} chunks "
               f"(strategy={args.strategy}, dim={dense_index.dim}) in {out_dir}")
-        return EXIT_OK
-    finally:
-        lock.unlink(missing_ok=True)
+    return EXIT_OK
 
 
 def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
@@ -304,30 +326,19 @@ def _retriever_from_dir(cfg: AppConfig, index_dir: Path, stub: bool,
 
 
 def cmd_query(cfg: AppConfig, args) -> int:
-    if _SURROGATE.search(args.question):  # argument bytes that are not UTF-8
-        raise CliConfigError(f"the question {args.question!r} is not UTF-8 text")
-    for flag, values in (("--pathogenesis-option", args.pathogenesis_option),
+    for name, values in (("the question", [args.question]),
+                         ("--pathogenesis-option", args.pathogenesis_option),
                          ("--syndrome-option", args.syndrome_option)):
         for value in values or ():
-            if _SURROGATE.search(value):
-                raise CliConfigError(f"{flag} {value!r} is not UTF-8 text")
+            if _SURROGATE.search(value):  # argument bytes that are not UTF-8
+                raise CliConfigError(f"{name} {value!r} is not UTF-8 text")
+    rcfg = _retrieval_config(cfg, args.mode, args.k)
     meta, deps = _retriever_from_dir(cfg, Path(args.index), args.stub, _segmenter(cfg))
     if args.expect_strategy and args.expect_strategy != meta["strategy"]:
         raise CliConfigError(
             f"index was built with strategy {meta['strategy']!r} but the query "
             f"expects {args.expect_strategy!r}")
-    rcfg = RetrievalConfig(n_dense=cfg.n_dense, n_sparse=cfg.n_sparse,
-                           top_k=cfg.top_k if args.k is None else args.k,
-                           alpha=cfg.alpha, mode=args.mode)
-    answer_deps = None
-    if args.answer:  # its settings and files are checked before anything is retrieved
-        if not cfg.templates:
-            raise CliConfigError("--answer requires a templates directory in the config")
-        # the demonstration is the top chunk's parent case, so it needs the case corpus
-        corpus_map = {c.case_id: c for c in load_corpus(cfg.corpus)} if cfg.corpus else {}
-        answer_deps = ev.EvalDeps(templates=TemplateSet.load(cfg.templates),
-                                  chat=_chat_provider(cfg, args), corpus=corpus_map,
-                                  budget=cfg.budget)
+    answer_deps = _answer_deps(cfg, args) if args.answer else None
     result = two_stage_retrieve(args.question, deps, rcfg)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -354,9 +365,7 @@ def cmd_query(cfg: AppConfig, args) -> int:
 def cmd_eval(cfg: AppConfig, args) -> int:
     items = ev.load_tasks(args.tasks)
     modes = list(dict.fromkeys(args.mode or [ev.MODE_NONE]))  # each mode runs once
-    templates = TemplateSet.load(cfg.templates)
-    cases = load_corpus(cfg.corpus)
-    corpus_map = {c.case_id: c for c in cases}
+    rcfg = _retrieval_config(cfg)
 
     retrievers: dict[str, RetrieverDeps] = {}
     segmenter = None  # loaded once, so that every retriever shares the lexicon's run memo
@@ -365,22 +374,14 @@ def cmd_eval(cfg: AppConfig, args) -> int:
         if mode == ev.MODE_NONE:
             continue
         index_dir = index_dirs.get(mode)
-        if not index_dir or not (Path(index_dir) / META_FILE).exists():
-            raise CliConfigError(f"mode {mode!r} requested but its index directory is "
-                                 f"missing (got {index_dir!r})")
+        if not index_dir:
+            raise CliConfigError(f"mode {mode!r} requested but its index directory is missing")
         segmenter = segmenter or _segmenter(cfg)
         _, retrievers[mode] = _retriever_from_dir(cfg, Path(index_dir), args.stub, segmenter)
-
-    chat = _chat_provider(cfg, args, items=items)
-    eval_deps = ev.EvalDeps(templates=templates, chat=chat, corpus=corpus_map,
-                            retrievers=retrievers, params=GenerationParams(),
-                            budget=cfg.budget)
-    rcfg = RetrievalConfig(n_dense=cfg.n_dense, n_sparse=cfg.n_sparse,
-                           top_k=cfg.top_k, alpha=cfg.alpha)
+    eval_deps = _answer_deps(cfg, args, items, retrievers)
 
     out_dir = Path(args.out or cfg.out_dir)
-    lock = _acquire_lock(out_dir)
-    try:
+    with _acquire_lock(out_dir):
         reports = []
         for mode in modes:
             run_cfg = ev.RunConfig(retrieval_mode=mode, cot=args.cot,
@@ -400,11 +401,9 @@ def cmd_eval(cfg: AppConfig, args) -> int:
                 json.dumps(rows, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                 encoding="utf-8")
             print(table, end="")
-        # every report is written first, so a failed chat call or prompt costs its item only
-        failed = any(r.provider_failures or r.prompt_failures for r in reports)
-        return EXIT_RUNTIME if failed else EXIT_OK
-    finally:
-        lock.unlink(missing_ok=True)
+    # every report is written first, so a failed chat call or prompt costs its item only
+    failed = any(r.provider_failures or r.prompt_failures for r in reports)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,15 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="verbose diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def chat_options(p, *mocks):  # the chat provider of ingest --clean, query --answer, eval
+        p.add_argument("--chat", default="http", choices=["http", "canned", *mocks])
+        p.add_argument("--canned", default=None, help="canned response file for --chat canned")
+
     p = sub.add_parser("ingest", help="normalize (and optionally LLM-clean) raw text files")
     p.add_argument("raw_dir", help="directory of UTF-8 .txt files")
     p.add_argument("out_corpus", help="corpus file to write")
     p.add_argument("--clean", action="store_true", help="run the LLM cleaning pipeline")
     p.add_argument("--no-clean", dest="clean", action="store_false",
                    help="one case per file, normalize only (default)")
-    p.add_argument("--chat", default="http", choices=["http", "canned"],
-                   help="chat provider for --clean")
-    p.add_argument("--canned", default=None, help="canned response file for --chat canned")
+    chat_options(p)
     p.set_defaults(clean=False, func=cmd_ingest)
 
     p = sub.add_parser("index", help="chunk, segment, embed, and persist both indexes")
@@ -441,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-strategy", default=None, choices=[OVERLAP_WINDOW, TOKEN_CHUNK],
                    help="fail if the index was built with a different chunking strategy")
     p.add_argument("--answer", action="store_true", help="also generate a JSON answer")
-    p.add_argument("--chat", default="http", choices=["http", "canned"])
-    p.add_argument("--canned", default=None)
+    chat_options(p)
     p.add_argument("--pathogenesis-option", action="append", default=None)
     p.add_argument("--syndrome-option", action="append", default=None)
     p.set_defaults(func=cmd_query)
@@ -452,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", action="append", choices=list(ev.RUN_MODES),
                    help="repeatable; defaults to 'none'")
     p.add_argument("--cot", action="store_true", help="use chain-of-thought variants")
-    p.add_argument("--chat", default="http",
-                   choices=["http", "canned", "echo_gold", "empty", "retrieval_sensitive"])
-    p.add_argument("--canned", default=None)
+    chat_options(p, "echo_gold", "empty", "retrieval_sensitive")
     p.add_argument("--index-naive", default=None, help="index dir for naive_rag")
     p.add_argument("--index-hybrid", default=None, help="index dir for hybrid_jieba")
     p.add_argument("--out", default=None, help="report output directory")

@@ -64,12 +64,6 @@ def validate_case(case: ClinicalCase, where: str = "") -> None:
         raise CorpusError(f"case {case.case_id!r}: empty clinical_info{ctx}")
     if any(not s for s in case.syndromes):
         raise CorpusError(f"case {case.case_id!r}: empty string in syndromes{ctx}")
-    for name, value in vars(case).items():
-        try:  # UTF-8 refuses exactly what _SURROGATE matches, and encodes faster than it scans
-            (value if type(value) is str else "".join(value)).encode("utf-8")
-        except UnicodeEncodeError:
-            raise CorpusError(f"case {case.case_id!r}: {name} holds a lone surrogate"
-                              f"{ctx}") from None
 
 
 # What a record line's value must be, by the annotation of the dataclass field it fills,
@@ -133,9 +127,16 @@ def load_corpus(path: str | Path) -> list[ClinicalCase]:
 
 
 def save_corpus(cases: list[ClinicalCase], path: str | Path) -> None:
-    """Write the cases, or raise CorpusError for an invalid one before touching `path`."""
+    """Write the cases, or raise CorpusError for an invalid one before touching `path`.
+    A case made in memory may hold a lone surrogate, which `_read_records` refuses in a file."""
     for case in cases:
         validate_case(case)
+        for name, value in vars(case).items():
+            try:  # UTF-8 refuses exactly what _SURROGATE matches, and faster than it scans
+                (value if type(value) is str else "".join(value)).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"case {case.case_id!r}: {name} holds a lone "
+                                  f"surrogate") from None
     with open(path, "w", encoding="utf-8") as fh:
         for case in cases:
             fh.write(json.dumps(asdict(case), ensure_ascii=False) + "\n")

@@ -191,10 +191,9 @@ class VectorIndex:
             raise EmbeddingError(f"dim mismatch: index {self.dim}, query {len(query)}")
         return np.einsum("ij,j->i", rows, query)
 
-    def _score(self, chunk_ids: list[str], query: np.ndarray) -> list[float]:
-        """The given chunks' scores, bit for bit the ones `search` ranks them by."""
-        return self._row_scores(self._matrix[[self._by_id[cid] for cid in chunk_ids]],
-                                query).tolist()
+    def _score(self, chunk_ids: list[str], query: np.ndarray) -> np.ndarray:
+        """The given chunks' float64 scores, bit for bit the ones `search` ranks them by."""
+        return self._row_scores(self._matrix[[self._by_id[cid] for cid in chunk_ids]], query)
 
     def _candidates(self, query: np.ndarray, n: int) -> np.ndarray | None:
         """The rows, ascending, whose float32 score s32 is at least t - 2m, with t the

@@ -269,9 +269,9 @@ def empty_answer_provider() -> FnChatProvider:
     return FnChatProvider(fn=lambda messages: _EMPTY_ANSWER)
 
 
-def retrieval_sensitive_provider(items: list[TaskItem],
-                                 gold_case_ids: dict[str, str]) -> FnChatProvider:
-    """Answers gold iff a chunk of the item's gold case appears in the prompt context.
+def retrieval_sensitive_provider(items: list[TaskItem]) -> FnChatProvider:
+    """Answers gold iff a chunk of the item's gold case, the case whose id is the item id,
+    appears in the prompt context.
 
     Context blocks carry their chunk ids in the `[CONTEXT n | <chunk_id>]` headers,
     so presence is decided from the parent case of any cited chunk.
@@ -283,8 +283,7 @@ def retrieval_sensitive_provider(items: list[TaskItem],
         item = _find_item(items, user_text)
         if item is None:
             return _EMPTY_ANSWER
-        gold_case = gold_case_ids[item.item_id]
         cited = {parent_case_id(cid) for cid in header.findall(user_text)}
-        return _gold_json(item) if gold_case in cited else _EMPTY_ANSWER
+        return _gold_json(item) if item.item_id in cited else _EMPTY_ANSWER
 
     return FnChatProvider(fn=fn)

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Protocol
 
+from .corpus import _SURROGATE
+
 VARIANTS = ("base", "cot", "rag", "rag_cot")
 RAG_VARIANTS = ("rag", "rag_cot")
 COT_VARIANTS = ("cot", "rag_cot")
@@ -147,8 +149,10 @@ def build_prompt(item: OptionItem, variant: str, templates: TemplateSet,
     return PromptBundle(system_text=templates.system_text, user_text=user, context_blocks=blocks)
 
 
-def _first_json(raw: str, kind: type):
-    """The first JSON value of type `kind` (dict or list) embedded in raw; None if none."""
+def _first_json(raw: str, kind: type, error: type[ValueError], source: str):
+    """The first JSON value of type `kind` (dict or list) embedded in raw. Raises `error` if
+    there is none (its message calls raw `source`) or if it holds a lone surrogate, which no
+    output can encode."""
     decoder = json.JSONDecoder()
     for match in re.finditer(r"\{" if kind is dict else r"\[", raw):
         try:
@@ -156,8 +160,11 @@ def _first_json(raw: str, kind: type):
         except json.JSONDecodeError:
             continue
         if isinstance(value, kind):
+            # decoding makes a lone surrogate only of a \u escape, as in "\ud800"
+            if "\\u" in raw and _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+                raise error("the reply's JSON holds a lone surrogate")
             return value
-    return None
+    raise error(f"no JSON {'object' if kind is dict else 'array'} found in {source}")
 
 
 def _string_list(obj: dict, key: str) -> list[str]:
@@ -183,9 +190,7 @@ def parse_answer(raw: str, item: OptionItem) -> tuple[Answer, list[str]]:
     Selections outside the item's option lists are dropped with a warning, never
     kept; duplicates collapse to first occurrence.
     """
-    obj = _first_json(raw, dict)
-    if obj is None:
-        raise AnswerParseError("no JSON object found in model output")
+    obj = _first_json(raw, dict, AnswerParseError, "model output")
     missing = [k for k in ANSWER_KEYS if k not in obj]
     if missing:
         raise AnswerSchemaError(f"missing required keys {missing}")

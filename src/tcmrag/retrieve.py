@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
+
+import numpy as np
 
 from .corpus import ClinicalCase, render_demonstration
 from .dense import EmbedProvider, VectorIndex, embed
@@ -134,16 +135,16 @@ def first_stage(query_text: str, deps: RetrieverDeps,
                  if cfg.mode in (DENSE_ONLY, HYBRID) else set())
         sparse = ({cid for cid, _ in deps.kw_index.search(query_tokens, cfg.n_sparse)}
                   if cfg.mode in (SPARSE_ONLY, HYBRID) else set())
-        ids = sorted(dense | sparse)
-        dense_scores = sparse_scores = ()
+        ids = tuple(sorted(dense | sparse))
+        dense_scores = sparse_scores = np.zeros(0)
         if ids:  # a zero-chunk index has no dim to score against
             dense_scores = deps.dense_index._score(ids, query_vec)
             sparse_scores = deps.kw_index._score(ids, query_tokens)
         if len(memo) >= _POOL_MEMO_LIMIT:
             del memo[next(iter(memo))]  # the oldest entry
-        memo[key] = (tuple(ids), array("d", dense_scores), array("d", sparse_scores))
+        memo[key] = (ids, dense_scores, sparse_scores)
     return [RetrievalCandidate(chunk_id=cid, dense_score=d, sparse_score=s)
-            for cid, d, s in zip(ids, dense_scores, sparse_scores)]
+            for cid, d, s in zip(ids, dense_scores.tolist(), sparse_scores.tolist())]
 
 
 def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: RetrieverDeps,

@@ -73,15 +73,15 @@ class KeywordIndex:
         hits = [self._postings[tok] for tok in query_tokens if tok in self._postings]
         return np.bincount(np.concatenate(hits), minlength=len(self.ids)) if hits else None
 
-    def _score(self, chunk_ids: list[str], query_tokens: set[str]) -> list[float]:
-        """The given chunks' IoU with the query, bit for bit the one `search` ranks them
-        by; 0 for a chunk sharing no token."""
+    def _score(self, chunk_ids: list[str], query_tokens: set[str]) -> np.ndarray:
+        """The given chunks' float64 IoU with the query, bit for bit the one `search` ranks
+        them by; 0 for a chunk sharing no token."""
         rows = [self._by_id[cid] for cid in chunk_ids]
         cnt = self._overlaps(query_tokens)
         if cnt is None:
-            return [0.0] * len(chunk_ids)
+            return np.zeros(len(chunk_ids))
         cnt = cnt[rows]
-        return (cnt / (len(query_tokens) + self._sizes[rows] - cnt)).tolist()
+        return cnt / (len(query_tokens) + self._sizes[rows] - cnt)
 
     def search(self, query_tokens: set[str], n: int) -> list[tuple[str, float]]:
         """Top-n candidates sharing at least one token, by IoU desc then chunk_id asc."""

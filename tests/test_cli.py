@@ -290,6 +290,39 @@ def test_ingest_clean_adds_no_case_of_a_file_that_fails_part_way(tmp_path, capsy
     assert f"ingest: failed: {raw / 'book.txt'}" in captured.err
 
 
+def test_ingest_clean_fails_a_file_whose_cleaning_reply_escapes_a_lone_surrogate(
+        tmp_path, monkeypatch, capsys):
+    """The reply is unreadable, so the repair turn runs; its file fails and the others'
+    cases are written."""
+    from tcmrag import cli
+    from tcmrag.llm import _SPLIT_SYSTEM
+
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.txt").write_text("病案一:胃脘胀痛,嗳气吞酸。", encoding="utf-8")
+    (raw / "b.txt").write_text("病案二:头晕目眩,耳鸣。", encoding="utf-8")
+    asked = []
+
+    def reply(messages):  # json.dumps escapes every non-ASCII character, "\ud800" too
+        text = messages[1][1].split("\n\n")[0]
+        asked.append(text)
+        if messages[0][1] == _SPLIT_SYSTEM:
+            return json.dumps([text])
+        return json.dumps({**CASE_FIELDS, "doctor_notes": "\ud800" if "头晕" in text else ""})
+
+    provider = FnChatProvider(fn=reply)
+    monkeypatch.setattr(cli, "_chat_provider", lambda cfg, args, items=None: provider)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(write_config(tmp_path)), "ingest", str(raw), str(out),
+                 "--clean"]) == 1
+    assert [c.case_id for c in load_corpus(out)] == ["a-0"]
+    assert [t[:3] for t in asked] == ["病案一", "病案一", "病案二", "病案二", "病案二"]
+    err = capsys.readouterr().err
+    assert (f"ingest: cleaning failed for {raw / 'b.txt'}: "
+            f"the reply's JSON holds a lone surrogate\n") in err
+    assert err.endswith(f"ingest: failed: {raw / 'b.txt'}\n")
+
+
 CHAT_URL = "http://chat.test/v1/chat/completions"
 FLAGGED = "completion flagged finish_reason='length'"
 
@@ -1044,6 +1077,46 @@ def test_query_answer_sends_the_prompt_eval_sends(workspace, tmp_path, sent, cap
     assert "【检索到的相关医案 CONTEXT】" in sent[0][1][1]
 
 
+def test_eval_without_a_corpus_sends_the_prompt_query_answer_sends(workspace, tmp_path, sent,
+                                                                  capsys):
+    """With no `corpus` key both commands answer without a demonstration."""
+    task = first_task()
+    tasks = tmp_path / "one.jsonl"
+    tasks.write_text(json.dumps(task, ensure_ascii=False) + "\n", encoding="utf-8")
+    no_corpus = write_config(tmp_path, corpus="")
+    assert main(["--config", str(no_corpus), "--stub", "eval", "--tasks", str(tasks),
+                 "--mode", "hybrid_jieba", "--cot",
+                 "--index-hybrid", str(workspace["hybrid"]), "--out", str(tmp_path / "r")]) == 0
+    assert main(query_answer_argv(no_corpus, workspace["hybrid"], task)) == 0
+    assert len(sent) == 2
+    assert messages_digest(sent[1]) == messages_digest(sent[0])
+    assert "[示例病案 " not in sent[0][1][1] and "(无示例)" in sent[0][1][1]
+    assert "【检索到的相关医案 CONTEXT】" in sent[0][1][1]
+
+
+@pytest.mark.parametrize("command", ["query --answer", "eval"])
+def test_answering_without_templates_is_config_error_before_retrieval(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    from tcmrag import cli, evalharness
+
+    def retrieve(*args, **kwargs):
+        raise AssertionError("retrieved before the templates were checked")
+
+    monkeypatch.setattr(cli, "two_stage_retrieve", retrieve)
+    monkeypatch.setattr(evalharness, "two_stage_retrieve", retrieve)
+    cfg = write_config(tmp_path, templates="")
+    if command == "eval":
+        argv = ["--config", str(cfg), "--stub", "eval", "--tasks", str(DATA / "tasks.jsonl"),
+                "--mode", "hybrid_jieba", "--chat", "echo_gold",
+                "--index-hybrid", str(workspace["hybrid"]), "--out", str(tmp_path / "r")]
+    else:
+        argv = query_answer_argv(cfg, workspace["hybrid"], first_task())
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {command} requires a templates directory in the config\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_query_answer_demonstration_comes_from_the_config_corpus(workspace, tmp_path, sent,
                                                                  capsys):
     task = first_task()
@@ -1196,6 +1269,37 @@ def test_query_answer_prints_a_flagged_reply(workspace, tmp_path, monkeypatch, c
     out, err = capsys.readouterr()
     assert f"warning: {FLAGGED}\n" in err
     assert json.loads(out.splitlines()[-1])["pathogenesis"] == []
+
+
+def test_eval_counts_a_reply_whose_json_escapes_a_lone_surrogate_as_a_parse_failure(
+        workspace, tmp_path, monkeypatch, capsys):
+    """The reply is unreadable, so the repair turn runs and the item fails to parse; the
+    report replaces the previous one."""
+    from tcmrag import cli
+
+    bad = json.dumps({"clinical_features": ["\ud800"], "pathogenesis": [], "syndromes": [],
+                      "reasoning": ""})  # "\ud800" stays an escape in the reply text
+    tasks = tmp_path / "one.jsonl"
+    tasks.write_text(json.dumps(first_task(), ensure_ascii=False) + "\n", encoding="utf-8")
+    argv = ["--config", str(workspace["cfg"]), "--stub", "eval", "--tasks", str(tasks)]
+    digests = []  # of each prompt eval sends when every reply is `bad`
+    recorder = FnChatProvider(fn=lambda messages: digests.append(messages_digest(messages))
+                              or bad)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_chat_provider", lambda cfg, args, items=None: recorder)
+        main(argv + ["--out", str(tmp_path / "recorded")])
+    canned = tmp_path / "canned.json"
+    canned.write_text(json.dumps(dict.fromkeys(digests, bad)), encoding="utf-8")
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "report_none.json").write_text("previous\n", encoding="utf-8")
+    assert main(argv + ["--chat", "canned", "--canned", str(canned), "--out", str(out)]) == 0
+    assert len(digests) == 2  # the reply and its repair
+    report = json.loads((out / "report_none.json").read_text(encoding="utf-8"))
+    assert report["parse_failures"] == 1 and report["provider_failures"] == 0
+    assert report["items"][0]["warnings"] == [
+        "unparseable answer: the reply's JSON holds a lone surrogate"]
+    assert "parse_failures=1" in capsys.readouterr().out
 
 
 def test_eval_runs_a_repeated_mode_once(workspace, tmp_path, sent, capsys):

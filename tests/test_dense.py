@@ -317,8 +317,8 @@ def test_index_equals_a_stacked_matrix_bitwise(count):
             assert index.search(q, n) == expected[:n]
         searched = dict(index.search(q, count))
         for cid in ids:
-            assert index._score([cid], q) == [searched[cid]]
-        assert index._score(ids[::-1], q) == [searched[cid] for cid in ids[::-1]]
+            assert index._score([cid], q).tolist() == [searched[cid]]
+        assert index._score(ids[::-1], q).tolist() == [searched[cid] for cid in ids[::-1]]
         assert len({searched[ids[pos]] for pos in planted}) == 1
 
 
@@ -453,7 +453,7 @@ def test_index_matches_brute_force_oracle():
 
 def test_index_score_and_dim():
     index = vector_index([("a", unit([1.0, 1.0]))])
-    assert index._score(["a"], unit([1.0, 0.0])) == [pytest.approx(1.0 / math.sqrt(2))]
+    assert index._score(["a"], unit([1.0, 0.0])).tolist() == [pytest.approx(1.0 / math.sqrt(2))]
     assert index.dim == 2
 
 
@@ -468,7 +468,8 @@ def test_index_persistence_roundtrip(tmp_path):
     assert loaded.dim == index.dim
     basis = list(np.eye(12))
     for cid in index.ids:  # a one-hot query scores exactly one stored value
-        assert [loaded._score([cid], e) for e in basis] == [index._score([cid], e) for e in basis]
+        assert ([loaded._score([cid], e).tolist() for e in basis]
+                == [index._score([cid], e).tolist() for e in basis])
     path2 = tmp_path / "again.bin"
     loaded.save(path2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \

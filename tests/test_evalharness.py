@@ -346,8 +346,7 @@ def test_report_items_sorted_by_item_id(eval_setup, task_items, templates):
 
 def test_run_eval_is_deterministic(eval_setup, task_items, templates):
     corpus, retrievers = eval_setup
-    chat = retrieval_sensitive_provider(task_items,
-                                        {it.item_id: it.item_id for it in task_items})
+    chat = retrieval_sensitive_provider(task_items)
     deps = make_deps(templates, corpus, retrievers, chat)
     cfg = RunConfig(retrieval_mode=MODE_HYBRID_JIEBA, cot=True)
     first = run_eval(task_items, cfg, deps).to_json()
@@ -381,8 +380,7 @@ def test_base_and_cot_runs_send_one_embedding_request_per_task_per_index(
     http_retrievers = {mode: replace(d, embedder=HttpEmbedProvider(url=f"http://{mode}",
                                                                    model="m"))
                        for mode, d in stub_retrievers.items()}
-    chat = retrieval_sensitive_provider(task_items,
-                                        {it.item_id: it.item_id for it in task_items})
+    chat = retrieval_sensitive_provider(task_items)
     http_deps = make_deps(templates, corpus, http_retrievers, chat)
     for mode in (MODE_NAIVE_RAG, MODE_HYBRID_JIEBA):
         for cot in (False, True):
@@ -400,8 +398,7 @@ def test_retrieval_sensitive_ablation_ordering(eval_setup, task_items, templates
     """The mock only answers when retrieval surfaces the right case, so scores must
     be monotone in retrieval quality: hybrid >= naive >= none."""
     corpus, retrievers = eval_setup
-    chat = retrieval_sensitive_provider(task_items,
-                                        {it.item_id: it.item_id for it in task_items})
+    chat = retrieval_sensitive_provider(task_items)
     scores = {}
     for mode in RUN_MODES:
         deps = make_deps(templates, corpus, retrievers, chat)
@@ -517,12 +514,12 @@ def test_mock_chats_answer_the_task_whose_case_the_prompt_asks_about(templates):
             (c, "rag_cot", {"context_blocks": [("ca#0", b.case_text)]})]:
         got = mock_answer(gold, item, variant, templates, **context)
         assert score_item(got, item) == 1.0, (item.item_id, variant)
-    sensitive = retrieval_sensitive_provider([a, b, c], {"a": "ca", "b": "cb", "c": "cc"})
+    sensitive = retrieval_sensitive_provider([a, b, c])  # the gold case of item c is case c
     got = mock_answer(sensitive, c, "rag", templates,
-                      demonstration=a.case_text, context_blocks=[("cc#0", "x")])
+                      demonstration=a.case_text, context_blocks=[("c#0", "x")])
     assert score_item(got, c) == 1.0
     got = mock_answer(sensitive, c, "rag", templates,
-                      demonstration=a.case_text, context_blocks=[("ca#0", "x")])
+                      demonstration=a.case_text, context_blocks=[("a#0", "x")])
     assert score_item(got, c) == 0.0
 
 

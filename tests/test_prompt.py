@@ -222,6 +222,18 @@ def test_parse_no_json_raises_parse_error():
     assert not isinstance(exc.value, AnswerSchemaError)
 
 
+@pytest.mark.parametrize("key, value", [("reasoning", "\ud800"),
+                                        ("clinical_features", ["特征\udfff"])],
+                         ids=["reasoning", "clinical_features"])
+def test_parse_refuses_json_that_escapes_a_lone_surrogate(key, value):
+    """A JSON escape such as "\\ud800" decodes to a lone surrogate, which no report or
+    printed answer can encode; an escaped surrogate pair decodes to one character."""
+    with pytest.raises(AnswerParseError, match="the reply's JSON holds a lone surrogate$"):
+        parse_answer(json.dumps(good_payload(**{key: value})), Item())
+    answer, _ = parse_answer(json.dumps(good_payload(reasoning="看\U0001f600")), Item())
+    assert answer.reasoning == "看\U0001f600"
+
+
 def test_parse_missing_key_raises_schema_error():
     payload = good_payload()
     del payload["syndromes"]

@@ -238,7 +238,7 @@ def test_pool_scores_are_the_search_lists_scores(chunks, query_vector, query_tok
     pool = first_stage(query, deps, cfg)
     assert [c.chunk_id for c in pool] == sorted(dense.keys() | sparse.keys())
     for c in pool:
-        assert [c.dense_score] == deps.dense_index._score([c.chunk_id], q)
+        assert [c.dense_score] == deps.dense_index._score([c.chunk_id], q).tolist()
         assert c.sparse_score == iou_score(query_tokens, docs[c.chunk_id])
         if c.chunk_id in dense:
             assert c.dense_score == dense[c.chunk_id]
@@ -709,8 +709,9 @@ def test_a_shared_tokenizer_cuts_each_text_once(monkeypatch, lexicon, hmm, sampl
     for c in chunks:
         # an IoU of 1 with the set cut gives: the row holds exactly that set
         expected = {t for t, _ in cut(c.text, lexicon, hmm).tokens if not _is_ignorable(t)}
-        assert kw_index._score([c.chunk_id], expected) == [1.0]
-        assert dense_index._score([c.chunk_id], embed(c.text, embedder)) == [pytest.approx(1.0)]
+        assert kw_index._score([c.chunk_id], expected).tolist() == [1.0]
+        assert (dense_index._score([c.chunk_id], embed(c.text, embedder)).tolist()
+                == [pytest.approx(1.0)])
 
     deps = RetrieverDeps(tokenize=tokenize, embedder=embedder, dense_index=dense_index,
                          kw_index=kw_index, chunk_texts={c.chunk_id: c.text for c in chunks})

@@ -6,12 +6,12 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import ClinicalCase, _read_records
+from .corpus import ClinicalCase, _read_records, render_demonstration
 from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
 from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, PromptError,
                      TemplateSet, build_prompt, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
-                       RetrieverDeps, parent_case_id, prompt_context, two_stage_retrieve)
+                       RetrieverDeps, parent_case_id, two_stage_retrieve)
 from .sparse import iou_score
 from .transport import ProviderError
 
@@ -141,13 +141,16 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
     """Prompt (rag/rag_cot with context blocks, base/cot without) and generate one parsed
     answer, or None with a last warning that says why: "unparseable answer" (even the
     repaired reply does not parse), "chat provider failed" or "prompt not built" (over the
-    budget with every optional part dropped). Also warns when a retrieval ran (`retrieved`
-    not None) but found nothing, and for each reply with a finish reason other than stop."""
-    blocks, demo_text, warnings = [], None, []
+    budget with every optional part dropped). The context is the retrieved chunks, the
+    demonstration the top chunk's parent case if `deps.corpus` holds it. Also warns when a
+    retrieval ran but found nothing, and for each reply with a finish reason other than stop."""
+    blocks, top_case, warnings = [], None, []
     if retrieved is not None:
-        blocks, demo_text = prompt_context(retrieved, chunk_texts, deps.corpus)
+        blocks = [(c.chunk_id, chunk_texts[c.chunk_id]) for c in retrieved.candidates]
+        top_case = deps.corpus.get(parent_case_id(blocks[0][0])) if blocks else None
         if not blocks:
             warnings.append("nothing retrieved; answered without context")
+    demo_text = render_demonstration(top_case) if top_case is not None else None
     variant = ("rag_cot" if cot else "rag") if blocks else ("cot" if cot else "base")
     try:
         bundle = build_prompt(item, variant, deps.templates, context_blocks=blocks,
@@ -168,20 +171,22 @@ def answer_item(item: OptionItem, cot: bool, deps: EvalDeps,
 def run_eval(items: list[TaskItem], config: RunConfig, deps: EvalDeps) -> ScoreReport:
     """Retrieve (per mode), prompt, generate, parse, and score every item. An item with no
     answer (prompt not built, chat call failed, answer unparseable) scores 0 and is counted."""
-    if config.retrieval_mode != MODE_NONE and config.retrieval_mode not in deps.retrievers:
-        raise ConfigurationError(
-            f"retrieval_mode {config.retrieval_mode!r} requested but no index is loaded")
+    rdeps = rcfg = chunk_texts = None
+    if config.retrieval_mode != MODE_NONE:
+        rdeps = deps.retrievers.get(config.retrieval_mode)
+        if rdeps is None:
+            raise ConfigurationError(
+                f"retrieval_mode {config.retrieval_mode!r} requested but no index is loaded")
+        rcfg = replace(config.retrieval, mode=_STAGE1_MODE[config.retrieval_mode])
+        chunk_texts = rdeps.chunk_texts
 
     results: list[ItemResult] = []
     parse_failures = provider_failures = prompt_failures = 0
     fallbacks = 0
     for item in sorted(items, key=lambda it: it.item_id):
-        retrieved, chunk_texts = None, None
-        if config.retrieval_mode != MODE_NONE:
-            rdeps = deps.retrievers[config.retrieval_mode]
-            rcfg = replace(config.retrieval, mode=_STAGE1_MODE[config.retrieval_mode])
+        retrieved = None
+        if rdeps is not None:
             retrieved = two_stage_retrieve(item.case_text, rdeps, rcfg)
-            chunk_texts = rdeps.chunk_texts
             fallbacks += any(w.startswith(RERANK_FALLBACK) for w in retrieved.warnings)
         answer, warnings = answer_item(item, config.cot, deps, retrieved, chunk_texts)
         warnings = (retrieved.warnings if retrieved is not None else []) + warnings

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .corpus import ClinicalCase
+from .corpus import ClinicalCase, _SURROGATE
 from .prompt import ANSWER_KEYS, Answer, OptionItem, PromptBundle, _first_json, parse_answer
 from .transport import PermanentError, post_json, with_retries
 
@@ -49,7 +49,7 @@ class CannedChatProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CannedChatProvider":
-        """Raises ValueError, naming the file, unless it holds one JSON object of strings."""
+        """Raises ValueError, naming the file, unless it holds one JSON object of UTF-8 strings."""
         with open(path, encoding="utf-8") as fh:
             try:
                 responses = json.load(fh)
@@ -58,6 +58,9 @@ class CannedChatProvider:
         if not (isinstance(responses, dict)
                 and all(isinstance(text, str) for text in responses.values())):
             raise ValueError(f"{path}: not a JSON object of canned responses (digest -> text)")
+        # json.load makes a lone surrogate of an escape such as "\\ud800"
+        if any(_SURROGATE.search(text) for text in responses.values()):
+            raise ValueError(f"{path}: a canned response holds a lone surrogate")
         return cls(responses=responses)
 
     def send(self, messages: list[Message], params: GenerationParams) -> tuple[str, str]:
@@ -98,6 +101,8 @@ def _first_choice(reply) -> tuple[str, str]:
     content = choice["message"]["content"]
     if not isinstance(content, str):
         raise ValueError(f"message content is {type(content).__name__}, not a string")
+    if _SURROGATE.search(content):
+        raise ValueError("message content holds a lone surrogate")
     return content, choice.get("finish_reason", "stop")
 
 

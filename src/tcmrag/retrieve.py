@@ -1,4 +1,4 @@
-"""Two-stage hybrid retrieval: pooled dense+sparse candidates, rerank, prompt context."""
+"""Two-stage hybrid retrieval: pooled dense+sparse candidates, then a rerank."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,6 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .corpus import ClinicalCase, render_demonstration
 from .dense import EmbedProvider, VectorIndex, embed
 from .sparse import KeywordIndex
 from .transport import ProviderError, post_json
@@ -151,8 +150,9 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
            cfg: RetrievalConfig) -> tuple[list[RetrievalCandidate], list[str]]:
     """Provider-scored rerank when configured; linear dense/sparse fusion otherwise.
 
-    A provider failure degrades to fusion scoring and is reported in the warnings,
-    never swallowed.
+    Sets `rerank_score` on the candidates it is handed and returns them ordered by score
+    descending, then chunk_id. A provider failure degrades to fusion scoring and is
+    reported in the warnings, never swallowed.
     """
     if not candidates:
         raise RetrievalError("rerank requires a non-empty candidate list")
@@ -167,10 +167,9 @@ def rerank(query_text: str, candidates: list[RetrievalCandidate], deps: Retrieve
     if scores is None:
         scores = [cfg.alpha * c.dense_score + (1.0 - cfg.alpha) * c.sparse_score
                   for c in candidates]
-    scored = [RetrievalCandidate(c.chunk_id, c.dense_score, c.sparse_score, s)
-              for c, s in zip(candidates, scores)]
-    scored.sort(key=lambda c: (-c.rerank_score, c.chunk_id))
-    return scored, warnings
+    for cand, score in zip(candidates, scores):
+        cand.rerank_score = score
+    return sorted(candidates, key=lambda c: (-c.rerank_score, c.chunk_id)), warnings
 
 
 def two_stage_retrieve(query_text: str, deps: RetrieverDeps,
@@ -190,13 +189,3 @@ def two_stage_retrieve(query_text: str, deps: RetrieverDeps,
 
 def parent_case_id(chunk_id: str) -> str:
     return chunk_id.rsplit("#", 1)[0]
-
-
-def prompt_context(result: RetrievalResult, chunk_texts: dict[str, str],
-                   corpus: dict[str, ClinicalCase]) -> tuple[list[tuple[str, str]], str | None]:
-    """Context blocks (chunk_id, text) for the retrieved chunks, and the rendered parent
-    case of the top chunk as the demonstration; None when nothing was retrieved or the
-    parent case is not in corpus."""
-    blocks = [(c.chunk_id, chunk_texts[c.chunk_id]) for c in result.candidates]
-    top_case = corpus.get(parent_case_id(blocks[0][0])) if blocks else None
-    return blocks, render_demonstration(top_case) if top_case is not None else None

@@ -1178,6 +1178,63 @@ def test_query_answer_with_an_unusable_canned_file_is_config_error_before_retrie
     assert err == f"error: unusable --canned file: {canned}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "query --answer", "ingest --clean"])
+def test_a_canned_file_holding_a_lone_surrogate_is_config_error(workspace, tmp_path, capsys,
+                                                                command):
+    """json.dumps writes "\\ud800" as an escape, which loading the file decodes."""
+    canned = tmp_path / "canned.json"
+    canned.write_text(json.dumps({"0" * 64: "\ud800"}), encoding="utf-8")
+    cfg = workspace["cfg"]
+    if command == "eval":
+        argv = ["--config", str(cfg), "--stub", "eval", "--tasks", str(DATA / "tasks.jsonl"),
+                "--out", str(tmp_path / "r")]
+    elif command == "query --answer":
+        argv = query_answer_argv(cfg, workspace["hybrid"], first_task())
+    else:
+        (tmp_path / "raw").mkdir()
+        (tmp_path / "raw" / "a.txt").write_text("病案一:胃脘胀痛。", encoding="utf-8")
+        argv = ["--config", str(cfg), "ingest", str(tmp_path / "raw"),
+                str(tmp_path / "corpus.jsonl"), "--clean"]
+    assert main(argv + ["--chat", "canned", "--canned", str(canned)]) == 2
+    assert capsys.readouterr() == ("", f"error: unusable --canned file: {canned}: "
+                                       f"a canned response holds a lone surrogate\n")
+    assert not (tmp_path / "r").exists() and not (tmp_path / "corpus.jsonl").exists()
+
+
+def test_a_chat_reply_holding_a_lone_surrogate_fails_only_its_item(
+        workspace, tmp_path, monkeypatch, slept, capsys):
+    """The body's JSON escape "\\ud800" decodes to the lone surrogate itself: the body is
+    malformed, retried, and then a provider failure; the report is written."""
+    tasks = [json.loads(line)
+             for line in (DATA / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[:2]]
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(t, ensure_ascii=False) + "\n" for t in tasks),
+                    encoding="utf-8")
+    bad = json.dumps({"clinical_features": ["\ud800"], "pathogenesis": [], "syndromes": [],
+                      "reasoning": ""}, ensure_ascii=False)  # the surrogate itself, unescaped
+
+    def post(url, json, headers, timeout):
+        first = tasks[0]["case_text"] in json["messages"][-1]["content"]
+        return SimpleNamespace(status_code=200, json=lambda: {
+            "choices": [{"message": {"content": bad if first else EMPTY_ANSWER}}]})
+
+    monkeypatch.setattr(requests, "post", post)
+    out = tmp_path / "r"
+    assert main(["--config", str(write_config(tmp_path, chat_url=CHAT_URL)), "eval",
+                 "--tasks", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report_none.json").read_text(encoding="utf-8"))
+    assert (report["provider_failures"], report["parse_failures"]) == (1, 0)
+    items = {item["item_id"]: item for item in report["items"]}
+    failed, answered = items[tasks[0]["item_id"]], items[tasks[1]["item_id"]]
+    assert (failed["parsed"], failed["answer"]) == (False, "")
+    assert failed["warnings"] == [
+        f"chat provider failed: {CHAT_URL}: malformed response body: ValueError('message "
+        f"content holds a lone surrogate') (failed after 3 retries)"]
+    assert answered["parsed"] and answered["warnings"] == []
+    assert slept == [1.0, 2.0, 4.0]
+    assert "provider_failures=1" in capsys.readouterr().out
+
+
 def test_a_failed_chat_call_fails_its_item_and_eval_still_writes_every_report(
         workspace, tmp_path, capsys):
     canned = tmp_path / "canned.json"

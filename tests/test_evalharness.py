@@ -6,15 +6,16 @@ from dataclasses import replace
 import pytest
 import requests
 
-from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, load_corpus
+from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, load_corpus, render_demonstration
 from tcmrag.dense import HttpEmbedProvider
 from tcmrag.evalharness import (MODE_HYBRID_JIEBA, MODE_NAIVE_RAG, MODE_NONE, RUN_MODES,
                                 ConfigurationError, EvalDeps, ItemResult, RunConfig,
-                                ScoreReport, TaskError, TaskItem, compare_runs,
+                                ScoreReport, TaskError, TaskItem, answer_item, compare_runs,
                                 echo_gold_provider, empty_answer_provider, load_tasks,
                                 retrieval_sensitive_provider, run_eval, score_item)
 from tcmrag.llm import FnChatProvider
 from tcmrag.prompt import COT_STEP_HEADERS, Answer, build_prompt, parse_answer
+from tcmrag.retrieve import RetrievalConfig, parent_case_id, two_stage_retrieve
 from tcmrag.transport import PermanentError, ProviderError
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,59 @@ def test_run_eval_answers_a_no_token_item_without_context(eval_setup, task_items
             warnings = report.items[0].warnings
             assert len(warnings) == 2 and "no searchable tokens" in warnings[0]
             assert warnings[1] == "nothing retrieved; answered without context"
+
+
+def answered_prompt(item, corpus, retrievers, templates):
+    """The retrieval of `item` from the hybrid index, the warnings of answering it with
+    `corpus` as the demonstrations, and the user prompt that answer sent."""
+    rdeps = retrievers[MODE_HYBRID_JIEBA]
+    retrieved = two_stage_retrieve(item.case_text, rdeps, RetrievalConfig())
+    chat, sent = recording_chat()
+    _, warnings = answer_item(item, False, make_deps(templates, corpus, retrievers, chat),
+                              retrieved, rdeps.chunk_texts)
+    return retrieved, warnings, sent[0][1][1]
+
+
+def retrieved_blocks(retrieved, retrievers):
+    texts = retrievers[MODE_HYBRID_JIEBA].chunk_texts
+    return [(c.chunk_id, texts[c.chunk_id]) for c in retrieved.candidates]
+
+
+def test_answer_item_demonstrates_the_top_chunks_parent_case(eval_setup, task_items,
+                                                              templates):
+    corpus, retrievers = eval_setup
+    item = task_items[0]
+    retrieved, warnings, user = answered_prompt(item, corpus, retrievers, templates)
+    blocks = retrieved_blocks(retrieved, retrievers)
+    demo = render_demonstration(corpus[parent_case_id(blocks[0][0])])
+    assert warnings == [] and demo in user
+    assert user == build_prompt(item, "rag", templates, context_blocks=blocks,
+                                demonstration=demo).user_text
+
+
+def test_answer_item_with_nothing_retrieved_has_no_demonstration(eval_setup, task_items,
+                                                                  templates):
+    corpus, retrievers = eval_setup
+    item = no_token_item(task_items[0])
+    retrieved, warnings, user = answered_prompt(item, corpus, retrievers, templates)
+    assert retrieved.candidates == []
+    assert warnings == ["nothing retrieved; answered without context"]
+    assert user == build_prompt(item, "base", templates).user_text
+    assert "[示例病案 " not in user
+
+
+def test_answer_item_without_the_parent_case_in_the_corpus_has_no_demonstration(
+        eval_setup, task_items, templates):
+    corpus, retrievers = eval_setup
+    item = task_items[0]
+    top = parent_case_id(two_stage_retrieve(item.case_text, retrievers[MODE_HYBRID_JIEBA],
+                                            RetrievalConfig()).candidates[0].chunk_id)
+    others = {case_id: case for case_id, case in corpus.items() if case_id != top}
+    retrieved, warnings, user = answered_prompt(item, others, retrievers, templates)
+    blocks = retrieved_blocks(retrieved, retrievers)
+    assert warnings == [] and parent_case_id(blocks[0][0]) == top
+    assert user == build_prompt(item, "rag", templates, context_blocks=blocks).user_text
+    assert "[示例病案 " not in user and "(无示例)" in user
 
 
 class FailingReranker:

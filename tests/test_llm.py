@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -50,6 +52,16 @@ def test_canned_provider_roundtrip(tmp_path):
     assert provider.send(msgs, GenerationParams()) == ("scripted reply", "stop")
     with pytest.raises(PermanentError, match="no canned response"):
         provider.send([("user", "other")], GenerationParams())
+
+
+def test_canned_file_with_a_lone_surrogate_is_refused_naming_the_file(tmp_path):
+    """json.dumps escapes "\\ud800", and loading the file decodes the escape to the lone
+    surrogate itself, which no report or printed answer can encode."""
+    path = tmp_path / "canned.json"
+    path.write_text(json.dumps({"d1": "ok", "d2": "回答\ud800"}), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a canned response holds "
+                                         r"a lone surrogate$"):
+        CannedChatProvider.from_file(path)
 
 
 def test_generation_params_validation():
@@ -144,6 +156,16 @@ def test_http_provider_error_mapping(monkeypatch):
     payload = {"choices": [{"message": {"content": "回答"}, "finish_reason": "stop"}]}
     monkeypatch.setattr(requests, "post", lambda *a, **k: Resp(200, payload))
     assert provider.send(MSGS, GenerationParams()) == ("回答", "stop")
+
+
+def test_http_reply_holding_a_lone_surrogate_is_a_malformed_body(monkeypatch):
+    """The body's JSON escape "\\ud800" decodes to the lone surrogate itself."""
+    payload = {"choices": [{"message": {"content": "回答\ud800"}, "finish_reason": "stop"}]}
+    monkeypatch.setattr(requests, "post", lambda *a, **k: SimpleNamespace(
+        status_code=200, json=lambda: payload))
+    with pytest.raises(TransientError, match="http://x: malformed response body: .*message "
+                                             "content holds a lone surrogate"):
+        HttpChatProvider(url="http://x", model="m").send(MSGS, GenerationParams())
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from tcmrag import engine, retrieve
-from tcmrag.corpus import (OVERLAP_WINDOW, TOKEN_CHUNK, Chunk, ClinicalCase,
-                           render_demonstration)
+from tcmrag.corpus import OVERLAP_WINDOW, TOKEN_CHUNK, Chunk
 from tcmrag.dense import EmbeddingError, StubEmbedProvider, VectorIndex, embed, token_bucket
 from tcmrag.retrieve import (DENSE_ONLY, HYBRID, MODES, RERANK_FALLBACK, SPARSE_ONLY,
                              HttpRerankProvider, RetrievalCandidate, RetrievalConfig, RetrievalError,
-                             RetrieverDeps, first_stage, parent_case_id,
-                             prompt_context, rerank, two_stage_retrieve)
+                             RetrieverDeps, first_stage, parent_case_id, rerank,
+                             two_stage_retrieve)
 from tcmrag.segment import _is_ignorable, cut
 from tcmrag.sparse import KeywordIndex, iou_score
 from tcmrag.transport import ProviderError
@@ -337,11 +336,15 @@ def test_rerank_tie_breaks_by_chunk_id():
     assert [c.chunk_id for c in ranked] == ["a", "z"]
 
 
-def test_rerank_does_not_mutate_input():
+def test_rerank_scores_and_orders_the_very_candidates_it_is_given():
     deps = make_deps()
-    cands = [RetrievalCandidate(chunk_id="a", dense_score=0.9, sparse_score=0.1)]
-    rerank("q", cands, deps, RetrievalConfig())
-    assert cands[0].rerank_score == 0.0
+    cands = [RetrievalCandidate(chunk_id="a", dense_score=0.9, sparse_score=0.1),
+             RetrievalCandidate(chunk_id="b", dense_score=0.2, sparse_score=1.0)]
+    first, second = cands
+    ranked, _ = rerank("q", cands, deps, RetrievalConfig(alpha=0.5))
+    assert ranked[0] is second and ranked[1] is first
+    assert (first.rerank_score, second.rerank_score) == (pytest.approx(0.5), pytest.approx(0.6))
+    assert cands[0] is first and cands[1] is second  # the list handed in keeps its order
 
 
 def test_rerank_empty_pool_is_an_error():
@@ -388,7 +391,7 @@ def test_rerank_provider_failure_degrades_with_warning():
 
 
 # ---------------------------------------------------------------------------
-# Two-stage pipeline and demonstration pick
+# Two-stage pipeline
 # ---------------------------------------------------------------------------
 
 def test_two_stage_truncates_to_top_k():
@@ -412,35 +415,6 @@ def test_parent_case_id():
     assert parent_case_id("c1#12") == "c1"
     assert parent_case_id("a#b#2") == "a#b"
     assert parent_case_id("noseparator") == "noseparator"
-
-
-def make_case(case_id: str) -> ClinicalCase:
-    return ClinicalCase(case_id=case_id, patient_background="", clinical_info="x",
-                        pathogenesis="y", syndromes=["z"])
-
-
-def test_prompt_context_demonstrates_parent_case():
-    deps = make_deps()
-    corpus = {cid: make_case(cid) for cid in ["c1", "c2", "c3"]}
-    result = two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
-    blocks, demo = prompt_context(result, deps.chunk_texts, corpus)
-    assert demo is not None and demo == render_demonstration(corpus["c1"])
-    assert blocks == [(c.chunk_id, deps.chunk_texts[c.chunk_id]) for c in result.candidates]
-
-
-def test_prompt_context_none_when_nothing_retrieved():
-    deps = make_deps()
-    corpus = {cid: make_case(cid) for cid in ["c1", "c2", "c3"]}
-    result = two_stage_retrieve("unknowntoken", deps, RetrievalConfig(mode=SPARSE_ONLY))
-    blocks, demo = prompt_context(result, deps.chunk_texts, corpus)
-    assert blocks == [] and demo is None
-
-
-def test_prompt_context_unknown_parent_case_gives_no_demonstration():
-    deps = make_deps()
-    result = two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
-    blocks, demo = prompt_context(result, deps.chunk_texts, {"c2": make_case("c2")})
-    assert blocks[0][0] == "c1#0" and demo is None
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +582,36 @@ def test_first_stage_runs_once_per_retrieval(monkeypatch):
         two_stage_retrieve(f"{A} {B}", deps, RetrievalConfig())
     assert len(seen) == 3 and len(deps._pools) == 1
     assert pool_digest(seen[2]) == pool_digest(seen[0])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_retrieval_builds_one_candidate_per_pooled_chunk(monkeypatch, mode):
+    """On a pool-memo miss and on a hit: `first_stage` builds the pool's candidates and
+    `rerank` scores and orders those same ones, building none of its own."""
+    built, pools = [], []
+
+    class Counted(RetrievalCandidate):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    real_first_stage = retrieve.first_stage
+
+    def hooked(query_text, deps, cfg):
+        pools.append(real_first_stage(query_text, deps, cfg))
+        return pools[-1]
+
+    monkeypatch.setattr(retrieve, "RetrievalCandidate", Counted)
+    monkeypatch.setattr(retrieve, "first_stage", hooked)
+    deps = make_deps()
+    cfg = RetrievalConfig(mode=mode, top_k=1)
+    for lookup in ("miss", "hit"):
+        built.clear()
+        result = two_stage_retrieve(f"{A} {B} {D}", deps, cfg)
+        assert len(pools[-1]) == 3, lookup
+        assert len(built) == 3 and all(b is c for b, c in zip(built, pools[-1])), lookup
+        assert result.candidates[0] is built[0] and built[0].rerank_score > 0.0, lookup
+    assert len(deps._pools) == 1
 
 
 # ---------------------------------------------------------------------------

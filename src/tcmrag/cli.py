@@ -161,14 +161,10 @@ def _chat_provider(cfg: AppConfig, args, items=None):
             return CannedChatProvider.from_file(args.canned)
         except (OSError, ValueError) as exc:
             raise CliConfigError(f"unusable --canned file: {exc}") from exc
-    if kind == "echo_gold":
-        return ev.echo_gold_provider(items or [])
-    if kind == "empty":
-        return ev.empty_answer_provider()
-    if kind == "retrieval_sensitive":
-        return ev.retrieval_sensitive_provider(items or [])
+    if kind in ev.MOCK_CHATS:
+        return ev.MOCK_CHATS[kind](items or [])
     if not cfg.chat_url:
-        raise CliConfigError("no chat_url configured; pass --chat canned/echo_gold/empty")
+        raise CliConfigError("no chat_url configured; choose another --chat")
     return HttpChatProvider(url=cfg.chat_url, model=cfg.chat_model)
 
 
@@ -452,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", action="append", choices=list(ev.RUN_MODES),
                    help="repeatable; defaults to 'none'")
     p.add_argument("--cot", action="store_true", help="use chain-of-thought variants")
-    chat_options(p, "echo_gold", "empty", "retrieval_sensitive")
+    chat_options(p, *ev.MOCK_CHATS)
     p.add_argument("--index-naive", default=None, help="index dir for naive_rag")
     p.add_argument("--index-hybrid", default=None, help="index dir for hybrid_jieba")
     p.add_argument("--out", default=None, help="report output directory")

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import ClinicalCase, _read_records, render_demonstration
 from .llm import ChatProvider, FnChatProvider, GenerationParams, generate_answer
-from .prompt import (DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem, PromptError,
-                     TemplateSet, build_prompt, serialize_answer)
+from .prompt import (_CONTEXT_HEADER, DEFAULT_BUDGET, Answer, AnswerParseError, OptionItem,
+                     PromptError, TemplateSet, build_prompt, serialize_answer)
 from .retrieve import (DENSE_ONLY, HYBRID, RERANK_FALLBACK, RetrievalConfig, RetrievalResult,
                        RetrieverDeps, parent_case_id, two_stage_retrieve)
 from .sparse import iou_score
@@ -113,10 +112,14 @@ def load_tasks(path: str | Path) -> list[TaskItem]:
 
 
 def _validate_item(item: TaskItem) -> None:
+    if not item.case_text.strip():  # "" would be found in every prompt
+        raise TaskError(f"item {item.item_id!r}: blank case_text")
     for name, options in (("pathogenesis_options", item.pathogenesis_options),
                           ("syndrome_options", item.syndrome_options)):
         if len(options) < 2:
             raise TaskError(f"item {item.item_id!r}: {name} needs >= 2 options")
+        if "" in options:  # parse_answer drops an empty selection
+            raise TaskError(f"item {item.item_id!r}: empty string in {name}")
         if len(set(options)) != len(options):
             raise TaskError(f"item {item.item_id!r}: duplicate strings in {name}")
     for name, gold, options in (
@@ -241,11 +244,6 @@ def compare_runs(reports: list[ScoreReport]) -> tuple[str, list[dict]]:
 
 # --- Offline mock chat providers for ablation tests -------------------------
 
-def _gold_json(item: TaskItem) -> str:
-    return serialize_answer(Answer(["依据病案提取的特征"], item.gold_pathogenesis,
-                                   item.gold_syndromes, "按步骤推理得出。"))
-
-
 _EMPTY_ANSWER = serialize_answer(Answer([], [], [], "无法判断。"))
 
 
@@ -258,15 +256,25 @@ def _find_item(items: list[TaskItem], user_text: str) -> TaskItem | None:
                                  len(item.case_text)))
 
 
-def echo_gold_provider(items: list[TaskItem]) -> FnChatProvider:
-    """Answers every item with its gold labels (perfect oracle)."""
+def _gold_mock(items: list[TaskItem], cited: bool) -> FnChatProvider:
+    """Answers the gold labels of the task the prompt asks about, else empty lists; if
+    `cited`, only when a context header cites a chunk of the case whose id is the item id."""
 
     def fn(messages):
         user_text = messages[-1][1]
         item = _find_item(items, user_text)
-        return _gold_json(item) if item is not None else _EMPTY_ANSWER
+        if item is None or (cited and item.item_id not in {
+                parent_case_id(cid) for cid in _CONTEXT_HEADER.findall(user_text)}):
+            return _EMPTY_ANSWER
+        return serialize_answer(Answer(["依据病案提取的特征"], item.gold_pathogenesis,
+                                       item.gold_syndromes, "按步骤推理得出。"))
 
     return FnChatProvider(fn=fn)
+
+
+def echo_gold_provider(items: list[TaskItem]) -> FnChatProvider:
+    """Answers every item with its gold labels (perfect oracle)."""
+    return _gold_mock(items, cited=False)
 
 
 def empty_answer_provider() -> FnChatProvider:
@@ -275,20 +283,10 @@ def empty_answer_provider() -> FnChatProvider:
 
 
 def retrieval_sensitive_provider(items: list[TaskItem]) -> FnChatProvider:
-    """Answers gold iff a chunk of the item's gold case, the case whose id is the item id,
-    appears in the prompt context.
+    """Answers gold iff a chunk of the item's gold case appears in the prompt context."""
+    return _gold_mock(items, cited=True)
 
-    Context blocks carry their chunk ids in the `[CONTEXT n | <chunk_id>]` headers,
-    so presence is decided from the parent case of any cited chunk.
-    """
-    header = re.compile(r"\[CONTEXT \d+ \| ([^\]]+)\]")
 
-    def fn(messages):
-        user_text = messages[-1][1]
-        item = _find_item(items, user_text)
-        if item is None:
-            return _EMPTY_ANSWER
-        cited = {parent_case_id(cid) for cid in header.findall(user_text)}
-        return _gold_json(item) if item.item_id in cited else _EMPTY_ANSWER
-
-    return FnChatProvider(fn=fn)
+# The offline mock chats by `eval --chat` name, each built from the task list.
+MOCK_CHATS = {"echo_gold": echo_gold_provider, "empty": lambda items: empty_answer_provider(),
+              "retrieval_sensitive": retrieval_sensitive_provider}

@@ -97,6 +97,10 @@ def _numbered(options: list[str]) -> str:
     return "\n".join(f"{i}. {opt}" for i, opt in enumerate(options, 1))
 
 
+# the header line of a context block; its chunk id may hold "]", as a case id may
+_CONTEXT_HEADER = re.compile(r"^\[CONTEXT \d+ \| (.+)\]$", re.MULTILINE)
+
+
 def _render_context(blocks: list[tuple[str, str]]) -> str:
     if not blocks:
         return "(无检索结果)"

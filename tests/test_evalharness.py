@@ -105,6 +105,24 @@ def test_load_tasks_rejects_malformed_records(tmp_path, record, message):
         load_tasks(write_tasks(tmp_path, [record]))
 
 
+@pytest.mark.parametrize("case_text", ["", " \n\u3000"], ids=["empty", "whitespace"])
+def test_load_tasks_rejects_a_blank_case_text_naming_the_item(tmp_path, case_text):
+    # "" is found in every prompt, so the mocks would answer any task with this one's gold
+    path = write_tasks(tmp_path, [task_record(case_text=case_text)])
+    with pytest.raises(TaskError, match=r"item 't1': blank case_text"):
+        load_tasks(path)
+
+
+@pytest.mark.parametrize("field", ["pathogenesis_options", "syndrome_options"])
+def test_load_tasks_rejects_an_empty_option_string_naming_the_item(tmp_path, field):
+    # parse_answer drops an empty selection, so a gold label "" could never be scored
+    gold = "gold_pathogenesis" if field == "pathogenesis_options" else "gold_syndromes"
+    rec = task_record()
+    path = write_tasks(tmp_path, [task_record(**{field: rec[field] + [""], gold: [""]})])
+    with pytest.raises(TaskError, match=rf"item 't1': empty string in {field}"):
+        load_tasks(path)
+
+
 def test_load_tasks_rejects_a_lone_surrogate_naming_its_line(tmp_path):
     path = tmp_path / "tasks.jsonl"
     path.write_text(json.dumps(task_record(case_text="胃脘\udcff痛。")) + "\n", encoding="utf-8")
@@ -575,6 +593,16 @@ def test_mock_chats_answer_the_task_whose_case_the_prompt_asks_about(templates):
     got = mock_answer(sensitive, c, "rag", templates,
                       demonstration=a.case_text, context_blocks=[("a#0", "x")])
     assert score_item(got, c) == 0.0
+
+
+def test_retrieval_sensitive_reads_a_cited_chunk_id_holding_a_bracket(templates):
+    """A case id may hold "]", so the chunk id is the whole rest of the header line."""
+    item = make_item(item_id="a]b", case_text="胃脘胀痛，嗳气吞酸。")
+    sensitive = retrieval_sensitive_provider([item])
+    got = mock_answer(sensitive, item, "rag", templates, context_blocks=[("a]b#0", "x")])
+    assert score_item(got, item) == 1.0
+    got = mock_answer(sensitive, item, "rag", templates, context_blocks=[("a#0", "]b#0")])
+    assert score_item(got, item) == 0.0
 
 
 # ---------------------------------------------------------------------------

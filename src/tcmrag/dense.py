@@ -31,13 +31,23 @@ _FORMAT = _block.BlockFormat(b"TCMRAGVIDX\0\0", 2, "IIQ", "vector index", "vecto
 # A row (or query) counts as a unit vector when its squared norm is within this of 1;
 # `load` refuses a file with any other row, and `search`'s error margin assumes it.
 _UNIT_TOL = 1e-6
-# `search` prefilters with the float32 scan only when the index holds more than this
-# many rows per result asked for; with fewer, the scan drops too few rows to pay for the
+# `search` prefilters with the float32 pass only when the index holds more than this
+# many rows per result asked for; with fewer, the pass drops too few rows to pay for the
 # second pass, and every row is scored in float64 as one scan. Two passes against one,
-# CPU time over the first rows of a 3,000 x 256 stub index, one BLAS thread, 2-vCPU
-# x86_64: at 8 rows per result 0.73-0.94x from 250 to 3,000 rows, 1.13x at 150 rows; at
-# 4 rows per result 0.75-1.35x; at 16, 0.58-0.91x.
+# CPU time per clinic stream query over the first rows of a 3,000 x 256 stub index, the
+# float32 copy made, one BLAS thread, 2-vCPU x86_64, two runs: at 8 rows per result
+# 0.38-0.78x from 500 to 3,000 rows, 1.00-1.04x at 250 rows, 1.19-1.20x at 150; at 4 rows
+# per result 0.82-1.10x from 1,000 rows, 0.96-1.38x at 500, 1.08-1.35x below; at 16,
+# 0.33-0.67x from 500 rows, 0.91-1.47x below.
 _ROWS_PER_RESULT = 8
+# The float32 pass multiplies only the query's nonzero dimensions when at most one in
+# this many is nonzero, and otherwise takes one product over the whole copy, as a dense
+# provider vector needs. Gathered against whole, per dimension, CPU time, one BLAS
+# thread, 2-vCPU x86_64, from 8 to 128 nonzero dimensions: 1.7-3.6x at 3,000 x 256,
+# 1.7-4.5x at 3,000 x 1,024, 1.4-3.3x at 20,000 x 768; at 3,000 x 256 the gather overtook
+# the whole product between 96 and 128 dimensions. Gathering all of a dense query's
+# dimensions took 3.3x, 3.0x and 7.0x as long as the whole product.
+_GATHER_COST = 4
 
 
 def fnv1a64(data: bytes) -> int:
@@ -63,6 +73,9 @@ def _margin(dim: int) -> float:
     """A bound m on |s32 - s64| for a unit row a and a unit query q of this dim, where
     s32 is a.q from float32 copies in any summation order (a BLAS product, with or
     without FMA, on any number of threads) and s64 the float64 `_row_scores` of the row.
+    s32 may also skip the products whose float32 query entry is 0: each such product of
+    a finite a_i is exactly +-0, and adding +-0 to a sum leaves its value exact, so the
+    shorter sum is the full float32 sum taken in an order that adds those terms last.
 
     In the standard model with gradual underflow (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 2.2) each float32 rounding, the two
@@ -168,8 +181,12 @@ def embed(text: str, provider: EmbedProvider) -> np.ndarray:
 class VectorIndex:
     """Exact flat index over unit vectors; cosine equals dot product. Row r of `matrix`
     (count x dim float64) holds ids[r], and the ids are in chunk_id order, in memory as
-    in the file. The first search that prefilters (see `_candidates`) makes a float32
-    copy of the matrix, which that search and every later one scans first."""
+    in the file. The second search that could prefilter (see `_candidates`) makes a
+    float32 copy of the matrix, transposed to dim x count, one contiguous row per
+    dimension, so that a search can read its query's nonzero dimensions alone; that
+    search and every later one read it first. The first such search scans the float64
+    matrix once instead: building the copy reads all of it too, and a `query` command
+    searches each index only once."""
 
     def __init__(self, ids: list[str], matrix: np.ndarray) -> None:
         self.ids = ids
@@ -181,6 +198,7 @@ class VectorIndex:
         self._off_unit = np.flatnonzero(
             ~(np.abs(np.einsum("ij,ij->i", matrix, matrix) - 1.0) <= _UNIT_TOL))
         self._matrix32: np.ndarray | None = None
+        self._scanned = False  # whether a search that could prefilter scanned in float64
 
     def _row_scores(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Each row's dot product with the query, one row at a time: unlike a BLAS
@@ -199,9 +217,12 @@ class VectorIndex:
         """The rows, ascending, whose float32 score s32 is at least t - 2m, with t the
         n-th best s32 and m = `_margin(dim)`; or None, for every row, when the index
         holds at most `_ROWS_PER_RESULT` rows per result, its matrix is not float64 unit
-        rows, or the query is not a float64 unit vector of its dim.
+        rows, the query is not a float64 unit vector of its dim, or no earlier search
+        could have prefiltered, so that no float32 copy is made for one search alone.
 
-        They hold the n best rows by their `_row_scores` score s64, every tie at the cut
+        s32 is the float32 product of the query with the transposed copy, over only the
+        query's nonzero float32 entries when it has at most one in `_GATHER_COST`. They
+        hold the n best rows by their `_row_scores` score s64, every tie at the cut
         included: as |s32 - s64| <= m, the n rows with s32 >= t have s64 >= t - m, so
         the n-th best s64, T, is at least t - m, and every row with s64 >= T has
         s32 >= T - m >= t - 2m."""
@@ -212,8 +233,14 @@ class VectorIndex:
                 or not abs(float(np.einsum("i,i->", query, query)) - 1.0) <= _UNIT_TOL):
             return None
         if self._matrix32 is None:
-            self._matrix32 = self._matrix.astype(np.float32)
-        s32 = self._matrix32 @ query.astype(np.float32)
+            if not self._scanned:
+                self._scanned = True
+                return None
+            self._matrix32 = np.ascontiguousarray(self._matrix.T, dtype=np.float32)
+        q32 = query.astype(np.float32)
+        nz = np.flatnonzero(q32)
+        s32 = (q32[nz] @ self._matrix32[nz] if _GATHER_COST * len(nz) <= self.dim
+               else q32 @ self._matrix32)
         return np.flatnonzero(s32 >= np.partition(s32, -n)[-n] - 2.0 * _margin(self.dim))
 
     def search(self, query: np.ndarray, n: int) -> list[tuple[str, float]]:

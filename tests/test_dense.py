@@ -346,8 +346,28 @@ def full_scan(index: VectorIndex, query: np.ndarray, n: int) -> list[tuple[str, 
     return [(index.ids[r], float(scores[r]).hex()) for r in _top_rows(scores, n).tolist()]
 
 
-def planted_index(seed: int, dim: int, count: int, n: int) -> tuple[VectorIndex, np.ndarray]:
-    """A unit query and an index of at least four unit rows. About half the rows score
+QUERY_KINDS = ("dense", "stub-like", "one nonzero", "float32 zeros")
+
+
+def planted_query(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    """A unit query of one of QUERY_KINDS: Gaussian in every dimension; small counts in at
+    most a quarter of the dimensions and exactly 0 in the others, as the stub embedder
+    gives, with either sign; one nonzero dimension; or stub-like with every other entry
+    +-1e-50, which is nonzero in float64 and 0 in float32."""
+    if kind == "dense":
+        return unit(rng.normal(size=dim))
+    values = np.zeros(dim)
+    k = 1 if kind == "one nonzero" else int(rng.integers(1, dim // 4 + 1))
+    values[rng.choice(dim, k, replace=False)] = rng.integers(1, 4, k) * rng.choice([-1, 1], k)
+    if kind == "float32 zeros":
+        values[values == 0] = rng.choice([-1e-50, 1e-50], dim - k)
+    return unit(values)
+
+
+def planted_index(seed: int, dim: int, count: int, n: int,
+                  kind: str = "dense") -> tuple[VectorIndex, np.ndarray]:
+    """A unit query of the given kind (see `planted_query`) and an index of at least
+    four unit rows. About half the rows score
     within the float32 margin m of one score c0, on both sides of it, some further from c0
     than a float32 scan can err and some much closer, and the n-th place
     falls among them when n <= count; the other rows score at least 3m above or below
@@ -355,7 +375,7 @@ def planted_index(seed: int, dim: int, count: int, n: int) -> tuple[VectorIndex,
     order."""
     rng = np.random.default_rng(seed)
     m = dense._margin(dim)
-    query = unit(rng.normal(size=dim))
+    query = planted_query(rng, dim, kind)
     plain = max(count, 4) - 3
     near = max(1, plain // 2)
     most = min(n - 1, plain - near)  # rows above the near-tied ones
@@ -379,34 +399,46 @@ def planted_index(seed: int, dim: int, count: int, n: int) -> tuple[VectorIndex,
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([8, 64, 768]), st.integers(4, 240),
-       st.one_of(st.integers(1, 26), st.integers(1, 242)))
-@example(1, 8, 100, 1).via("n = 1")
-@example(2, 768, 100, 99).via("n = count - 1")
-@example(3, 8, 40, 40).via("n = count")
-@example(4, 768, 40, 42).via("n > count")
-@example(5, 768, 240, 29).via("float32 scan first: 240 rows > 8 x 29")
-@example(6, 8, 240, 30).via("one scan: 240 rows <= 8 x 30")
-def test_search_equals_a_float64_scan_of_every_row(seed, dim, count, n):
-    """Whichever rows the float32 scan keeps, `search` gives the ids, order and float64
+       st.one_of(st.integers(1, 26), st.integers(1, 242)), st.sampled_from(QUERY_KINDS))
+@example(1, 8, 100, 1, "dense").via("n = 1")
+@example(2, 768, 100, 99, "dense").via("n = count - 1")
+@example(3, 8, 40, 40, "dense").via("n = count")
+@example(4, 768, 40, 42, "dense").via("n > count")
+@example(5, 768, 240, 29, "dense").via("float32 pass over every dimension: 240 rows > 8 x 29")
+@example(6, 8, 240, 30, "dense").via("one scan: 240 rows <= 8 x 30")
+@example(7, 768, 240, 29, "stub-like").via("float32 pass over the nonzero dimensions")
+def test_search_equals_a_float64_scan_of_every_row(seed, dim, count, n, kind):
+    """Whichever rows the float32 pass keeps, over every dimension or only the query's
+    nonzero ones, the first and the repeated `search` give the ids, order and float64
     bits of a float64 scan of every row, with near-ties planted within the margin on
     both sides of the n-th place and identical rows at the head, middle and tail."""
     n = min(n, count + 2)
-    index, query = planted_index(seed, dim, count, n)
-    got = [(cid, score.hex()) for cid, score in index.search(query, n)]
-    assert got == full_scan(index, query, n)
-    event("float32 scan first" if index._candidates(query, n) is not None
-          else "one float64 scan")
+    index, query = planted_index(seed, dim, count, n, kind)
+    for _ in range(2):
+        got = [(cid, score.hex()) for cid, score in index.search(query, n)]
+        assert got == full_scan(index, query, n)
+    if index._candidates(query, n) is None:
+        event("one float64 scan")
+    elif dense._GATHER_COST * np.count_nonzero(query.astype(np.float32)) <= dim:
+        event("float32 pass over the nonzero dimensions")
+    else:
+        event("float32 pass over every dimension")
 
 
 def test_search_scans_in_float32_only_above_the_rows_per_result():
-    """The float32 copy is made by the first search that prefilters, and only then."""
+    """An index's first search that could prefilter scans every row in float64 and makes
+    no float32 copy; the second makes the transposed copy, and only that one."""
     index, query = planted_index(7, 16, 8 * 5 + 1, 5)
     assert len(index.ids) == 41 and index._matrix32 is None   # no copy before a search
     assert index._candidates(query, 6) is None       # 41 rows <= 8 x 6
+    index.search(query, 6)
     assert index._matrix32 is None
-    assert index._candidates(query, 5) is not None   # 41 rows > 8 x 5
+    index.search(query, 5)                           # 41 rows > 8 x 5: the first
+    assert index._matrix32 is None                   # prefiltering search scans in float64
+    assert index._candidates(query, 5) is not None   # the second makes the copy
     copy = index._matrix32
-    assert np.array_equal(copy, index._matrix.astype(np.float32))
+    assert np.array_equal(copy, index._matrix.T.astype(np.float32))
+    assert copy.dtype == np.float32 and copy.flags.c_contiguous
     index.search(query, 5)
     assert index._matrix32 is copy                   # made once
     small, small_query = planted_index(7, 16, 120, 50)
